@@ -15,6 +15,7 @@ from .geometry import (
     Viewpoint,
     ViewpointLattice,
     discretize_viewpoints,
+    pixel_ids,
     rotate_grid,
     rotation_matrix,
     sample_gaussian_view,
@@ -97,6 +98,7 @@ __all__ = [
     "iou",
     "load_pool",
     "make_corpus",
+    "pixel_ids",
     "project_first_hit",
     "project_voxel",
     "rank_scores",

@@ -1,12 +1,13 @@
 """Visual-hull reconstruction by silhouette intersection (space carving).
 
 A voxel survives carving only if every observation sees it inside the
-silhouette: the voxel center is rotated by the observation's viewpoint with
-the same forward kernel used for rendering, and the resulting (y, z) cell is
-looked up in the silhouette image. Because rendering and carving share that
-kernel, every ground-truth voxel projects onto a set pixel of every rendered
-silhouette, so the carve of exact silhouettes always contains the ground
-truth. Projections that fall off the image count as outside.
+silhouette: the voxel's pixel id under the observation's viewpoint comes from
+the pixel-id kernel rendering uses (:func:`~voxsel.geometry.pixel_ids`), and
+that pixel is looked up in the silhouette image. Because rendering and carving
+share that kernel, every ground-truth voxel projects onto a set pixel of every
+rendered silhouette, so the carve of exact silhouettes always contains the
+ground truth. Carving drops a voxel only when its (y, z) pixel falls off the
+image, which counts as outside; a rotated depth off the cube does not matter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Viewpoint, rotated_cells
+from .geometry import Viewpoint, pixel_ids
 from .grid import VoxelGrid
 from .synthesis import SilhouetteImage
 
@@ -41,12 +42,10 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
     x, y, z = index
     if not (0 <= x < dim and 0 <= y < dim and 0 <= z < dim):
         raise ValueError(f"voxel index {index} outside grid of dim {dim}")
-    cells, _ = rotated_cells(dim, v)
-    flat = (x * dim + y) * dim + z
-    py, pz = int(cells[flat, 1]), int(cells[flat, 2])
-    if 0 <= py < dim and 0 <= pz < dim:
-        return (py, pz)
-    return None
+    pixel = int(pixel_ids(dim, v, clip_depth=False)[(x * dim + y) * dim + z])
+    if pixel == dim * dim:
+        return None
+    return divmod(pixel, dim)
 
 
 def carve(observations: Sequence[ViewObservation], dim: int) -> VoxelGrid:
@@ -54,7 +53,8 @@ def carve(observations: Sequence[ViewObservation], dim: int) -> VoxelGrid:
 
     Every observation must carry a (dim, dim) silhouette. The result is a
     0/1-valued grid; it shrinks (voxelwise) as observations are added, does
-    not depend on their order, and is idempotent under duplicates.
+    not depend on their order, and is idempotent under duplicates. Each
+    observation gathers its silhouette bits through the pose's pixel ids.
     """
     if len(observations) == 0:
         raise ValueError("carving requires at least one observation")
@@ -67,10 +67,7 @@ def carve(observations: Sequence[ViewObservation], dim: int) -> VoxelGrid:
             )
     keep = np.ones(dim * dim * dim, dtype=bool)
     for obs in observations:
-        cells, _ = rotated_cells(dim, obs.viewpoint)
-        py, pz = cells[:, 1], cells[:, 2]
-        on_image = (py >= 0) & (py < dim) & (pz >= 0) & (pz < dim)
-        inside = np.zeros(keep.shape, dtype=bool)
-        inside[on_image] = obs.silhouette.pixels[py[on_image], pz[on_image]]
-        keep &= inside
+        # The trailing False is the pixel of voxels that project off the image.
+        lookup = np.append(obs.silhouette.pixels.reshape(-1), False)
+        keep &= lookup[pixel_ids(dim, obs.viewpoint, clip_depth=False)]
     return VoxelGrid(keep.reshape((dim, dim, dim)).astype(np.float64))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .carve import ViewObservation, carve
-from .geometry import Viewpoint, discretize_viewpoints, sample_gaussian_view
+from .geometry import Viewpoint, discretize_viewpoints
 from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, error_grid
 from .harness import (
     LoopConfig,
@@ -29,8 +29,17 @@ from .harness import (
     report_json,
     run_loop,
 )
-from .io import FormatError, read_sil, read_vxg, viewpoint_from_dict, viewpoint_to_dict, write_sil, write_vxg
-from .selection import score_all, select_top_n
+from .io import (
+    FormatError,
+    canonical_json,
+    read_sil,
+    read_vxg,
+    viewpoint_from_dict,
+    viewpoint_to_dict,
+    write_sil,
+    write_vxg,
+)
+from .selection import sample_around, score_all, select_top_n
 from .synthesis import SHAPE_KINDS, ShapeSpec, generate_shape, render_silhouette
 
 
@@ -52,9 +61,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
     lattice = discretize_viewpoints(args.interval)
     scores = score_all(error_grid(pred, gt), lattice)
     top = select_top_n(scores, args.n)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    sigma = args.interval / 6.0
-    sampled = [sample_gaussian_view(v, sigma, rng) for v in top]
+    sampled = sample_around(top, args.interval, np.random.Generator(np.random.PCG64(args.seed)))
     payload = {
         "interval_deg": args.interval,
         "scores": [
@@ -68,7 +75,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
         "selected": [viewpoint_to_dict(v) for v in top],
         "sampled": [viewpoint_to_dict(v) for v in sampled],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(canonical_json(payload) + "\n", args.out)
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
@@ -86,9 +93,7 @@ def _cmd_gen_shapes(args: argparse.Namespace) -> None:
         filename = f"{obj.name}.vxg"
         write_vxg(out_dir / filename, OccupancySet(obj.gt.values > 0.5))
         manifest.append({"name": obj.name, "category": obj.category, "file": filename})
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "manifest.json").write_text(canonical_json(manifest) + "\n", encoding="utf-8")
 
 
 def _cmd_carve(args: argparse.Namespace) -> None:

@@ -23,6 +23,18 @@ voxels that land inside the cube, and it makes silhouette consistency exact:
 a voxel's projected pixel (used by carving) is by construction covered by any
 silhouette rendered through the same kernel. Rotation centers on the
 continuous point ``(dim - 1) / 2`` for every grid parity.
+
+Forward maps
+------------
+Every forward map comes from one rounded matmul per pose. Its sparse form,
+:func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z`` of the image
+pixel it lands on, or the sentinel ``dim * dim`` when it lands nowhere. It is
+the kernel that silhouette rendering, binary error scoring (through the
+per-lattice table of :func:`lattice_pixel_ids`) and carving share, and it
+builds no rotated grid. The dense form, :func:`rotated_cells` and
+:func:`rotate_grid`, stays for soft-valued error grids, which need the value
+of each ray's first hit, and as the reference the sparse form is tested
+against.
 """
 
 from __future__ import annotations
@@ -42,6 +54,8 @@ __all__ = [
     "rotation_matrix",
     "rotate_grid",
     "rotated_cells",
+    "pixel_ids",
+    "lattice_pixel_ids",
     "view_direction",
     "viewpoint_from_direction",
     "sample_gaussian_view",
@@ -184,17 +198,91 @@ def discretize_viewpoints(interval_deg: float) -> ViewpointLattice:
     return ViewpointLattice(interval_deg=interval_deg, n_yaw=n_yaw, n_pitch=n_pitch, centers=centers)
 
 
+@lru_cache(maxsize=8)
+def _centered_coords(dim: int) -> np.ndarray:
+    coords = np.indices((dim, dim, dim), dtype=np.float64).reshape(3, -1).T - (dim - 1) / 2.0
+    coords.flags.writeable = False
+    return coords
+
+
+def _rounded_targets(dim: int, yaw: float, pitch: float) -> np.ndarray:
+    """``np.rint(coords @ rot.T + half)``: rounded rotated centers, one row per voxel.
+
+    Exact .5 ties occur (e.g. 24 of the 72 cells of the 30-degree lattice at
+    dim 32) and the matmul's rounding noise settles them, so every forward
+    map comes from this one matmul, one pose at a time. The add and the
+    rounding run in place, which gives the same values without two temporaries.
+    """
+    rot = rotation_matrix(Viewpoint(yaw=yaw, pitch=pitch))
+    target = _centered_coords(dim) @ rot.T
+    target += (dim - 1) / 2.0
+    return np.rint(target, out=target)
+
+
+def _forward_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel ids of every voxel under both off rules: (cube rule, image rule)."""
+    cells = _rounded_targets(dim, yaw, pitch).astype(np.int32)
+    in_range = (cells >= 0) & (cells < dim)
+    off = np.int32(dim * dim)
+    image_ids = np.where(in_range[:, 1] & in_range[:, 2], cells[:, 1] * dim + cells[:, 2], off)
+    cube_ids = np.where(in_range[:, 0], image_ids, off)
+    return cube_ids, image_ids
+
+
+@lru_cache(maxsize=512)
+def _pose_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    ids = _forward_pixel_ids(dim, yaw, pitch)
+    for arr in ids:
+        arr.flags.writeable = False
+    return ids
+
+
+def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
+    """Image pixel each voxel of a cubic grid projects to under ``v``.
+
+    Entry ``k`` belongs to source voxel ``k`` (C order over ``(x, y, z)``)
+    and is the int32 id ``y * dim + z`` of the (y, z) pixel of the cell
+    nearest its rotated center, the cell :func:`rotated_cells` gives. A
+    voxel that projects nowhere gets the single sentinel ``dim * dim``, one
+    past the last pixel, so a ``dim * dim + 1`` image buffer absorbs it.
+    With ``clip_depth`` (rendering and scoring) a voxel is off when its
+    rotated cell leaves the cube on any axis, which is what
+    :func:`rotate_grid` drops; without it (carving) only when its (y, z)
+    pixel leaves the image. The array is cached per pose and read-only.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    cube_ids, image_ids = _pose_pixel_ids(int(dim), v.yaw, v.pitch)
+    return cube_ids if clip_depth else image_ids
+
+
+@lru_cache(maxsize=2)
+def _lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
+    table = np.stack([_forward_pixel_ids(dim, c.yaw, c.pitch)[0] for c in lattice.centers])
+    table.flags.writeable = False
+    return table
+
+
+def lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
+    """:func:`pixel_ids` (depth clipped) of every lattice center, one row each.
+
+    The ``(len(lattice.centers), dim ** 3)`` table is cached for the two
+    most recent ``(dim, lattice)`` pairs and read-only; its rows are
+    computed pose by pose, so each equals the map of that center alone.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return _lattice_pixel_ids(int(dim), lattice)
+
+
 @lru_cache(maxsize=512)
 def _rotated_cells_cached(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    rot = rotation_matrix(Viewpoint(yaw=yaw, pitch=pitch))
-    half = (dim - 1) / 2.0
-    coords = np.indices((dim, dim, dim), dtype=np.float64).reshape(3, -1).T - half
-    target = coords @ rot.T + half
-    cells = np.rint(target).astype(np.int64)
+    cells = _rounded_targets(dim, yaw, pitch).astype(np.int64)
     inside = ((cells >= 0) & (cells < dim)).all(axis=1)
     cells.flags.writeable = False
     inside.flags.writeable = False
     return cells, inside
+
 
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     """Forward map of every voxel center of a cubic grid under ``v``.
@@ -202,7 +290,8 @@ def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(cells, inside)`` where ``cells[k]`` is the integer output cell
     nearest the rotated center of source voxel ``k`` (sources enumerated in C
     order over ``(x, y, z)`` indices) and ``inside[k]`` says whether that cell
-    lies within the cube. Both arrays are cached and read-only.
+    lies within the cube. Both arrays are cached and read-only. This dense
+    map serves :func:`rotate_grid`; the hot paths use :func:`pixel_ids`.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")

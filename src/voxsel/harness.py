@@ -18,7 +18,6 @@ leak randomness across objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 from .carve import ViewObservation, carve
 from .geometry import Viewpoint, discretize_viewpoints
 from .grid import DEFAULT_THRESHOLD, VoxelGrid, error_grid, f_score, iou, threshold_grid
+from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import select_and_sample
 from .synthesis import (
@@ -198,15 +198,6 @@ class _ObjectState:
     lattice_cursor: int = 0
 
 
-def _random_viewpoints(n: int, rng: np.random.Generator) -> list[Viewpoint]:
-    views = []
-    for _ in range(n):
-        yaw = rng.uniform(-180.0, 180.0)
-        pitch = rng.uniform(-90.0, 90.0)
-        views.append(Viewpoint(yaw=yaw, pitch=pitch))
-    return views
-
-
 def run_object_iteration(
     obj: SceneObject,
     state: _ObjectState,
@@ -245,7 +236,7 @@ def run_object_iteration(
         if n_fresh > 0:
             fresh = select_and_sample(pred, obj.gt, config.interval_deg, n_fresh, state.rng)
     elif config.selection_policy == "random":
-        fresh = _random_viewpoints(n, state.rng)
+        fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
     else:  # fixed-lattice
         lattice = discretize_viewpoints(config.interval_deg)
         total = len(lattice.centers)
@@ -328,7 +319,7 @@ def run_loop(
             {
                 "name": obj.name,
                 "category": obj.category,
-                "initial_views": [{"yaw": v.yaw, "pitch": v.pitch} for v in initial],
+                "initial_views": [viewpoint_to_dict(v) for v in initial],
                 "iterations": [],
             }
         )
@@ -341,9 +332,7 @@ def run_loop(
                 {
                     "iteration": iteration,
                     "updated": update is not None,
-                    "selected": [
-                        {"yaw": v.yaw, "pitch": v.pitch} for v in (update["added"] if update else [])
-                    ],
+                    "selected": [viewpoint_to_dict(v) for v in (update["added"] if update else [])],
                     "pool_fallback": bool(update["pool_fallback"]) if update else False,
                     "view_count": len(states[i].observations),
                     "iou": score_iou,
@@ -412,7 +401,7 @@ def report_json(report: RunReport) -> str:
         "objects": report.objects,
         "aggregates": report.aggregates,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def compare_policies(corpus: Sequence[SceneObject], config_base: LoopConfig) -> dict:
@@ -447,4 +436,4 @@ def compare_policies(corpus: Sequence[SceneObject], config_base: LoopConfig) -> 
 
 def comparison_json(comparison: dict) -> str:
     """Canonical JSON for a policy comparison."""
-    return json.dumps(comparison, sort_keys=True, indent=2) + "\n"
+    return canonical_json(comparison) + "\n"

@@ -11,11 +11,13 @@ uint32 dims (y, z), then bit-packed pixels in y-fastest order, LSB-first,
 final byte zero-padded.
 
 Viewpoints interchange as JSON objects ``{"yaw": number, "pitch": number}``
-in degrees; roll is fixed at zero and therefore omitted.
+in degrees; roll is fixed at zero and therefore omitted. Every JSON document
+the package writes is canonical: sorted keys, two-space indent.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import warnings
 from pathlib import Path
@@ -28,6 +30,7 @@ from .synthesis import SilhouetteImage
 
 __all__ = [
     "FormatError",
+    "canonical_json",
     "VXG_MAGIC",
     "SIL_MAGIC",
     "vxg_bytes",
@@ -145,6 +148,11 @@ def write_sil(path: str | Path, sil: SilhouetteImage) -> None:
 
 def read_sil(path: str | Path) -> SilhouetteImage:
     return parse_sil(Path(path).read_bytes())
+
+
+def canonical_json(obj) -> str:
+    """``obj`` as JSON with sorted keys and a two-space indent, no trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def viewpoint_to_dict(v: Viewpoint) -> dict[str, float]:

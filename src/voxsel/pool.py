@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Viewpoint
+from .io import canonical_json, viewpoint_to_dict
 
 __all__ = [
     "DEFAULT_POOL_CAPACITY",
@@ -83,11 +84,8 @@ def sample_by_category(
 
 def save_pool(pool: ViewpointPool) -> bytes:
     """Serialize to canonical UTF-8 JSON with sorted category keys."""
-    payload = {
-        category: [{"yaw": v.yaw, "pitch": v.pitch} for v in bucket]
-        for category, bucket in pool.entries.items()
-    }
-    return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
+    payload = {category: [viewpoint_to_dict(v) for v in bucket] for category, bucket in pool.entries.items()}
+    return canonical_json(payload).encode("utf-8")
 
 
 def load_pool(data: bytes, capacity: int = DEFAULT_POOL_CAPACITY) -> ViewpointPool:

@@ -2,10 +2,11 @@
 
 The renderer stands in for a real multi-view image pipeline: a view of an
 object is the binary silhouette of its ground-truth occupancy seen from a
-viewpoint. Silhouettes are produced by the same rotate-and-sweep kernel used
-for error projection, which is what makes carving against them exactly
-conservative. Synthetic test shapes are generated inside the grid's inscribed
-ball (with one voxel of margin) so no rotation ever clips them.
+viewpoint. Silhouettes are produced by the pixel-id kernel that carving and
+binary error scoring share (:func:`~voxsel.geometry.pixel_ids`), which is what
+makes carving against them exactly conservative. Synthetic test shapes are
+generated inside the grid's inscribed ball (with one voxel of margin) so no
+rotation ever clips them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .geometry import Viewpoint, rotate_grid
+from .geometry import Viewpoint, pixel_ids
 from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, threshold_grid
-from .selection import project_first_hit
 
 __all__ = [
     "SilhouetteImage",
@@ -122,13 +122,17 @@ def sample_dataset_viewpoints(dist: ViewDistribution, rng: np.random.Generator) 
 def render_silhouette(gt: VoxelGrid, v: Viewpoint, tau: float = DEFAULT_THRESHOLD) -> SilhouetteImage:
     """Binary silhouette of the thresholded grid seen from ``v``.
 
-    Thresholds ``gt`` at ``tau``, rotates the resulting 0/1 grid, and marks
-    every (y, z) ray that hits an occupied voxel. This is exactly the nonzero
-    mask of the first-hit projection; the two paths share one kernel.
+    Thresholds ``gt`` at ``tau`` and marks the pixel id of every occupied
+    voxel whose rotated cell stays inside the cube. This is exactly the
+    nonzero mask of ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
     """
-    binary = threshold_grid(gt, tau).to_grid()
-    projection = project_first_hit(rotate_grid(binary, v))
-    return SilhouetteImage(projection.pixels > 0.0)
+    occupied = threshold_grid(gt, tau).bits
+    if not gt.is_cubic:
+        raise ValueError(f"rotation requires a cubic grid, got dims {gt.dims}")
+    dim = gt.dims[0]
+    image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
+    image[pixel_ids(dim, v)[occupied.reshape(-1)]] = True
+    return SilhouetteImage(image[:-1].reshape(dim, dim))
 
 
 class ViewProvider(Protocol):

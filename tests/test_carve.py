@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsel.carve import ViewObservation, carve, project_voxel
-from voxsel.geometry import Viewpoint, discretize_viewpoints
+from voxsel.geometry import Viewpoint, discretize_viewpoints, rotated_cells
 from voxsel.grid import VoxelGrid, iou, threshold_grid
 from voxsel.synthesis import ShapeSpec, SilhouetteImage, generate_shape, render_silhouette
 
@@ -32,6 +32,19 @@ def random_shape(seed, dim=16):
 
 
 AXIS_VIEWS = [Viewpoint(yaw, pitch) for yaw, pitch in AXIS_VIEWPOINTS.values()]
+
+
+def dense_gather_carve(observations, dim):
+    """Carving as a gather through the dense forward map: off-image pixels count as outside."""
+    keep = np.ones(dim**3, dtype=bool)
+    for obs in observations:
+        cells, _ = rotated_cells(dim, obs.viewpoint)
+        py, pz = cells[:, 1], cells[:, 2]
+        on_image = (py >= 0) & (py < dim) & (pz >= 0) & (pz < dim)
+        inside = np.zeros(keep.shape, dtype=bool)
+        inside[on_image] = obs.silhouette.pixels[py[on_image], pz[on_image]]
+        keep &= inside
+    return keep.reshape((dim, dim, dim))
 
 
 class TestProjectVoxel:
@@ -121,6 +134,23 @@ class TestCarveRecovery:
         assert np.all(pred.bits | ~truth.bits)
         assert iou(pred, truth) == pytest.approx(4224 / 5384)
         assert iou(pred, truth) < 1.0
+
+
+class TestCarveMatchesDenseGather:
+    @given(st.integers(0, 10_000), st.integers(2, 17), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_random_silhouettes_and_views(self, seed, dim, n_views):
+        # Random silhouettes keep voxels whose rotated depth leaves the cube,
+        # which carving must not drop.
+        rng = np.random.default_rng(seed)
+        obs = [
+            ViewObservation(
+                Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)),
+                SilhouetteImage(rng.random((dim, dim)) < 0.8),
+            )
+            for _ in range(n_views)
+        ]
+        assert np.array_equal(carve(obs, dim).values > 0, dense_gather_carve(obs, dim))
 
 
 class TestCarveAlgebra:

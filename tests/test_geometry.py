@@ -12,6 +12,8 @@ from voxsel.geometry import (
     ViewpointLattice,
     clamp_pitch,
     discretize_viewpoints,
+    lattice_pixel_ids,
+    pixel_ids,
     rotate_grid,
     rotated_cells,
     rotation_matrix,
@@ -306,6 +308,42 @@ class TestRotateGrid:
             a = rotate_grid(g, Viewpoint(yaw, pitch)).values
             b = rotate_grid(g, Viewpoint(yaw + 180.0, -pitch)).values
             assert np.array_equal(a, b), (yaw, pitch)
+
+
+def dense_pixel_ids(dim, v):
+    """(depth-clipped, image-clipped) pixel ids derived from the dense forward map."""
+    cells, inside = rotated_cells(dim, v)
+    pixel = cells[:, 1] * dim + cells[:, 2]
+    on_image = ((cells[:, 1:] >= 0) & (cells[:, 1:] < dim)).all(axis=1)
+    return np.where(inside, pixel, dim * dim), np.where(on_image, pixel, dim * dim)
+
+
+class TestPixelIds:
+    @given(st.integers(1, 12), yaw_floats, pitch_floats)
+    @settings(max_examples=40, deadline=None)
+    def test_both_off_rules_match_the_dense_forward_map(self, dim, yaw, pitch):
+        v = Viewpoint(yaw, pitch)
+        clipped, on_image = dense_pixel_ids(dim, v)
+        assert pixel_ids(dim, v).dtype == np.int32
+        assert np.array_equal(pixel_ids(dim, v), clipped)
+        assert np.array_equal(pixel_ids(dim, v, clip_depth=False), on_image)
+
+    @pytest.mark.parametrize("dim", [31, 32])
+    def test_lattice_rows_match_the_dense_forward_map_at_tie_dims(self, dim):
+        # At these dims some 30-degree centers put rotated coordinates exactly
+        # on .5, so a row computed any other way than pose by pose can differ.
+        lattice = discretize_viewpoints(30)
+        table = lattice_pixel_ids(dim, lattice)
+        assert table.shape == (72, dim**3)
+        assert table.dtype == np.int32
+        for k, center in enumerate(lattice.centers):
+            assert np.array_equal(table[k], dense_pixel_ids(dim, center)[0])
+
+    def test_rejects_non_positive_dim(self):
+        with pytest.raises(ValueError):
+            pixel_ids(0, Viewpoint(0.0, 0.0))
+        with pytest.raises(ValueError):
+            lattice_pixel_ids(0, discretize_viewpoints(90))
 
 
 class TestGaussianSampling:

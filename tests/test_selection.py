@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid, view_direction
+from voxsel import selection
 from voxsel.grid import VoxelGrid, error_grid
 from voxsel.selection import (
     ErrorProjectionMap,
@@ -227,6 +228,32 @@ class TestScoreAll:
         spread = (vals.max() - vals.min()) / vals.mean()
         assert spread == pytest.approx(0.0202, abs=0.0001)
         assert spread < 0.10
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 33),
+        st.floats(0.0, 0.5),
+        st.sampled_from([22.5, 30, 45]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_binary_grids_match_the_dense_score_view_oracle(self, seed, dim, density, interval):
+        # Dense corners rotate off the cube, so the sparse path's off rule is exercised.
+        error = random_binary_grid(dim, seed, density)
+        lattice = discretize_viewpoints(interval)
+        expected = [score_view(error, c, lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
+        assert score_all(error, lattice) == expected
+
+    def test_lattice_over_the_table_budget_is_scored_densely(self, monkeypatch):
+        error = random_binary_grid(7, 5, p=0.4)
+        expected = score_all(error, LATTICE_30)
+        monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * 7**3 * 4 - 1)
+        monkeypatch.setattr(selection, "lattice_pixel_ids", None)  # any use would raise
+        assert score_all(error, LATTICE_30) == expected
+
+    def test_soft_grid_matches_score_view(self):
+        error = random_soft_grid(9, 4, p=0.5)
+        expected = [score_view(error, c, LATTICE_30.lattice_index(k)) for k, c in enumerate(LATTICE_30.centers)]
+        assert score_all(error, LATTICE_30) == expected
 
 
 class TestSelectTopN:
