@@ -8,6 +8,12 @@ share that kernel, every ground-truth voxel projects onto a set pixel of every
 rendered silhouette, so the carve of exact silhouettes always contains the
 ground truth. Carving drops a voxel only when its (y, z) pixel falls off the
 image, which counts as outside; a rotated depth off the cube does not matter.
+
+Each observation contributes one flat keep mask (:func:`keep_mask`), and the
+hull is the AND of those masks. The AND is order-independent and idempotent,
+so a caller that gains views a few at a time (the reconstruction loop) can
+keep a running mask and pass it to :func:`carve` as ``keep``: each new view is
+carved once instead of all views again.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .geometry import Viewpoint, pixel_ids
 from .grid import VoxelGrid
 from .synthesis import SilhouetteImage
 
-__all__ = ["ViewObservation", "carve", "project_voxel"]
+__all__ = ["ViewObservation", "carve", "keep_mask", "project_voxel"]
 
 
 @dataclass(frozen=True)
@@ -48,13 +54,37 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
     return divmod(pixel, dim)
 
 
-def carve(observations: Sequence[ViewObservation], dim: int) -> VoxelGrid:
+def keep_mask(observation: ViewObservation, dim: int) -> np.ndarray:
+    """Flat bool mask of the voxels one observation keeps.
+
+    Entry ``k`` belongs to source voxel ``k`` (C order over ``(x, y, z)``)
+    and is True when the voxel's pixel under the observation's viewpoint is
+    set in its silhouette; a voxel whose pixel falls off the image is
+    dropped. The silhouette must be (dim, dim). The array is a fresh,
+    writable copy of ``dim ** 3`` entries.
+    """
+    if observation.silhouette.dims != (dim, dim):
+        raise ValueError(f"silhouette dims {observation.silhouette.dims} do not match grid dim {dim}")
+    # The trailing False is the pixel of voxels that project off the image.
+    lookup = np.append(observation.silhouette.pixels.reshape(-1), False)
+    return lookup[pixel_ids(dim, observation.viewpoint, clip_depth=False)]
+
+
+def carve(
+    observations: Sequence[ViewObservation], dim: int, *, keep: np.ndarray | None = None
+) -> VoxelGrid:
     """Intersect silhouette constraints into a binary occupancy grid.
 
     Every observation must carry a (dim, dim) silhouette. The result is a
     0/1-valued grid; it shrinks (voxelwise) as observations are added, does
-    not depend on their order, and is idempotent under duplicates. Each
-    observation gathers its silhouette bits through the pose's pixel ids.
+    not depend on their order, and is idempotent under duplicates. It is the
+    AND of the observations' :func:`keep_mask` masks.
+
+    ``keep`` carves incrementally: a flat bool array of ``dim ** 3`` entries,
+    the running mask of earlier observations (``carve(earlier, dim)`` as a
+    flat mask). The new observations are ANDed into it in place, and the
+    result is the hull of the earlier and the new observations together. On
+    a ValueError ``keep`` is left unchanged.
     """
     if len(observations) == 0:
         raise ValueError("carving requires at least one observation")
@@ -62,12 +92,11 @@ def carve(observations: Sequence[ViewObservation], dim: int) -> VoxelGrid:
         raise ValueError(f"dim must be positive, got {dim}")
     for obs in observations:
         if obs.silhouette.dims != (dim, dim):
-            raise ValueError(
-                f"silhouette dims {obs.silhouette.dims} do not match grid dim {dim}"
-            )
-    keep = np.ones(dim * dim * dim, dtype=bool)
+            raise ValueError(f"silhouette dims {obs.silhouette.dims} do not match grid dim {dim}")
+    if keep is None:
+        keep = np.ones(dim**3, dtype=bool)
+    elif keep.dtype != np.bool_ or keep.shape != (dim**3,):
+        raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
     for obs in observations:
-        # The trailing False is the pixel of voxels that project off the image.
-        lookup = np.append(obs.silhouette.pixels.reshape(-1), False)
-        keep &= lookup[pixel_ids(dim, obs.viewpoint, clip_depth=False)]
+        keep &= keep_mask(obs, dim)
     return VoxelGrid(keep.reshape((dim, dim, dim)).astype(np.float64))

@@ -96,13 +96,21 @@ def _cmd_gen_shapes(args: argparse.Namespace) -> None:
     (out_dir / "manifest.json").write_text(canonical_json(manifest) + "\n", encoding="utf-8")
 
 
+def _require_string_fields(entry: object, keys: tuple[str, ...], where: str) -> None:
+    """Raise a ValueError naming ``entry`` unless it is a JSON object whose ``keys`` all hold strings."""
+    if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
+        names = ", ".join(repr(k) for k in keys)
+        raise ValueError(f"{where} must be an object with string {names}, got {entry!r}")
+
+
 def _cmd_carve(args: argparse.Namespace) -> None:
     entries = json.loads(Path(args.views).read_text(encoding="utf-8"))
     if not isinstance(entries, list):
         raise ValueError("views file must contain a JSON list")
     sil_dir = Path(args.sil_dir)
     observations = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        _require_string_fields(entry, ("silhouette",), f"views entry {i}")
         sil = read_sil(sil_dir / entry["silhouette"])
         observations.append(ViewObservation(viewpoint=viewpoint_from_dict(entry), silhouette=sil))
     write_vxg(args.out, carve(observations, args.dim))
@@ -110,8 +118,11 @@ def _cmd_carve(args: argparse.Namespace) -> None:
 
 def _load_corpus_dir(path: Path) -> list[SceneObject]:
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    if not isinstance(manifest, list):
+        raise ValueError("corpus manifest must contain a JSON list")
     corpus = []
-    for entry in manifest:
+    for i, entry in enumerate(manifest):
+        _require_string_fields(entry, ("name", "category", "file"), f"manifest entry {i}")
         loaded = read_vxg(path / entry["file"])
         gt = loaded.to_grid() if isinstance(loaded, OccupancySet) else loaded
         corpus.append(SceneObject(name=entry["name"], category=entry["category"], gt=gt))
@@ -120,6 +131,8 @@ def _load_corpus_dir(path: Path) -> list[SceneObject]:
 
 def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]:
     spec = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    if not isinstance(spec, dict):
+        raise ValueError("config must be a JSON object")
     config = config_from_dict(spec.get("loop", {}))
     corpus_spec = spec.get("corpus")
     if not isinstance(corpus_spec, dict):

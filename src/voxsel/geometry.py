@@ -229,7 +229,10 @@ def _forward_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, 
     return cube_ids, image_ids
 
 
-@lru_cache(maxsize=512)
+# Eight poses: the loop renders a round's views and then carves them, and the
+# CLI renders views before it carves them, so a pose is reused a few poses
+# after it is made. At dim 64 eight pairs are 16 MiB.
+@lru_cache(maxsize=8)
 def _pose_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
     ids = _forward_pixel_ids(dim, yaw, pitch)
     for arr in ids:
@@ -248,7 +251,10 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
     With ``clip_depth`` (rendering and scoring) a voxel is off when its
     rotated cell leaves the cube on any axis, which is what
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
-    pixel leaves the image. The array is cached per pose and read-only.
+    pixel leaves the image. The array is read-only and cached per pose, for
+    the 8 most recent poses (16 MiB at dim 64), so a pose is cheap to map
+    again while it is in use: rendering a round's views and then carving
+    them builds each map once.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
@@ -258,7 +264,9 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
-    table = np.stack([_forward_pixel_ids(dim, c.yaw, c.pitch)[0] for c in lattice.centers])
+    table = np.empty((len(lattice.centers), dim**3), dtype=np.int32)
+    for row, c in zip(table, lattice.centers):
+        row[:] = _forward_pixel_ids(dim, c.yaw, c.pitch)[0]
     table.flags.writeable = False
     return table
 

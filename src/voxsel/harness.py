@@ -1,14 +1,22 @@
 """Active multi-view reconstruction loop and policy comparison.
 
 Each object starts from a few dataset views. Every iteration a subset of
-unconverged objects is re-observed: the current reconstruction is carved from
-the object's silhouettes, the reconstruction error against ground truth is
-scored over the viewpoint lattice, and new views are chosen by the configured
-policy (error-guided selection, uniform random, or fixed lattice sweep),
-optionally mixing in viewpoints pooled from previously processed objects of
-the same category. New silhouettes are appended and all objects are
-re-evaluated. Reports are deterministic functions of (corpus, config): the
-same seed reproduces the same report bytes.
+unconverged objects is re-observed: the reconstruction error of the object's
+current visual hull against ground truth is scored over the viewpoint
+lattice, and new views are chosen by the configured policy (error-guided
+selection, uniform random, or fixed lattice sweep), optionally mixing in
+viewpoints pooled from previously processed objects of the same category.
+New silhouettes are appended and all objects are re-evaluated. Reports are
+deterministic functions of (corpus, config): the same seed reproduces the
+same report bytes.
+
+Carving is incremental. Each object keeps a running keep mask, the AND of
+its observations' :func:`~voxsel.carve.keep_mask` masks. New views are
+rendered and then carved into that mask by one ``carve(new, dim, keep=...)``
+call, so each view is carved once, while its pose's forward map is still
+cached, and selection and evaluation read the hull from the mask. Because the
+AND is order-independent and idempotent, the mask always equals ``carve`` of
+all the observations.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -191,11 +199,49 @@ def make_corpus(
 
 @dataclass
 class _ObjectState:
+    """One object's views and its running hull.
+
+    ``keep`` is the flat bool mask of the voxels every observation keeps, and
+    ``dim`` the grid size, taken from the first silhouette. :meth:`observe`
+    carves new views into ``keep`` once, right after they are rendered;
+    observations given to the constructor are carved in the same way.
+    """
+
     observations: list[ViewObservation]
     initial_views: list[Viewpoint]
     rng: np.random.Generator
     converged: bool = False
     lattice_cursor: int = 0
+    dim: int = field(default=0, init=False)
+    keep: np.ndarray | None = field(default=None, init=False, repr=False)
+    _carved: VoxelGrid | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        given, self.observations = self.observations, []
+        self.observe(given)
+
+    def observe(self, new: Sequence[ViewObservation]) -> None:
+        """Append observations and AND them into the hull with one ``carve`` call."""
+        if not new:
+            return
+        dim = self.dim or new[0].silhouette.dims[0]
+        keep = np.ones(dim**3, dtype=bool) if self.keep is None else self.keep
+        self._carved = carve(new, dim, keep=keep)
+        self.dim, self.keep = dim, keep
+        self.observations.extend(new)
+
+    def hull(self) -> VoxelGrid:
+        """The 0/1 grid ``carve(self.observations, self.dim)`` returns.
+
+        The grid the last :meth:`observe` built is handed out once and then
+        dropped, so no object holds a float64 grid between iterations.
+        """
+        if self.keep is None:
+            raise ValueError("carving requires at least one observation")
+        grid, self._carved = self._carved, None
+        if grid is None:
+            grid = VoxelGrid(self.keep.reshape((self.dim,) * 3).astype(np.float64))
+        return grid
 
 
 def run_object_iteration(
@@ -212,7 +258,7 @@ def run_object_iteration(
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
     """
-    pred = carve(state.observations, config.dim)
+    pred = state.hull()
     err = error_grid(pred, obj.gt)
     if float(err.values.max()) == 0.0:
         state.converged = True
@@ -244,8 +290,7 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    for v in added:
-        state.observations.append(ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)))
+    state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
     pool_record = fresh if config.selection_policy == "error-guided" else []
     return {"added": added, "pool_record": pool_record, "pool_fallback": fallback, "converged": False}
 
@@ -263,7 +308,7 @@ class RunReport:
 
 
 def _evaluate(obj: SceneObject, state: _ObjectState, config: LoopConfig) -> tuple[float, float, int]:
-    pred = carve(state.observations, config.dim)
+    pred = state.hull()
     pred_occ = threshold_grid(pred, config.tau)
     gt_occ = threshold_grid(obj.gt, config.tau)
     excess = int(np.logical_and(pred_occ.bits, ~gt_occ.bits).sum())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsel.carve import ViewObservation, carve, project_voxel
+from voxsel.carve import ViewObservation, carve, keep_mask, project_voxel
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotated_cells
 from voxsel.grid import VoxelGrid, iou, threshold_grid
 from voxsel.synthesis import ShapeSpec, SilhouetteImage, generate_shape, render_silhouette
@@ -151,6 +151,49 @@ class TestCarveMatchesDenseGather:
             for _ in range(n_views)
         ]
         assert np.array_equal(carve(obs, dim).values > 0, dense_gather_carve(obs, dim))
+
+
+class TestKeepMask:
+    def test_silhouette_dim_mismatch_rejected(self):
+        obs = ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))
+        with pytest.raises(ValueError, match="do not match grid dim 16"):
+            keep_mask(obs, 16)
+        with pytest.raises(ValueError, match="do not match grid dim 16"):
+            keep_mask(ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((16, 8), dtype=bool))), 16)
+
+    def test_carve_is_the_and_of_the_masks(self):
+        gt = random_shape(7)
+        obs = observe(gt, [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0)])
+        masks = [keep_mask(o, 16) for o in obs]
+        for mask in masks:
+            assert mask.shape == (16**3,) and mask.dtype == np.bool_ and mask.flags.writeable
+        assert np.array_equal(carve(obs, 16).values.reshape(-1) > 0, np.logical_and.reduce(masks))
+        assert np.array_equal(masks[0].reshape((16,) * 3), carve(obs[:1], 16).values > 0)
+
+
+class TestIncrementalCarve:
+    def test_carving_into_a_running_mask_equals_carving_everything(self):
+        gt = random_shape(11)
+        obs = observe(gt, [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0), Viewpoint(0.0, 0.0)])
+        keep = np.ones(16**3, dtype=bool)
+        first = carve(obs[:1], 16, keep=keep)
+        assert np.array_equal(keep, first.values.reshape(-1) > 0)
+        rest = carve(obs[1:], 16, keep=keep)
+        assert np.array_equal(rest.values, carve(obs, 16).values)
+        assert np.array_equal(keep, rest.values.reshape(-1) > 0)
+
+    def test_bad_keep_or_silhouette_leaves_keep_unchanged(self):
+        gt = random_shape(12)
+        obs = observe(gt, [Viewpoint(25.0, -10.0)])
+        keep = carve(obs, 16).values.reshape(-1) > 0
+        before = keep.copy()
+        small = ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))
+        with pytest.raises(ValueError, match="do not match grid dim 16"):
+            carve([*observe(gt, [Viewpoint(90.0, 0.0)]), small], 16, keep=keep)
+        assert np.array_equal(keep, before)
+        for bad in (np.ones(16**3), np.ones(15**3, dtype=bool), np.ones((16, 16, 16), dtype=bool)):
+            with pytest.raises(ValueError, match="keep must be a flat bool array"):
+                carve(obs, 16, keep=bad)
 
 
 class TestCarveAlgebra:

@@ -177,6 +177,21 @@ class TestCarve:
         assert "voxsel carve:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "entries, shown",
+        [([1], "got 1"), ([{"yaw": 0, "pitch": 0, "silhouette": 5}], "'silhouette': 5")],
+    )
+    def test_malformed_views_entry_fails_cleanly(self, tmp_path, capsys, entries, shown):
+        views = tmp_path / "views.json"
+        views.write_text(json.dumps(entries))
+        code = main(["carve", "--views", str(views), "--sil-dir", str(tmp_path), "--dim", "8",
+                     "--out", str(tmp_path / "o.vxg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("voxsel carve: views entry 0 must be an object with string 'silhouette'")
+        assert shown in err and err.count("\n") == 1
+
+
 def loop_config_file(tmp_path, **loop_kw):
     base = {"dim": 16, "iterations": 1, "update_fraction": 1.0, "seed": 3}
     base.update(loop_kw)
@@ -224,6 +239,32 @@ class TestLoop:
         cfg.write_text(json.dumps({"loop": {"dim": 16}}))
         assert main(["loop", "--config", str(cfg)]) == 2
         assert "voxsel loop:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ({"name": "a"}, "corpus manifest must contain a JSON list"),
+            (["ell-000.vxg"], "manifest entry 0 must be an object"),
+            ([{"name": "a", "category": "ell", "file": 3}], "manifest entry 0 must be an object"),
+            ([{"name": "a", "category": "ell"}], "manifest entry 0 must be an object"),
+        ],
+    )
+    def test_malformed_manifest_fails_cleanly(self, tmp_path, capsys, manifest, message):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"loop": {"dim": 16}, "corpus": {"dir": str(corpus_dir)}}))
+        assert main(["loop", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"voxsel loop: {message}") and err.count("\n") == 1
+
+    def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([1]))
+        assert main(["loop", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "voxsel loop: config must be a JSON object\n"
 
 
 class TestCompare:

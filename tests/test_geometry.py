@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxsel import geometry
 from voxsel.geometry import (
     Viewpoint,
     ViewpointLattice,
@@ -344,6 +345,35 @@ class TestPixelIds:
             pixel_ids(0, Viewpoint(0.0, 0.0))
         with pytest.raises(ValueError):
             lattice_pixel_ids(0, discretize_viewpoints(90))
+
+
+class TestPoseCache:
+    def test_holds_at_most_eight_poses_across_dims(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            for dim in (16, 32, 64):
+                pixel_ids(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)))
+                assert geometry._pose_pixel_ids.cache_info().currsize <= 8
+        assert geometry._pose_pixel_ids.cache_info().maxsize == 8
+
+    def test_hit_returns_the_same_read_only_arrays(self):
+        v = Viewpoint(12.5, -33.0)
+        for clip_depth in (True, False):
+            first = pixel_ids(32, v, clip_depth=clip_depth)
+            again = pixel_ids(32, v, clip_depth=clip_depth)
+            assert again is first
+            assert not first.flags.writeable
+
+    def test_rendering_a_round_then_carving_it_maps_each_pose_once(self):
+        from voxsel.carve import ViewObservation, carve
+        from voxsel.synthesis import render_silhouette
+
+        gt = VoxelGrid(np.ones((16, 16, 16)))
+        views = [Viewpoint(yaw, 20.0) for yaw in (5.0, 65.0, 125.0, 185.0, 245.0, 305.0, 15.0, 75.0)]
+        geometry._pose_pixel_ids.cache_clear()
+        carve([ViewObservation(v, render_silhouette(gt, v)) for v in views], 16)
+        info = geometry._pose_pixel_ids.cache_info()
+        assert (info.misses, info.hits) == (len(views), len(views))
 
 
 class TestGaussianSampling:

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from voxsel.geometry import Viewpoint
+from voxsel.carve import ViewObservation, carve
+from voxsel.geometry import Viewpoint, discretize_viewpoints
 from voxsel.grid import VoxelGrid
 from voxsel.harness import (
     LoopConfig,
     POLICIES,
+    POOL_MODES,
     REPORT_SCHEMA_VERSION,
     SceneObject,
     compare_policies,
@@ -21,8 +23,16 @@ from voxsel.harness import (
     run_loop,
     run_object_iteration,
 )
-from voxsel.pool import ViewpointPool
-from voxsel.synthesis import ShapeSpec, ViewDistribution, generate_shape
+from voxsel.harness import _ObjectState
+from voxsel.pool import ViewpointPool, record
+from voxsel.synthesis import (
+    GroundTruthSilhouettes,
+    NoisySilhouettes,
+    ShapeSpec,
+    SilhouetteImage,
+    ViewDistribution,
+    generate_shape,
+)
 
 
 def small_config(**kw):
@@ -210,6 +220,87 @@ class TestRunLoopStructure:
     def test_wall_clock_recorded_on_the_report_object(self):
         rep = run_loop(make_corpus(1, dim=16, seed=0), small_config(iterations=0))
         assert rep.wall_clock_s > 0.0
+
+
+def assert_hull_is_carve(state, dim):
+    expected = carve(state.observations, dim).values
+    assert state.dim == dim
+    assert np.array_equal(state.keep, expected.reshape(-1) > 0)
+    # The first call may hand out the grid the last carve built, the second builds one from the mask.
+    assert np.array_equal(state.hull().values, expected)
+    assert np.array_equal(state.hull().values, expected)
+
+
+class TestRunningHull:
+    """The per-object keep mask always equals carving all of the object's observations."""
+
+    def drive(self, config, provider, initial_views, rounds=3):
+        pool = ViewpointPool(capacity=config.pool_capacity)
+        # Two objects per category, so the second of each can draw pooled views.
+        for obj in make_corpus(4, dim=config.dim, seed=5, kinds=["ell", "cross"]):
+            obs = [ViewObservation(v, provider.render(obj.gt, v)) for v in initial_views]
+            state = _ObjectState(observations=obs, initial_views=initial_views, rng=np.random.default_rng(1))
+            assert_hull_is_carve(state, config.dim)
+            for _ in range(rounds):
+                rec = run_object_iteration(obj, state, config, pool, provider)
+                assert_hull_is_carve(state, config.dim)
+                if rec["pool_record"]:
+                    record(pool, obj.category, rec["pool_record"])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("pool_mode", POOL_MODES)
+    def test_after_every_iteration(self, policy, pool_mode):
+        config = small_config(selection_policy=policy, pool_mode=pool_mode)
+        self.drive(config, GroundTruthSilhouettes(config.tau), [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0)])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_with_noisy_silhouettes(self, policy):
+        config = small_config(selection_policy=policy)
+        provider = NoisySilhouettes(GroundTruthSilhouettes(config.tau), flip_prob=0.05, seed=4)
+        self.drive(config, provider, [Viewpoint(30.0, 20.0)])
+
+    def test_with_repeated_views(self):
+        # The fixed-lattice sweep starts at the lattice's first centers, which
+        # are the initial views here, so every view of round one is a repeat.
+        config = small_config(selection_policy="fixed-lattice")
+        initial = list(discretize_viewpoints(config.interval_deg).centers[: config.views_per_round])
+        self.drive(config, GroundTruthSilhouettes(config.tau), initial, rounds=1)
+
+    def test_repeating_an_observation_changes_nothing(self):
+        obj = make_corpus(1, dim=16, seed=2)[0]
+        obs = ViewObservation(Viewpoint(40.0, 10.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(40.0, 10.0)))
+        state = _ObjectState(observations=[obs], initial_views=[obs.viewpoint], rng=np.random.default_rng(0))
+        before = state.keep.copy()
+        state.observe([obs])
+        assert np.array_equal(state.keep, before)
+        assert len(state.observations) == 2
+        assert_hull_is_carve(state, 16)
+
+    def test_rejects_a_silhouette_of_another_dim(self):
+        obj = make_corpus(1, dim=16, seed=2)[0]
+        state = _ObjectState(observations=[], initial_views=[], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            state.hull()
+        state.observe([ViewObservation(Viewpoint(0.0, 0.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(0.0, 0.0)))])
+        before = state.keep.copy()
+        with pytest.raises(ValueError, match="do not match grid dim 16"):
+            state.observe([ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))])
+        assert len(state.observations) == 1 and np.array_equal(state.keep, before)
+
+    def test_run_loop_carves_each_observation_once(self, monkeypatch):
+        import voxsel.harness as harness
+
+        carved = []
+
+        def counting_carve(observations, dim, **kw):
+            carved.extend(observations)
+            return carve(observations, dim, **kw)
+
+        monkeypatch.setattr(harness, "carve", counting_carve)
+        config = small_config(iterations=2, update_fraction=1.0)
+        rep = run_loop(make_corpus(3, dim=16, seed=1), config)
+        assert len(carved) == sum(obj["iterations"][-1]["view_count"] for obj in rep.objects)
+        assert len({id(obs) for obs in carved}) == len(carved)
 
 
 class TestLoopBehavior:
