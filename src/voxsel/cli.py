@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -129,23 +130,38 @@ def _load_corpus_dir(path: Path) -> list[SceneObject]:
     return corpus
 
 
+def _corpus_int(corpus_spec: dict, key: str, default: object = None) -> int:
+    """``corpus_spec[key]``, or ``default`` when the key is absent, checked to be an integer."""
+    value = corpus_spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"corpus field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]:
     spec = json.loads(Path(config_path).read_text(encoding="utf-8"))
     if not isinstance(spec, dict):
         raise ValueError("config must be a JSON object")
-    config = config_from_dict(spec.get("loop", {}))
+    loop_spec = spec.get("loop", {})
+    if not isinstance(loop_spec, dict):
+        raise ValueError(f"config field 'loop' must be an object, got {loop_spec!r}")
+    config = config_from_dict(loop_spec)
     corpus_spec = spec.get("corpus")
     if not isinstance(corpus_spec, dict):
         raise ValueError("config must contain a 'corpus' object")
     if "dir" in corpus_spec:
-        corpus = _load_corpus_dir(Path(corpus_spec["dir"]))
-    else:
-        corpus = make_corpus(
-            count=int(corpus_spec["count"]),
-            dim=int(corpus_spec.get("dim", config.dim)),
-            seed=int(corpus_spec.get("seed", config.seed)),
-            kinds=tuple(corpus_spec.get("kinds", SHAPE_KINDS)),
-        )
+        if not isinstance(corpus_spec["dir"], str):
+            raise ValueError(f"corpus field 'dir' must be a string, got {corpus_spec['dir']!r}")
+        return _load_corpus_dir(Path(corpus_spec["dir"])), config
+    kinds = corpus_spec.get("kinds", list(SHAPE_KINDS))
+    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
+        raise ValueError(f"corpus field 'kinds' must be a non-empty list of shape kinds, got {kinds!r}")
+    corpus = make_corpus(
+        count=_corpus_int(corpus_spec, "count"),
+        dim=_corpus_int(corpus_spec, "dim", config.dim),
+        seed=_corpus_int(corpus_spec, "seed", config.seed),
+        kinds=tuple(kinds),
+    )
     return corpus, config
 
 
@@ -209,9 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (FormatError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

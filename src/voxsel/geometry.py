@@ -31,10 +31,12 @@ Every forward map comes from one rounded matmul per pose. Its sparse form,
 pixel it lands on, or the sentinel ``dim * dim`` when it lands nowhere. It is
 the kernel that silhouette rendering, binary error scoring (through the
 per-lattice table of :func:`lattice_pixel_ids`) and carving share, and it
-builds no rotated grid. The dense form, :func:`rotated_cells` and
-:func:`rotate_grid`, stays for soft-valued error grids, which need the value
-of each ray's first hit, and as the reference the sparse form is tested
-against.
+builds no rotated grid. Soft-valued error scoring needs the depth of each
+hit as well, so it reads the per-lattice table of :func:`lattice_cell_keys`:
+each voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
+``dim`` is the pixel id. The dense form, :func:`rotated_cells` and
+:func:`rotate_grid`, stays as public API and as the reference the sparse
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "rotated_cells",
     "pixel_ids",
     "lattice_pixel_ids",
+    "lattice_cell_keys",
     "view_direction",
     "viewpoint_from_direction",
     "sample_gaussian_view",
@@ -283,7 +286,43 @@ def lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
     return _lattice_pixel_ids(int(dim), lattice)
 
 
-@lru_cache(maxsize=512)
+def _cube_cell_keys(dim: int, yaw: float, pitch: float) -> np.ndarray:
+    """Key ``(y * dim + z) * dim + x`` of every voxel's rotated cell, ``dim ** 3`` when off the cube."""
+    cells = _rounded_targets(dim, yaw, pitch).astype(np.int32)
+    inside = ((cells >= 0) & (cells < dim)).all(axis=1)
+    keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
+    return np.where(inside, keys, np.int32(dim**3))
+
+
+@lru_cache(maxsize=2)
+def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
+    table = np.empty((len(lattice.centers), dim**3), dtype=np.int32)
+    for row, c in zip(table, lattice.centers):
+        row[:] = _cube_cell_keys(dim, c.yaw, c.pitch)
+    table.flags.writeable = False
+    return table
+
+
+def lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
+    """Rotated cell of every voxel under every lattice center, as ray-major keys.
+
+    Entry ``[k, i]`` is the int32 key ``(y * dim + z) * dim + x`` of the cell
+    :func:`rotated_cells` gives source voxel ``i`` under center ``k``, or the
+    sentinel ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is
+    the depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and
+    among the voxels on one pixel ray the smallest key is the one nearest the
+    camera. Like :func:`lattice_pixel_ids`, the table is computed pose by
+    pose, read-only, and cached for the two most recent ``(dim, lattice)``
+    pairs.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return _lattice_cell_keys(int(dim), lattice)
+
+
+# Eight poses, like the pixel-id cache: only rotate_grid maps poses densely,
+# and no hot path calls it. Eight entries are 6.5 MB at dim 32, 52 MB at dim 64.
+@lru_cache(maxsize=8)
 def _rotated_cells_cached(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
     cells = _rounded_targets(dim, yaw, pitch).astype(np.int64)
     inside = ((cells >= 0) & (cells < dim)).all(axis=1)

@@ -159,15 +159,48 @@ def config_to_dict(config: LoopConfig) -> dict:
     }
 
 
-def config_from_dict(obj: dict) -> LoopConfig:
-    """Build a config from a JSON-like dict; unknown keys are rejected."""
-    known = set(config_to_dict(LoopConfig()))
-    extra = set(obj) - known
+# The JSON type each loop config field must have: the loop passes counts,
+# sizes and seeds to range() and SeedSequence, and divides by the interval.
+_NUMBER = (int, float)
+_FIELD_TYPES = {
+    "dim": int,
+    "interval_deg": _NUMBER,
+    "views_per_round": int,
+    "initial_views": int,
+    "iterations": int,
+    "update_fraction": _NUMBER,
+    "tau": _NUMBER,
+    "selection_policy": str,
+    "pool_mode": str,
+    "pool_capacity": int,
+    "seed": int,
+}
+_DISTRIBUTION_TYPES = {"kind": str, "views_per_object": int}
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string"}
+
+
+def _check_field_types(obj: dict, types: dict, where: str) -> None:
+    """Raise a ValueError naming the unknown keys of ``obj``, or its first field not of its type in ``types``."""
+    extra = set(obj) - set(types)
     if extra:
-        raise ValueError(f"unknown loop config keys: {sorted(extra)}")
+        raise ValueError(f"unknown {where} keys: {sorted(extra)}")
+    for key, kind in types.items():
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kind)):
+            raise ValueError(f"{where} field {key!r} must be {_TYPE_NAMES[kind]}, got {obj[key]!r}")
+
+
+def config_from_dict(obj: dict) -> LoopConfig:
+    """Build a config from a JSON-like dict.
+
+    Unknown keys and fields of the wrong JSON type raise ``ValueError``.
+    """
     kwargs = dict(obj)
     dist = kwargs.pop("initial_distribution", None)
+    _check_field_types(kwargs, _FIELD_TYPES, "loop config")
     if dist is not None:
+        if not isinstance(dist, dict):
+            raise ValueError(f"loop config field 'initial_distribution' must be an object, got {dist!r}")
+        _check_field_types(dist, _DISTRIBUTION_TYPES, "initial_distribution")
         kwargs["initial_distribution"] = ViewDistribution(**dist)
     return LoopConfig(**kwargs)
 

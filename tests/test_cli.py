@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxsel.cli import main
+from voxsel.cli import build_parser, main
 from voxsel.geometry import Viewpoint
 from voxsel.grid import OccupancySet, VoxelGrid
 from voxsel.harness import make_corpus
@@ -260,6 +260,25 @@ class TestLoop:
         err = capsys.readouterr().err
         assert err.startswith(f"voxsel loop: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["loop", "compare"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"loop": {"dim": 16}, "corpus": {"count": [2]}}, "corpus field 'count' must be an integer, got [2]"),
+            ({"loop": {"dim": 16}, "corpus": {"count": 2, "kinds": 5}}, "corpus field 'kinds' must be a non-empty list"),
+            ({"loop": 5, "corpus": {"count": 2}}, "config field 'loop' must be an object, got 5"),
+            ({"loop": {"iterations": 1.5}, "corpus": {"count": 2}}, "loop config field 'iterations' must be an integer"),
+            ({"loop": {"interval_deg": "30"}, "corpus": {"count": 2}}, "loop config field 'interval_deg' must be a number"),
+            ({"loop": {"dim": 16}, "corpus": {"dir": 5}}, "corpus field 'dir' must be a string, got 5"),
+        ],
+    )
+    def test_malformed_config_field_fails_cleanly(self, tmp_path, capsys, command, spec, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(spec))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"voxsel {command}: {message}") and err.count("\n") == 1
+
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps([1]))
@@ -295,6 +314,26 @@ class TestErrors:
     def test_unknown_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["defragment"])
+
+
+class TestParser:
+    def test_successive_calls_with_different_subcommands_behave_as_before(self, tmp_path, capsys):
+        grid = centered_box()
+        grid_path = write_grid(tmp_path / "gt.vxg", grid)
+        pred_path = write_grid(tmp_path / "pred.vxg", VoxelGrid(np.ones((16, 16, 16))))
+        assert main(["select", "--pred", pred_path, "--gt", grid_path, "--n", "2"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        sil_path = tmp_path / "v.sil"
+        assert main(["render", "--grid", grid_path, "--yaw", "30", "--pitch", "10", "--out", str(sil_path)]) == 0
+        assert np.array_equal(read_sil(sil_path).pixels, render_silhouette(grid, Viewpoint(30.0, 10.0)).pixels)
+        # A later call sees the defaults, not the options of an earlier one.
+        assert main(["select", "--pred", pred_path, "--gt", grid_path]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert len(first["selected"]) == 2 and len(second["selected"]) == 3
+        assert second["scores"] == first["scores"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestEntryPoints:

@@ -13,6 +13,7 @@ from voxsel.geometry import (
     ViewpointLattice,
     clamp_pitch,
     discretize_viewpoints,
+    lattice_cell_keys,
     lattice_pixel_ids,
     pixel_ids,
     rotate_grid,
@@ -345,9 +346,44 @@ class TestPixelIds:
             pixel_ids(0, Viewpoint(0.0, 0.0))
         with pytest.raises(ValueError):
             lattice_pixel_ids(0, discretize_viewpoints(90))
+        with pytest.raises(ValueError):
+            lattice_cell_keys(0, discretize_viewpoints(90))
+
+
+class TestLatticeCellKeys:
+    @pytest.mark.parametrize("dim, interval", [(1, 30), (5, 45), (31, 30), (32, 30), (9, 22.5)])
+    def test_rows_are_the_dense_forward_map_as_ray_major_keys(self, dim, interval):
+        # 31 and 32 are the tie dims of the 30-degree lattice: a row must be
+        # computed pose by pose to match rotated_cells there.
+        lattice = discretize_viewpoints(interval)
+        table = lattice_cell_keys(dim, lattice)
+        assert table.shape == (len(lattice.centers), dim**3)
+        assert table.dtype == np.int32
+        assert not table.flags.writeable
+        for k, center in enumerate(lattice.centers):
+            cells, inside = rotated_cells(dim, center)
+            keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
+            assert np.array_equal(table[k], np.where(inside, keys, dim**3))
+        assert np.array_equal(table // dim, lattice_pixel_ids(dim, lattice))
+
+    def test_cached_per_dim_and_lattice(self):
+        lattice = discretize_viewpoints(45)
+        assert lattice_cell_keys(6, lattice) is lattice_cell_keys(6, lattice)
+        assert geometry._lattice_cell_keys.cache_info().maxsize == 2
 
 
 class TestPoseCache:
+    def test_dense_forward_map_cache_holds_at_most_eight_poses(self):
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            for dim in (8, 16, 32):
+                rotated_cells(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)))
+                assert geometry._rotated_cells_cached.cache_info().currsize <= 8
+        for center in discretize_viewpoints(30).centers:
+            rotate_grid(VoxelGrid.zeros((6, 6, 6)), center)
+        assert geometry._rotated_cells_cached.cache_info().currsize == 8
+        assert geometry._rotated_cells_cached.cache_info().maxsize == 8
+
     def test_holds_at_most_eight_poses_across_dims(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -1,6 +1,7 @@
 """Reconstruction loop driver, corpus generation, and policy comparison."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,25 @@ class TestLoopConfig:
         payload = config_to_dict(LoopConfig())
         payload["verbosity"] = 3
         with pytest.raises(ValueError, match="verbosity"):
+            config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"iterations": 1.5}, "loop config field 'iterations' must be an integer, got 1.5"),
+            ({"seed": True}, "loop config field 'seed' must be an integer, got True"),
+            ({"dim": "16"}, "loop config field 'dim' must be an integer"),
+            ({"interval_deg": "30"}, "loop config field 'interval_deg' must be a number"),
+            ({"update_fraction": [1]}, "loop config field 'update_fraction' must be a number"),
+            ({"selection_policy": 1}, "loop config field 'selection_policy' must be a string"),
+            ({"initial_distribution": 5}, "loop config field 'initial_distribution' must be an object"),
+            ({"initial_distribution": {"kind": "spherical", "views_per_object": 2.5}},
+             "initial_distribution field 'views_per_object' must be an integer"),
+            ({"initial_distribution": {"kind": "aligned", "n": 3}}, "unknown initial_distribution keys: ['n']"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_rejected(self, payload, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(payload)
 
 

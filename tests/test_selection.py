@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid, view_direction
 from voxsel import selection
 from voxsel.grid import VoxelGrid, error_grid
 from voxsel.selection import (
+    FIRST_HIT_EPS,
     ErrorProjectionMap,
     ViewScore,
     project_first_hit,
@@ -244,16 +245,56 @@ class TestScoreAll:
         assert score_all(error, lattice) == expected
 
     def test_lattice_over_the_table_budget_is_scored_densely(self, monkeypatch):
-        error = random_binary_grid(7, 5, p=0.4)
-        expected = score_all(error, LATTICE_30)
+        errors = [random_binary_grid(7, 5, p=0.4), random_soft_grid(7, 8, p=0.4)]
+        expected = [score_all(error, LATTICE_30) for error in errors]
         monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * 7**3 * 4 - 1)
         monkeypatch.setattr(selection, "lattice_pixel_ids", None)  # any use would raise
-        assert score_all(error, LATTICE_30) == expected
+        monkeypatch.setattr(selection, "lattice_cell_keys", None)
+        assert [score_all(error, LATTICE_30) for error in errors] == expected
 
     def test_soft_grid_matches_score_view(self):
         error = random_soft_grid(9, 4, p=0.5)
         expected = [score_view(error, c, LATTICE_30.lattice_index(k)) for k, c in enumerate(LATTICE_30.centers)]
         assert score_all(error, LATTICE_30) == expected
+
+    @given(
+        st.integers(0, 10_000),
+        st.one_of(st.sampled_from([31, 32]), st.integers(1, 33)),
+        st.floats(0.0, 1.0),
+        st.sampled_from([22.5, 30, 45]),
+    )
+    @example(seed=0, dim=8, density=0.0, interval=30)  # all zero
+    @example(seed=1, dim=9, density=1.0, interval=45)  # full: about 84 cells per view take two deposits
+    @settings(max_examples=30, deadline=None)
+    def test_soft_grids_match_the_dense_score_view_oracle(self, seed, dim, density, interval):
+        # Values at and below FIRST_HIT_EPS sit next to real hits: a voxel at
+        # or below the cutoff is never a first hit, even where it is nearest
+        # the camera, and a cell's deposits keep their maximum.
+        rng = np.random.default_rng(seed)
+        levels = np.array([FIRST_HIT_EPS, FIRST_HIT_EPS / 2, 1e-300, 0.25, 1.0])
+        vals = np.where(rng.random(dim**3) < 0.5, rng.choice(levels, dim**3), rng.random(dim**3))
+        error = VoxelGrid((vals * (rng.random(dim**3) < density)).reshape(dim, dim, dim))
+        lattice = discretize_viewpoints(interval)
+        expected = [score_view(error, c, lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
+        assert score_all(error, lattice) == expected
+
+    def test_values_at_or_below_the_cutoff_score_zero(self):
+        error = VoxelGrid(np.full((6, 6, 6), FIRST_HIT_EPS))
+        assert [s.score for s in score_all(error, LATTICE_30)] == [0.0] * 72
+
+    def test_soft_grid_makes_no_rotate_grid_call(self, monkeypatch):
+        calls = []
+
+        def counting(grid, v):
+            calls.append(v)
+            return rotate_grid(grid, v)
+
+        monkeypatch.setattr(selection, "rotate_grid", counting)
+        error = random_soft_grid(12, 6, p=0.4)
+        score_all(error, LATTICE_30)
+        assert calls == []
+        score_view(error, LATTICE_30.centers[0])
+        assert len(calls) == 1
 
 
 class TestSelectTopN:
