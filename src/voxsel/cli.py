@@ -44,7 +44,7 @@ from .selection import sample_around, score_all, select_top_n
 from .synthesis import SHAPE_KINDS, ShapeSpec, generate_shape, render_silhouette
 
 
-def _load_grid(path: str) -> VoxelGrid:
+def _load_grid(path: str | Path) -> VoxelGrid:
     loaded = read_vxg(path)
     return loaded.to_grid() if isinstance(loaded, OccupancySet) else loaded
 
@@ -124,8 +124,7 @@ def _load_corpus_dir(path: Path) -> list[SceneObject]:
     corpus = []
     for i, entry in enumerate(manifest):
         _require_string_fields(entry, ("name", "category", "file"), f"manifest entry {i}")
-        loaded = read_vxg(path / entry["file"])
-        gt = loaded.to_grid() if isinstance(loaded, OccupancySet) else loaded
+        gt = _load_grid(path / entry["file"])
         corpus.append(SceneObject(name=entry["name"], category=entry["category"], gt=gt))
     return corpus
 

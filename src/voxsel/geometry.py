@@ -29,14 +29,13 @@ Forward maps
 Every forward map comes from one rounded matmul per pose. Its sparse form,
 :func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z`` of the image
 pixel it lands on, or the sentinel ``dim * dim`` when it lands nowhere. It is
-the kernel that silhouette rendering, binary error scoring (through the
-per-lattice table of :func:`lattice_pixel_ids`) and carving share, and it
-builds no rotated grid. Soft-valued error scoring needs the depth of each
-hit as well, so it reads the per-lattice table of :func:`lattice_cell_keys`:
-each voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
-``dim`` is the pixel id. The dense form, :func:`rotated_cells` and
-:func:`rotate_grid`, stays as public API and as the reference the sparse
-forms are tested against.
+the kernel that silhouette rendering and carving share, and it builds no
+rotated grid. Error scoring reads one table per lattice,
+:func:`lattice_cell_keys`: each voxel's rotated cell under every lattice
+center as ``(y * dim + z) * dim + x``, whose quotient by ``dim`` is the
+depth-clipped pixel id and whose order along a ray is its depth. The dense
+form, :func:`rotated_cells` and :func:`rotate_grid`, stays as public API and
+as the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "rotate_grid",
     "rotated_cells",
     "pixel_ids",
-    "lattice_pixel_ids",
     "lattice_cell_keys",
     "view_direction",
     "viewpoint_from_direction",
@@ -251,7 +249,7 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
     nearest its rotated center, the cell :func:`rotated_cells` gives. A
     voxel that projects nowhere gets the single sentinel ``dim * dim``, one
     past the last pixel, so a ``dim * dim + 1`` image buffer absorbs it.
-    With ``clip_depth`` (rendering and scoring) a voxel is off when its
+    With ``clip_depth`` (rendering) a voxel is off when its
     rotated cell leaves the cube on any axis, which is what
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
     pixel leaves the image. The array is read-only and cached per pose, for
@@ -265,33 +263,16 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
     return cube_ids if clip_depth else image_ids
 
 
-@lru_cache(maxsize=2)
-def _lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
-    table = np.empty((len(lattice.centers), dim**3), dtype=np.int32)
-    for row, c in zip(table, lattice.centers):
-        row[:] = _forward_pixel_ids(dim, c.yaw, c.pitch)[0]
-    table.flags.writeable = False
-    return table
-
-
-def lattice_pixel_ids(dim: int, lattice: ViewpointLattice) -> np.ndarray:
-    """:func:`pixel_ids` (depth clipped) of every lattice center, one row each.
-
-    The ``(len(lattice.centers), dim ** 3)`` table is cached for the two
-    most recent ``(dim, lattice)`` pairs and read-only; its rows are
-    computed pose by pose, so each equals the map of that center alone.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return _lattice_pixel_ids(int(dim), lattice)
-
-
 def _cube_cell_keys(dim: int, yaw: float, pitch: float) -> np.ndarray:
-    """Key ``(y * dim + z) * dim + x`` of every voxel's rotated cell, ``dim ** 3`` when off the cube."""
-    cells = _rounded_targets(dim, yaw, pitch).astype(np.int32)
-    inside = ((cells >= 0) & (cells < dim)).all(axis=1)
-    keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
-    return np.where(inside, keys, np.int32(dim**3))
+    """Key ``(y * dim + z) * dim + x`` of every voxel's rotated cell, ``dim ** 3`` when off the cube.
+
+    The rounded targets are whole numbers, so one float64 matmul gives the
+    keys exactly.
+    """
+    target = _rounded_targets(dim, yaw, pitch)
+    in_range = (target >= 0) & (target < dim)
+    keys = (target @ np.array([1.0, dim * dim, dim])).astype(np.int32)
+    return np.where(in_range[:, 0] & in_range[:, 1] & in_range[:, 2], keys, np.int32(dim**3))
 
 
 @lru_cache(maxsize=2)
@@ -311,9 +292,9 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
     sentinel ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is
     the depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and
     among the voxels on one pixel ray the smallest key is the one nearest the
-    camera. Like :func:`lattice_pixel_ids`, the table is computed pose by
-    pose, read-only, and cached for the two most recent ``(dim, lattice)``
-    pairs.
+    camera. The table is computed pose by pose, so each row equals the map of
+    that center alone; it is read-only and cached for the two most recent
+    ``(dim, lattice)`` pairs.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")

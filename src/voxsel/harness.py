@@ -33,7 +33,7 @@ import numpy as np
 
 from .carve import ViewObservation, carve
 from .geometry import Viewpoint, discretize_viewpoints
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, error_grid, f_score, iou, threshold_grid
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, f_score, iou, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import select_and_sample
@@ -219,6 +219,8 @@ def make_corpus(
     """
     if count < 1:
         raise ValueError(f"corpus count must be positive, got {count}")
+    if len(kinds) == 0:
+        raise ValueError(f"corpus kinds must name at least one shape kind, got {kinds!r}")
     for kind in kinds:
         if kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {kind!r}")
@@ -292,8 +294,7 @@ def run_object_iteration(
     reconstruction error) is left untouched.
     """
     pred = state.hull()
-    err = error_grid(pred, obj.gt)
-    if float(err.values.max()) == 0.0:
+    if np.array_equal(pred.values, obj.gt.values):
         state.converged = True
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
 
@@ -345,7 +346,7 @@ def _evaluate(obj: SceneObject, state: _ObjectState, config: LoopConfig) -> tupl
     pred_occ = threshold_grid(pred, config.tau)
     gt_occ = threshold_grid(obj.gt, config.tau)
     excess = int(np.logical_and(pred_occ.bits, ~gt_occ.bits).sum())
-    if float(error_grid(pred, obj.gt).values.max()) == 0.0:
+    if np.array_equal(pred.values, obj.gt.values):
         state.converged = True
     return iou(pred_occ, gt_occ), f_score(pred_occ, gt_occ), excess
 

@@ -7,18 +7,16 @@ the viewpoint that produced it; the highest-scoring lattice centers are the
 views most worth re-observing, and Gaussian jitter around them turns interval
 centers into concrete camera poses.
 
-For a binary (0/1) error grid every first hit is 1, so a view's score is the
-number of distinct pixels its error voxels project to. :func:`score_all`
-counts those for every lattice center at once through the shared pixel-id
-kernel (:func:`~voxsel.geometry.lattice_pixel_ids`), one ``bincount`` over
-``view * (dim * dim + 1) + pixel``. A soft-valued grid needs the value of
-each ray's first hit. :func:`score_all` finds it for every lattice center at
-once through the lattice's cell-key table
-(:func:`~voxsel.geometry.lattice_cell_keys`): ``np.minimum.at`` picks each
-ray's nearest cell, ``np.maximum.at`` the largest value deposited there. The
-dense :func:`score_view` path (``rotate_grid`` then
+:func:`score_all` scores every lattice center at once through the lattice's
+cell-key table (:func:`~voxsel.geometry.lattice_cell_keys`), gathered once
+for the voxels above ``FIRST_HIT_EPS``. When every one of them is 1.0, as in
+a binary error grid, every first hit is 1 and a view's score is the number of
+distinct pixels they project to: one ``bincount`` over
+``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at`` picks each
+ray's nearest cell and ``np.maximum.at`` the largest value deposited there.
+The dense :func:`score_view` path (``rotate_grid`` then
 :func:`project_first_hit`) stays as public API and as the reference both
-sparse paths are tested against. It also scores a lattice whose table would
+reductions are tested against. It also scores a lattice whose table would
 exceed ``MAX_LATTICE_TABLE_BYTES``, e.g. the 16,200 cells of a 2-degree
 lattice at dim 32 (2.1 GB).
 """
@@ -35,7 +33,6 @@ from .geometry import (
     Viewpoint,
     discretize_viewpoints,
     lattice_cell_keys,
-    lattice_pixel_ids,
     rotate_grid,
     sample_gaussian_view,
 )
@@ -60,9 +57,9 @@ __all__ = [
 # equivalent to testing != 0; it only matters for soft-valued grids.
 FIRST_HIT_EPS = 1e-9
 
-# Largest int32 pixel-id or cell-key table score_all builds; finer lattices
-# are scored densely, whose memory does not grow with the number of cells.
-# The 30-degree lattice needs 9 MB at dim 32 and 75 MB at dim 64 per table.
+# Largest int32 cell-key table score_all builds; finer lattices are scored
+# densely, whose memory does not grow with the number of cells. The
+# 30-degree lattice needs 9 MB at dim 32 and 75 MB at dim 64.
 MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 
 
@@ -141,10 +138,9 @@ def score_view(error: VoxelGrid, v: Viewpoint, lattice_index: tuple[int, int] = 
 def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     """Score every lattice center, returned in lattice order (yaw fastest).
 
-    Equal to :func:`score_view` per center. A binary grid is scored through
-    the lattice's pixel-id table, a soft-valued one through its cell-key
-    table; a grid whose table would exceed :data:`MAX_LATTICE_TABLE_BYTES`
-    is scored by the dense path.
+    Equal to :func:`score_view` per center. The grid is scored through the
+    lattice's cell-key table, or by the dense path when that table would
+    exceed :data:`MAX_LATTICE_TABLE_BYTES`.
     """
     if not error.is_cubic:
         raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
@@ -154,47 +150,38 @@ def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
             score_view(error, center, lattice.lattice_index(k))
             for k, center in enumerate(lattice.centers)
         ]
-    dim = error.dims[0]
-    ones = vals == 1.0
-    if np.all(ones | (vals == 0.0)):
-        totals = _binary_totals(dim, lattice, ones)
-    else:
-        totals = _first_hit_totals(dim, lattice, vals)
+    totals = _first_hit_totals(error.dims[0], lattice, vals)
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)
     ]
 
 
-def _binary_totals(dim: int, lattice: ViewpointLattice, ones: np.ndarray) -> list[float]:
-    """Per center, the number of distinct pixels the ``ones`` voxels project to: one ``bincount``."""
-    n_views = len(lattice.centers)
-    stride = dim * dim + 1  # pixel ids plus the off sentinel
-    hit_ids = lattice_pixel_ids(dim, lattice)[:, ones]
-    bins = hit_ids + np.arange(0, n_views * stride, stride)[:, np.newaxis]
-    counts = np.bincount(bins.ravel(), minlength=n_views * stride).reshape(n_views, stride)
-    return [float(n) for n in np.count_nonzero(counts[:, :-1], axis=1)]
-
-
 def _first_hit_totals(dim: int, lattice: ViewpointLattice, vals: np.ndarray) -> list[float]:
     """Per center, the summed first-hit image of ``vals``, built without rotating the grid.
 
     Only voxels above ``FIRST_HIT_EPS`` can be a ray's first hit, and a rotated
-    cell is above it exactly when one of its deposits is. Each (view, pixel)
-    ray's first hit is its smallest cell key, and its pixel reads the largest
-    value deposited there: the image :func:`project_first_hit` makes of
-    :func:`rotate_grid`, summed the same way.
+    cell is above it exactly when one of its deposits is, so only their keys
+    are gathered. When all of them are 1.0 every first hit is 1 and a view's
+    total is the number of its pixels they reach: one ``bincount``. Otherwise
+    each (view, pixel) ray's first hit is its smallest cell key, and its pixel
+    reads the largest value deposited there. Either way this is the image
+    :func:`project_first_hit` makes of :func:`rotate_grid`, summed the same way.
     """
     n_views = len(lattice.centers)
     stride = dim * dim + 1  # pixel ids plus the off sentinel
     hot = np.flatnonzero(vals > FIRST_HIT_EPS)
     keys = np.take(lattice_cell_keys(dim, lattice), hot, axis=1)
     rays = keys // dim + np.arange(0, n_views * stride, stride, dtype=np.int32)[:, np.newaxis]
+    hot_vals = vals[hot]
+    if np.all(hot_vals == 1.0):
+        counts = np.bincount(rays.ravel(), minlength=n_views * stride).reshape(n_views, stride)
+        return [float(n) for n in np.count_nonzero(counts[:, :-1], axis=1)]
     first = np.full(n_views * stride, dim**3, dtype=np.int32)
     np.minimum.at(first, rays.ravel(), keys.ravel())
     front = keys == first[rays]
     image = np.zeros(n_views * stride)
-    np.maximum.at(image, rays[front], np.broadcast_to(vals[hot], keys.shape)[front])
+    np.maximum.at(image, rays[front], np.broadcast_to(hot_vals, keys.shape)[front])
     image = image.reshape(n_views, stride)
     return [float(image[k, :-1].reshape(dim, dim).sum()) for k in range(n_views)]
 

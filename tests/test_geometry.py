@@ -14,7 +14,6 @@ from voxsel.geometry import (
     clamp_pitch,
     discretize_viewpoints,
     lattice_cell_keys,
-    lattice_pixel_ids,
     pixel_ids,
     rotate_grid,
     rotated_cells,
@@ -335,7 +334,7 @@ class TestPixelIds:
         # At these dims some 30-degree centers put rotated coordinates exactly
         # on .5, so a row computed any other way than pose by pose can differ.
         lattice = discretize_viewpoints(30)
-        table = lattice_pixel_ids(dim, lattice)
+        table = lattice_cell_keys(dim, lattice) // dim
         assert table.shape == (72, dim**3)
         assert table.dtype == np.int32
         for k, center in enumerate(lattice.centers):
@@ -344,8 +343,6 @@ class TestPixelIds:
     def test_rejects_non_positive_dim(self):
         with pytest.raises(ValueError):
             pixel_ids(0, Viewpoint(0.0, 0.0))
-        with pytest.raises(ValueError):
-            lattice_pixel_ids(0, discretize_viewpoints(90))
         with pytest.raises(ValueError):
             lattice_cell_keys(0, discretize_viewpoints(90))
 
@@ -364,7 +361,7 @@ class TestLatticeCellKeys:
             cells, inside = rotated_cells(dim, center)
             keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
             assert np.array_equal(table[k], np.where(inside, keys, dim**3))
-        assert np.array_equal(table // dim, lattice_pixel_ids(dim, lattice))
+            assert np.array_equal(table[k] // dim, pixel_ids(dim, center))
 
     def test_cached_per_dim_and_lattice(self):
         lattice = discretize_viewpoints(45)

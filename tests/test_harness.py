@@ -73,6 +73,8 @@ class TestMakeCorpus:
             make_corpus(0)
         with pytest.raises(ValueError):
             make_corpus(2, kinds=["pyramid"])
+        with pytest.raises(ValueError, match="kinds"):
+            make_corpus(2, dim=8, kinds=())
 
 
 class TestLoopConfig:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid, view_direction
-from voxsel import selection
+from voxsel import geometry, selection
 from voxsel.grid import VoxelGrid, error_grid
 from voxsel.selection import (
     FIRST_HIT_EPS,
@@ -235,11 +235,15 @@ class TestScoreAll:
         st.integers(3, 33),
         st.floats(0.0, 0.5),
         st.sampled_from([22.5, 30, 45]),
+        st.sampled_from([0.0, FIRST_HIT_EPS / 2, FIRST_HIT_EPS]),
     )
+    # Sub-cutoff values beside the 1.0s: the count of pixels must ignore them.
+    @example(seed=2, dim=10, density=0.3, interval=30, floor=FIRST_HIT_EPS / 2)
     @settings(max_examples=40, deadline=None)
-    def test_binary_grids_match_the_dense_score_view_oracle(self, seed, dim, density, interval):
-        # Dense corners rotate off the cube, so the sparse path's off rule is exercised.
-        error = random_binary_grid(dim, seed, density)
+    def test_binary_grids_match_the_dense_score_view_oracle(self, seed, dim, density, interval, floor):
+        # Dense corners rotate off the cube, so the sparse path's off rule is
+        # exercised. Empty voxels hold ``floor``, which is never a first hit.
+        error = VoxelGrid(np.maximum(random_binary_grid(dim, seed, density).values, floor))
         lattice = discretize_viewpoints(interval)
         expected = [score_view(error, c, lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
         assert score_all(error, lattice) == expected
@@ -248,9 +252,16 @@ class TestScoreAll:
         errors = [random_binary_grid(7, 5, p=0.4), random_soft_grid(7, 8, p=0.4)]
         expected = [score_all(error, LATTICE_30) for error in errors]
         monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * 7**3 * 4 - 1)
-        monkeypatch.setattr(selection, "lattice_pixel_ids", None)  # any use would raise
-        monkeypatch.setattr(selection, "lattice_cell_keys", None)
+        monkeypatch.setattr(selection, "lattice_cell_keys", None)  # any use would raise
         assert [score_all(error, LATTICE_30) for error in errors] == expected
+
+    def test_binary_and_soft_grids_share_one_lattice_table(self):
+        geometry._lattice_cell_keys.cache_clear()
+        lattice = discretize_viewpoints(45)
+        score_all(random_binary_grid(13, 1), lattice)
+        assert geometry._lattice_cell_keys.cache_info().misses == 1
+        score_all(random_soft_grid(13, 2), lattice)
+        assert geometry._lattice_cell_keys.cache_info().misses == 1
 
     def test_soft_grid_matches_score_view(self):
         error = random_soft_grid(9, 4, p=0.5)
