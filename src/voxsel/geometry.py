@@ -174,12 +174,14 @@ class ViewpointLattice:
         return (min(i, self.n_yaw - 1), min(j, self.n_pitch - 1))
 
 
+@lru_cache(maxsize=8)
 def discretize_viewpoints(interval_deg: float) -> ViewpointLattice:
     """Split yaw [-180, 180) and pitch [-90, 90] into interval_deg cells.
 
     The interval must divide both 360 and 180 (so 22.5 is fine, 50 is not).
     Each cell is represented by its median angle, e.g. a 30 degree lattice
-    starts at (-165, -75).
+    starts at (-165, -75). The lattice is immutable and cached for the eight
+    most recent intervals, so the loop does not rebuild it per selection.
     """
     interval_deg = float(interval_deg)
     if interval_deg <= 0:
@@ -301,29 +303,19 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
     return _lattice_cell_keys(int(dim), lattice)
 
 
-# Eight poses, like the pixel-id cache: only rotate_grid maps poses densely,
-# and no hot path calls it. Eight entries are 6.5 MB at dim 32, 52 MB at dim 64.
-@lru_cache(maxsize=8)
-def _rotated_cells_cached(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    cells = _rounded_targets(dim, yaw, pitch).astype(np.int64)
-    inside = ((cells >= 0) & (cells < dim)).all(axis=1)
-    cells.flags.writeable = False
-    inside.flags.writeable = False
-    return cells, inside
-
-
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     """Forward map of every voxel center of a cubic grid under ``v``.
 
     Returns ``(cells, inside)`` where ``cells[k]`` is the integer output cell
     nearest the rotated center of source voxel ``k`` (sources enumerated in C
     order over ``(x, y, z)`` indices) and ``inside[k]`` says whether that cell
-    lies within the cube. Both arrays are cached and read-only. This dense
-    map serves :func:`rotate_grid`; the hot paths use :func:`pixel_ids`.
+    lies within the cube. Both arrays are computed afresh on every call. This
+    dense map serves :func:`rotate_grid`; the hot paths use :func:`pixel_ids`.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    return _rotated_cells_cached(int(dim), v.yaw, v.pitch)
+    cells = _rounded_targets(int(dim), v.yaw, v.pitch).astype(np.int64)
+    return cells, ((cells >= 0) & (cells < dim)).all(axis=1)
 
 
 def rotate_grid(grid: VoxelGrid, v: Viewpoint) -> VoxelGrid:

@@ -10,13 +10,14 @@ New silhouettes are appended and all objects are re-evaluated. Reports are
 deterministic functions of (corpus, config): the same seed reproduces the
 same report bytes.
 
-Carving is incremental. Each object keeps a running keep mask, the AND of
-its observations' :func:`~voxsel.carve.keep_mask` masks. New views are
-rendered and then carved into that mask by one ``carve(new, dim, keep=...)``
-call, so each view is carved once, while its pose's forward map is still
-cached, and selection and evaluation read the hull from the mask. Because the
-AND is order-independent and idempotent, the mask always equals ``carve`` of
-all the observations.
+Each object's visual hull is one flat bool keep mask, the AND of its
+observations' :func:`~voxsel.carve.keep_mask` masks. New views are rendered
+and then carved into that mask by one ``carve(new, dim, keep=...)`` call, so
+each view is carved once, while its pose's forward map is still cached.
+Because the AND is order-independent and idempotent, the mask always equals
+``carve`` of all the observations. Evaluation and the convergence check read
+the mask directly; a ``VoxelGrid`` of it is built only for
+:func:`~voxsel.selection.select_and_sample`, which takes a grid.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -33,7 +34,7 @@ import numpy as np
 
 from .carve import ViewObservation, carve
 from .geometry import Viewpoint, discretize_viewpoints
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, f_score, iou, threshold_grid
+from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, f_score, iou, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import select_and_sample
@@ -236,47 +237,30 @@ def make_corpus(
 class _ObjectState:
     """One object's views and its running hull.
 
-    ``keep`` is the flat bool mask of the voxels every observation keeps, and
-    ``dim`` the grid size, taken from the first silhouette. :meth:`observe`
-    carves new views into ``keep`` once, right after they are rendered;
-    observations given to the constructor are carved in the same way.
+    ``keep`` is the flat bool mask of the ``dim**3`` voxels every observation
+    keeps; with no observations it is the full cube. :meth:`observe` carves
+    new views into ``keep`` once, right after they are rendered; observations
+    given to the constructor are carved in the same way.
     """
 
+    dim: int
     observations: list[ViewObservation]
-    initial_views: list[Viewpoint]
     rng: np.random.Generator
     converged: bool = False
     lattice_cursor: int = 0
-    dim: int = field(default=0, init=False)
-    keep: np.ndarray | None = field(default=None, init=False, repr=False)
-    _carved: VoxelGrid | None = field(default=None, init=False, repr=False)
+    keep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.keep = np.ones(self.dim**3, dtype=bool)
         given, self.observations = self.observations, []
         self.observe(given)
 
     def observe(self, new: Sequence[ViewObservation]) -> None:
-        """Append observations and AND them into the hull with one ``carve`` call."""
+        """Append observations and AND them into ``keep`` with one ``carve`` call."""
         if not new:
             return
-        dim = self.dim or new[0].silhouette.dims[0]
-        keep = np.ones(dim**3, dtype=bool) if self.keep is None else self.keep
-        self._carved = carve(new, dim, keep=keep)
-        self.dim, self.keep = dim, keep
+        carve(new, self.dim, keep=self.keep)
         self.observations.extend(new)
-
-    def hull(self) -> VoxelGrid:
-        """The 0/1 grid ``carve(self.observations, self.dim)`` returns.
-
-        The grid the last :meth:`observe` built is handed out once and then
-        dropped, so no object holds a float64 grid between iterations.
-        """
-        if self.keep is None:
-            raise ValueError("carving requires at least one observation")
-        grid, self._carved = self._carved, None
-        if grid is None:
-            grid = VoxelGrid(self.keep.reshape((self.dim,) * 3).astype(np.float64))
-        return grid
 
 
 def run_object_iteration(
@@ -293,8 +277,7 @@ def run_object_iteration(
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
     """
-    pred = state.hull()
-    if np.array_equal(pred.values, obj.gt.values):
+    if np.array_equal(state.keep, obj.gt.values.reshape(-1)):
         state.converged = True
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
 
@@ -314,6 +297,7 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
+            pred = VoxelGrid(state.keep.reshape(obj.gt.dims))
             fresh = select_and_sample(pred, obj.gt, config.interval_deg, n_fresh, state.rng)
     elif config.selection_policy == "random":
         fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
@@ -342,11 +326,10 @@ class RunReport:
 
 
 def _evaluate(obj: SceneObject, state: _ObjectState, config: LoopConfig) -> tuple[float, float, int]:
-    pred = state.hull()
-    pred_occ = threshold_grid(pred, config.tau)
+    pred_occ = OccupancySet(state.keep.reshape(obj.gt.dims) >= config.tau)
     gt_occ = threshold_grid(obj.gt, config.tau)
     excess = int(np.logical_and(pred_occ.bits, ~gt_occ.bits).sum())
-    if np.array_equal(pred.values, obj.gt.values):
+    if np.array_equal(state.keep, obj.gt.values.reshape(-1)):
         state.converged = True
     return iou(pred_occ, gt_occ), f_score(pred_occ, gt_occ), excess
 
@@ -392,7 +375,7 @@ def run_loop(
         initial = [candidates[k] for k in stride_idx]
         observations = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial]
         states.append(
-            _ObjectState(observations=observations, initial_views=initial, rng=_stream(config.seed, _TAG_SELECT, i))
+            _ObjectState(dim=config.dim, observations=observations, rng=_stream(config.seed, _TAG_SELECT, i))
         )
         object_records.append(
             {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Viewpoint
-from .io import canonical_json, viewpoint_to_dict
+from .io import canonical_json, viewpoint_from_dict, viewpoint_to_dict
 
 __all__ = [
     "DEFAULT_POOL_CAPACITY",
@@ -97,6 +97,5 @@ def load_pool(data: bytes, capacity: int = DEFAULT_POOL_CAPACITY) -> ViewpointPo
     for category, items in payload.items():
         if not isinstance(items, list):
             raise ValueError(f"category {category!r} must map to a list")
-        viewpoints = [Viewpoint(yaw=float(item["yaw"]), pitch=float(item["pitch"])) for item in items]
-        record(pool, category, viewpoints)
+        record(pool, category, [viewpoint_from_dict(item) for item in items])
     return pool

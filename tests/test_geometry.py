@@ -186,6 +186,9 @@ class TestLattice:
         lat = discretize_viewpoints(22.5)
         assert (lat.n_yaw, lat.n_pitch) == (16, 8)
 
+    def test_cached_per_interval(self):
+        assert discretize_viewpoints(30) is discretize_viewpoints(30)
+
     @pytest.mark.parametrize("bad", [0, -30, 50, 75, 7, 360.5])
     def test_non_divisors_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -370,17 +373,6 @@ class TestLatticeCellKeys:
 
 
 class TestPoseCache:
-    def test_dense_forward_map_cache_holds_at_most_eight_poses(self):
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            for dim in (8, 16, 32):
-                rotated_cells(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)))
-                assert geometry._rotated_cells_cached.cache_info().currsize <= 8
-        for center in discretize_viewpoints(30).centers:
-            rotate_grid(VoxelGrid.zeros((6, 6, 6)), center)
-        assert geometry._rotated_cells_cached.cache_info().currsize == 8
-        assert geometry._rotated_cells_cached.cache_info().maxsize == 8
-
     def test_holds_at_most_eight_poses_across_dims(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

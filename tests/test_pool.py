@@ -159,6 +159,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="list"):
             load_pool(b'{"chair": 3}')
 
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"a": [1]}', b'{"a": [{"yaw": null, "pitch": 0}]}', b'{"a": [{"pitch": 0}]}'],
+    )
+    def test_malformed_viewpoint_entry_rejected(self, data):
+        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
+            load_pool(data)
+
     def test_loaded_pool_respects_capacity(self):
         pool = ViewpointPool()
         record(pool, "chair", [vp(k) for k in range(6)])
