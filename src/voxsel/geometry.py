@@ -30,12 +30,12 @@ Every forward map comes from one rounded matmul per pose. Its sparse form,
 :func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z`` of the image
 pixel it lands on, or the sentinel ``dim * dim`` when it lands nowhere. It is
 the kernel that silhouette rendering and carving share, and it builds no
-rotated grid. Error scoring reads one table per lattice,
-:func:`lattice_cell_keys`: each voxel's rotated cell under every lattice
-center as ``(y * dim + z) * dim + x``, whose quotient by ``dim`` is the
-depth-clipped pixel id and whose order along a ray is its depth. The dense
-form, :func:`rotated_cells` and :func:`rotate_grid`, stays as public API and
-as the reference the sparse forms are tested against.
+rotated grid. Error scoring reads :func:`cell_keys`: each voxel's rotated
+cell as ``(y * dim + z) * dim + x``, whose quotient by ``dim`` is the
+depth-clipped pixel id and whose order along a ray is its depth.
+:func:`lattice_cell_keys` stacks it for every center of a lattice into one
+cached table. The dense form, :func:`rotated_cells` and :func:`rotate_grid`,
+stays as public API and as the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "rotate_grid",
     "rotated_cells",
     "pixel_ids",
+    "cell_keys",
     "lattice_cell_keys",
     "view_direction",
     "viewpoint_from_direction",
@@ -265,13 +266,21 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
     return cube_ids if clip_depth else image_ids
 
 
-def _cube_cell_keys(dim: int, yaw: float, pitch: float) -> np.ndarray:
-    """Key ``(y * dim + z) * dim + x`` of every voxel's rotated cell, ``dim ** 3`` when off the cube.
+def cell_keys(dim: int, v: Viewpoint) -> np.ndarray:
+    """Rotated cell of every voxel of a cubic grid under ``v``, as ray-major keys.
 
-    The rounded targets are whole numbers, so one float64 matmul gives the
-    keys exactly.
+    Entry ``i`` is the int32 key ``(y * dim + z) * dim + x`` of the cell
+    :func:`rotated_cells` gives source voxel ``i``, or the sentinel
+    ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is the
+    depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and among
+    the voxels on one pixel ray the smallest key is the one nearest the
+    camera. The rounded targets are whole numbers, so one float64 matmul
+    gives the keys exactly. Nothing is cached.
     """
-    target = _rounded_targets(dim, yaw, pitch)
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    dim = int(dim)
+    target = _rounded_targets(dim, v.yaw, v.pitch)
     in_range = (target >= 0) & (target < dim)
     keys = (target @ np.array([1.0, dim * dim, dim])).astype(np.int32)
     return np.where(in_range[:, 0] & in_range[:, 1] & in_range[:, 2], keys, np.int32(dim**3))
@@ -281,22 +290,17 @@ def _cube_cell_keys(dim: int, yaw: float, pitch: float) -> np.ndarray:
 def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
     table = np.empty((len(lattice.centers), dim**3), dtype=np.int32)
     for row, c in zip(table, lattice.centers):
-        row[:] = _cube_cell_keys(dim, c.yaw, c.pitch)
+        row[:] = cell_keys(dim, c)
     table.flags.writeable = False
     return table
 
 
 def lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
-    """Rotated cell of every voxel under every lattice center, as ray-major keys.
+    """:func:`cell_keys` of every lattice center, one row per center.
 
-    Entry ``[k, i]`` is the int32 key ``(y * dim + z) * dim + x`` of the cell
-    :func:`rotated_cells` gives source voxel ``i`` under center ``k``, or the
-    sentinel ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is
-    the depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and
-    among the voxels on one pixel ray the smallest key is the one nearest the
-    camera. The table is computed pose by pose, so each row equals the map of
-    that center alone; it is read-only and cached for the two most recent
-    ``(dim, lattice)`` pairs.
+    Row ``k`` is ``cell_keys(dim, lattice.centers[k])``, computed pose by pose,
+    so it equals the map of that center alone. The table is read-only and
+    cached for the two most recent ``(dim, lattice)`` pairs.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")

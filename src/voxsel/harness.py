@@ -27,7 +27,7 @@ leak randomness across objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -137,27 +137,17 @@ class LoopConfig:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}, expected one of {POLICIES}")
         if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}, expected one of {POOL_MODES}")
-        discretize_viewpoints(self.interval_deg)  # validates the interval
+        n_centers = len(discretize_viewpoints(self.interval_deg).centers)  # validates the interval
+        # An empty pool makes every pool mode select all views_per_round views fresh.
+        if self.selection_policy == "error-guided" and self.views_per_round > n_centers:
+            raise ValueError(
+                f"views_per_round must not exceed the lattice's {n_centers} centers "
+                f"under error-guided selection, got {self.views_per_round}"
+            )
 
 
 def config_to_dict(config: LoopConfig) -> dict:
-    return {
-        "dim": config.dim,
-        "interval_deg": config.interval_deg,
-        "views_per_round": config.views_per_round,
-        "initial_views": config.initial_views,
-        "initial_distribution": {
-            "kind": config.initial_distribution.kind,
-            "views_per_object": config.initial_distribution.views_per_object,
-        },
-        "iterations": config.iterations,
-        "update_fraction": config.update_fraction,
-        "tau": config.tau,
-        "selection_policy": config.selection_policy,
-        "pool_mode": config.pool_mode,
-        "pool_capacity": config.pool_capacity,
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 # The JSON type each loop config field must have: the loop passes counts,
@@ -202,6 +192,8 @@ def config_from_dict(obj: dict) -> LoopConfig:
         if not isinstance(dist, dict):
             raise ValueError(f"loop config field 'initial_distribution' must be an object, got {dist!r}")
         _check_field_types(dist, _DISTRIBUTION_TYPES, "initial_distribution")
+        if "kind" not in dist:
+            raise ValueError("initial_distribution field 'kind' is required")
         kwargs["initial_distribution"] = ViewDistribution(**dist)
     return LoopConfig(**kwargs)
 

@@ -7,18 +7,19 @@ the viewpoint that produced it; the highest-scoring lattice centers are the
 views most worth re-observing, and Gaussian jitter around them turns interval
 centers into concrete camera poses.
 
-:func:`score_all` scores every lattice center at once through the lattice's
-cell-key table (:func:`~voxsel.geometry.lattice_cell_keys`), gathered once
-for the voxels above ``FIRST_HIT_EPS``. When every one of them is 1.0, as in
-a binary error grid, every first hit is 1 and a view's score is the number of
+:func:`score_all` scores every lattice center from the rotated cell keys of
+the voxels above ``FIRST_HIT_EPS`` (:func:`~voxsel.geometry.cell_keys`),
+read from the lattice's cached table (:func:`~voxsel.geometry.lattice_cell_keys`)
+or, when that table would exceed ``MAX_LATTICE_TABLE_BYTES``, computed one
+center at a time and not kept: the 16,200 cells of a 2-degree lattice at
+dim 32 would need a 2.1 GB table. When every hot voxel is 1.0, as in a binary
+error grid, every first hit is 1 and a view's score is the number of
 distinct pixels they project to: one ``bincount`` over
 ``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at`` picks each
 ray's nearest cell and ``np.maximum.at`` the largest value deposited there.
 The dense :func:`score_view` path (``rotate_grid`` then
 :func:`project_first_hit`) stays as public API and as the reference both
-reductions are tested against. It also scores a lattice whose table would
-exceed ``MAX_LATTICE_TABLE_BYTES``, e.g. the 16,200 cells of a 2-degree
-lattice at dim 32 (2.1 GB).
+reductions are tested against; :func:`score_all` never calls it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .geometry import (
     ViewpointLattice,
     Viewpoint,
+    cell_keys,
     discretize_viewpoints,
     lattice_cell_keys,
     rotate_grid,
@@ -57,9 +59,9 @@ __all__ = [
 # equivalent to testing != 0; it only matters for soft-valued grids.
 FIRST_HIT_EPS = 1e-9
 
-# Largest int32 cell-key table score_all builds; finer lattices are scored
-# densely, whose memory does not grow with the number of cells. The
-# 30-degree lattice needs 9 MB at dim 32 and 75 MB at dim 64.
+# Largest int32 cell-key table score_all builds; a finer lattice's key rows
+# are computed one center at a time, so its memory does not grow with the
+# number of cells. The 30-degree lattice needs 9 MB at dim 32 and 75 MB at dim 64.
 MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 
 
@@ -138,29 +140,29 @@ def score_view(error: VoxelGrid, v: Viewpoint, lattice_index: tuple[int, int] = 
 def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     """Score every lattice center, returned in lattice order (yaw fastest).
 
-    Equal to :func:`score_view` per center. The grid is scored through the
-    lattice's cell-key table, or by the dense path when that table would
-    exceed :data:`MAX_LATTICE_TABLE_BYTES`.
+    Equal to :func:`score_view` per center. The keys come from the lattice's
+    cell-key table, or one center at a time when that table would exceed
+    :data:`MAX_LATTICE_TABLE_BYTES`.
     """
     if not error.is_cubic:
         raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
+    dim = error.dims[0]
     vals = error.values.reshape(-1)
-    if len(lattice.centers) * vals.size * 4 > MAX_LATTICE_TABLE_BYTES:
-        return [
-            score_view(error, center, lattice.lattice_index(k))
-            for k, center in enumerate(lattice.centers)
-        ]
-    totals = _first_hit_totals(error.dims[0], lattice, vals)
+    if len(lattice.centers) * vals.size * 4 <= MAX_LATTICE_TABLE_BYTES:
+        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice), vals)
+    else:
+        totals = [_first_hit_totals(dim, cell_keys(dim, c)[np.newaxis], vals)[0] for c in lattice.centers]
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)
     ]
 
 
-def _first_hit_totals(dim: int, lattice: ViewpointLattice, vals: np.ndarray) -> list[float]:
-    """Per center, the summed first-hit image of ``vals``, built without rotating the grid.
+def _first_hit_totals(dim: int, table: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Per row of cell keys, the summed first-hit image of ``vals``, built without rotating the grid.
 
-    Only voxels above ``FIRST_HIT_EPS`` can be a ray's first hit, and a rotated
+    ``table`` holds one :func:`~voxsel.geometry.cell_keys` row per view. Only
+    voxels above ``FIRST_HIT_EPS`` can be a ray's first hit, and a rotated
     cell is above it exactly when one of its deposits is, so only their keys
     are gathered. When all of them are 1.0 every first hit is 1 and a view's
     total is the number of its pixels they reach: one ``bincount``. Otherwise
@@ -168,10 +170,10 @@ def _first_hit_totals(dim: int, lattice: ViewpointLattice, vals: np.ndarray) -> 
     reads the largest value deposited there. Either way this is the image
     :func:`project_first_hit` makes of :func:`rotate_grid`, summed the same way.
     """
-    n_views = len(lattice.centers)
+    n_views = len(table)
     stride = dim * dim + 1  # pixel ids plus the off sentinel
     hot = np.flatnonzero(vals > FIRST_HIT_EPS)
-    keys = np.take(lattice_cell_keys(dim, lattice), hot, axis=1)
+    keys = np.take(table, hot, axis=1)
     rays = keys // dim + np.arange(0, n_views * stride, stride, dtype=np.int32)[:, np.newaxis]
     hot_vals = vals[hot]
     if np.all(hot_vals == 1.0):

@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .geometry import Viewpoint, pixel_ids
+from .geometry import Viewpoint, _centered_coords, pixel_ids
 from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, threshold_grid
 
 __all__ = [
@@ -213,13 +213,8 @@ def safe_radius(dim: int) -> float:
     return (dim - 1) / 2.0 - 1.0
 
 
-def _centered_coords(dim: int) -> np.ndarray:
-    half = (dim - 1) / 2.0
-    return np.indices((dim, dim, dim), dtype=np.float64) - half
-
-
 def _ball_mask(dim: int, center: np.ndarray, radius: float) -> np.ndarray:
-    coords = _centered_coords(dim)
+    coords = _centered_coords(dim).T.reshape(3, dim, dim, dim)
     dist2 = sum((coords[a] - center[a]) ** 2 for a in range(3))
     return dist2 <= radius * radius
 

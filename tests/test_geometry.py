@@ -11,6 +11,7 @@ from voxsel import geometry
 from voxsel.geometry import (
     Viewpoint,
     ViewpointLattice,
+    cell_keys,
     clamp_pitch,
     discretize_viewpoints,
     lattice_cell_keys,
@@ -348,13 +349,15 @@ class TestPixelIds:
             pixel_ids(0, Viewpoint(0.0, 0.0))
         with pytest.raises(ValueError):
             lattice_cell_keys(0, discretize_viewpoints(90))
+        with pytest.raises(ValueError):
+            cell_keys(0, Viewpoint(0.0, 0.0))
 
 
 class TestLatticeCellKeys:
     @pytest.mark.parametrize("dim, interval", [(1, 30), (5, 45), (31, 30), (32, 30), (9, 22.5)])
     def test_rows_are_the_dense_forward_map_as_ray_major_keys(self, dim, interval):
         # 31 and 32 are the tie dims of the 30-degree lattice: a row must be
-        # computed pose by pose to match rotated_cells there.
+        # computed pose by pose to match rotated_cells and cell_keys there.
         lattice = discretize_viewpoints(interval)
         table = lattice_cell_keys(dim, lattice)
         assert table.shape == (len(lattice.centers), dim**3)
@@ -365,6 +368,7 @@ class TestLatticeCellKeys:
             keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
             assert np.array_equal(table[k], np.where(inside, keys, dim**3))
             assert np.array_equal(table[k] // dim, pixel_ids(dim, center))
+            assert np.array_equal(table[k], cell_keys(dim, center))
 
     def test_cached_per_dim_and_lattice(self):
         lattice = discretize_viewpoints(45)

@@ -111,6 +111,13 @@ class TestLoopConfig:
         with pytest.raises(ValueError):
             LoopConfig(**kw)
 
+    def test_views_per_round_beyond_the_lattice_rejected_under_error_guided(self):
+        with pytest.raises(ValueError, match=r"views_per_round .* 8 centers .* got 9"):
+            LoopConfig(interval_deg=90, views_per_round=9, pool_mode="fresh-only")
+        LoopConfig(interval_deg=90, views_per_round=8, pool_mode="fresh-only")
+        for policy in ("random", "fixed-lattice"):
+            LoopConfig(interval_deg=90, views_per_round=9, selection_policy=policy)
+
     def test_dict_round_trip(self):
         cfg = LoopConfig(
             dim=16,
@@ -143,6 +150,7 @@ class TestLoopConfig:
             ({"initial_distribution": {"kind": "spherical", "views_per_object": 2.5}},
              "initial_distribution field 'views_per_object' must be an integer"),
             ({"initial_distribution": {"kind": "aligned", "n": 3}}, "unknown initial_distribution keys: ['n']"),
+            ({"initial_distribution": {"views_per_object": 24}}, "initial_distribution field 'kind' is required"),
         ],
     )
     def test_fields_of_the_wrong_type_rejected(self, payload, message):

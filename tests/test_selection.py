@@ -248,12 +248,33 @@ class TestScoreAll:
         expected = [score_view(error, c, lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
         assert score_all(error, lattice) == expected
 
-    def test_lattice_over_the_table_budget_is_scored_densely(self, monkeypatch):
+    def test_lattice_over_the_table_budget_streams_key_rows(self, monkeypatch):
         errors = [random_binary_grid(7, 5, p=0.4), random_soft_grid(7, 8, p=0.4)]
         expected = [score_all(error, LATTICE_30) for error in errors]
         monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * 7**3 * 4 - 1)
-        monkeypatch.setattr(selection, "lattice_cell_keys", None)  # any use would raise
+        # Any use of the table or of the dense path would raise.
+        for name in ("lattice_cell_keys", "rotate_grid", "project_first_hit", "score_view"):
+            monkeypatch.setattr(selection, name, None)
+        misses = geometry._lattice_cell_keys.cache_info().misses
         assert [score_all(error, LATTICE_30) for error in errors] == expected
+        assert geometry._lattice_cell_keys.cache_info().misses == misses
+
+    @given(
+        st.integers(0, 10_000),
+        st.one_of(st.sampled_from([31, 32]), st.integers(1, 33)),
+        st.floats(0.0, 0.5),
+        st.sampled_from([22.5, 30, 45]),
+        st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_streamed_rows_match_the_dense_score_view_oracle(self, seed, dim, density, interval, soft):
+        # With no table budget every center's key row is computed on its own.
+        error = (random_soft_grid if soft else random_binary_grid)(dim, seed, density)
+        lattice = discretize_viewpoints(interval)
+        expected = [score_view(error, c, lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 0)
+            assert score_all(error, lattice) == expected
 
     def test_binary_and_soft_grids_share_one_lattice_table(self):
         geometry._lattice_cell_keys.cache_clear()
