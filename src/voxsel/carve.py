@@ -13,7 +13,9 @@ Each observation contributes one flat keep mask (:func:`keep_mask`), and the
 hull is the AND of those masks. The AND is order-independent and idempotent,
 so a caller that gains views a few at a time (the reconstruction loop) can
 keep a running mask and pass it to :func:`carve` as ``keep``: each new view is
-carved once instead of all views again.
+carved once instead of all views again. A view reads the pixel ids of the
+voxels still kept only, so a voxel an earlier view dropped is never mapped
+under a later one.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
 
     Returns the (y, z) pixel of the cell nearest the rotated center, or None
     when that pixel falls outside the (dim, dim) image frame. The map is the
-    one silhouette rendering uses, per-voxel.
+    one silhouette rendering uses, for this voxel alone.
     """
     x, y, z = index
     if not (0 <= x < dim and 0 <= y < dim and 0 <= z < dim):
         raise ValueError(f"voxel index {index} outside grid of dim {dim}")
-    pixel = int(pixel_ids(dim, v, clip_depth=False)[(x * dim + y) * dim + z])
+    pixel = int(pixel_ids(dim, v, clip_depth=False, voxels=np.array([(x * dim + y) * dim + z]))[0])
     if pixel == dim * dim:
         return None
     return divmod(pixel, dim)
@@ -65,9 +67,14 @@ def keep_mask(observation: ViewObservation, dim: int) -> np.ndarray:
     """
     if observation.silhouette.dims != (dim, dim):
         raise ValueError(f"silhouette dims {observation.silhouette.dims} do not match grid dim {dim}")
+    return _kept(observation, dim)
+
+
+def _kept(observation: ViewObservation, dim: int, voxels: np.ndarray | None = None) -> np.ndarray:
+    """Whether each of ``voxels`` (flat indices; every voxel when None) projects onto a set pixel."""
     # The trailing False is the pixel of voxels that project off the image.
     lookup = np.append(observation.silhouette.pixels.reshape(-1), False)
-    return lookup[pixel_ids(dim, observation.viewpoint, clip_depth=False)]
+    return lookup[pixel_ids(dim, observation.viewpoint, clip_depth=False, voxels=voxels)]
 
 
 def carve(
@@ -98,5 +105,10 @@ def carve(
     elif keep.dtype != np.bool_ or keep.shape != (dim**3,):
         raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
     for obs in observations:
-        keep &= keep_mask(obs, dim)
+        # Only the voxels still kept are mapped; a full mask reads the whole map.
+        if keep.all():
+            keep &= _kept(obs, dim)
+        else:
+            alive = np.flatnonzero(keep)
+            keep[alive] = _kept(obs, dim, alive)
     return VoxelGrid(keep.reshape((dim, dim, dim)).astype(np.float64))

@@ -26,16 +26,27 @@ continuous point ``(dim - 1) / 2`` for every grid parity.
 
 Forward maps
 ------------
-Every forward map comes from one rounded matmul per pose. Its sparse form,
-:func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z`` of the image
-pixel it lands on, or the sentinel ``dim * dim`` when it lands nowhere. It is
-the kernel that silhouette rendering and carving share, and it builds no
-rotated grid. Error scoring reads :func:`cell_keys`: each voxel's rotated
-cell as ``(y * dim + z) * dim + x``, whose quotient by ``dim`` is the
-depth-clipped pixel id and whose order along a ray is its depth.
-:func:`lattice_cell_keys` stacks it for every center of a lattice into one
-cached table. The dense form, :func:`rotated_cells` and :func:`rotate_grid`,
-stays as public API and as the reference the sparse forms are tested against.
+Every forward map comes from one rounded matmul (``_rounded_targets``). Its
+sparse form, :func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z``
+of the image pixel it lands on, or the sentinel ``dim * dim`` when it lands
+nowhere. It is the kernel that silhouette rendering and carving share, and
+it builds no rotated grid. Error scoring reads :func:`cell_keys`: each
+voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
+``dim`` is the depth-clipped pixel id and whose order along a ray is its
+depth. :func:`lattice_cell_keys` holds it for every center of a lattice in
+one cached, voxel-major table.
+
+The cached maps are filled on demand. A caller passes ``voxels``, the flat
+indices it will read (rendering the occupied voxels, carving the voxels
+still kept, scoring the error voxels), and only those a map does not hold
+yet go through the matmul: one pose's rows for :func:`pixel_ids`, every
+lattice center side by side for :func:`lattice_cell_keys`. A pose map that
+needs more voxels after two fills is shared by several objects and is
+mapped whole instead. A row of that matmul depends only on its voxel and
+pose on the tested BLAS, so a map filled in any order equals the full one
+bit for bit. The dense form,
+:func:`rotated_cells` and :func:`rotate_grid`, stays as public API and as
+the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -209,42 +221,169 @@ def _centered_coords(dim: int) -> np.ndarray:
     return coords
 
 
-def _rounded_targets(dim: int, yaw: float, pitch: float) -> np.ndarray:
-    """``np.rint(coords @ rot.T + half)``: rounded rotated centers, one row per voxel.
+def _pose_rotation(yaw: float, pitch: float) -> np.ndarray:
+    return rotation_matrix(Viewpoint(yaw=yaw, pitch=pitch))
 
-    Exact .5 ties occur (e.g. 24 of the 72 cells of the 30-degree lattice at
-    dim 32) and the matmul's rounding noise settles them, so every forward
-    map comes from this one matmul, one pose at a time. The add and the
-    rounding run in place, which gives the same values without two temporaries.
+
+# Voxel rows times poses per matmul. Its float64 temporaries (384 KiB) are
+# reused from one chunk to the next; a full pose at dim 32 filled this way
+# took 1.1 ms, and 2.8 ms as one product whose fresh temporaries are faulted
+# in page by page.
+_ENTRIES_PER_PRODUCT = 2**14
+
+
+def _stacked_rotations(poses: Sequence[Viewpoint]) -> np.ndarray:
+    """``rot.T`` of every pose side by side, as a C-contiguous ``(3, 3 * poses)`` array.
+
+    Its product with the coordinates gives the x of every pose first, then
+    every y, then every z. On OpenBLAS 0.3.31 each entry of that product
+    equals the per-pose product's for every lattice tried, up to 1,152
+    centers. With each pose's three columns kept together instead, products
+    over more than 65 poses differed from it in the last bit in some of
+    their last few columns.
     """
-    rot = rotation_matrix(Viewpoint(yaw=yaw, pitch=pitch))
-    target = _centered_coords(dim) @ rot.T
+    rots = np.stack([_pose_rotation(v.yaw, v.pitch).T for v in poses])
+    return rots.transpose(1, 2, 0).reshape(3, -1)
+
+
+def _voxel_coords(dim: int, voxels: np.ndarray | None = None) -> np.ndarray:
+    """Centered coordinates of ``voxels`` (every voxel when None), column-major like the whole array.
+
+    Gathered column by column, a subset keeps that layout, which gathers and
+    multiplies several times faster than a gather of rows.
+    """
+    coords = _centered_coords(dim)
+    return coords if voxels is None else np.take(coords.T, voxels, axis=1).T
+
+
+def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = None) -> np.ndarray:
+    """``np.rint(coords @ rot_t + half)``: rounded rotated centers, one row per voxel.
+
+    ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
+    several; ``voxels`` picks the rows, all of them when None. Exact .5 ties
+    occur (e.g. 24 of the 72 cells of the 30-degree lattice at dim 32) and
+    the matmul's rounding noise settles them, so every forward map comes
+    from this one matmul. Each entry is the same whichever rows and poses
+    share the product: a row subset, or all lattice centers side by side,
+    equals the same rows of the full per-pose product bit for bit on the
+    tested BLAS (``tests/test_geometry.py::TestBlasIdentity``), so maps are
+    filled voxel by voxel. The add and the rounding run in place.
+    """
+    target = _voxel_coords(dim, voxels) @ rot_t
     target += (dim - 1) / 2.0
     return np.rint(target, out=target)
 
 
-def _forward_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel ids of every voxel under both off rules: (cube rule, image rule)."""
-    cells = _rounded_targets(dim, yaw, pitch).astype(np.int32)
-    in_range = (cells >= 0) & (cells < dim)
-    off = np.int32(dim * dim)
-    image_ids = np.where(in_range[:, 1] & in_range[:, 2], cells[:, 1] * dim + cells[:, 2], off)
-    cube_ids = np.where(in_range[:, 0], image_ids, off)
-    return cube_ids, image_ids
+def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
+    """Ray-major keys of rounded targets: ``(m, poses)`` int32, ``dim**3`` off the cube.
+
+    ``target`` is ``(m, 3 * poses)``, every x first, then every y, then
+    every z, as :func:`_stacked_rotations` lays them out.
+    """
+    cells = target.astype(np.int32)
+    inside = (cells >= 0) & (cells < dim)
+    x, y, z = np.split(cells, 3, axis=1)
+    in_x, in_y, in_z = np.split(inside, 3, axis=1)
+    return np.where(in_x & in_y & in_z, (y * dim + z) * dim + x, np.int32(dim**3))
+
+
+def _voxel_index(voxels) -> np.ndarray | None:
+    if voxels is None:
+        return None
+    voxels = np.asarray(voxels)
+    if voxels.ndim != 1 or voxels.dtype.kind not in "iu":
+        raise ValueError(f"voxels must be a 1-D array of flat voxel indices, got {voxels.dtype} {voxels.shape}")
+    return voxels
+
+
+class _ForwardMap:
+    """Int32 ``entries`` of a forward map, each voxel's computed the first time a caller asks for them.
+
+    Subclasses allocate ``entries`` and compute and store a chunk of voxels
+    in ``store``. Each voxel is mapped at most once while the map lives, by
+    the same matmul rows as the full map. After ``sparse_fills`` fills that
+    map only the voxels asked for, the next fill maps every voxel still
+    missing (never, when None). Once every voxel is mapped the entries are
+    read-only, and a lookup is one gather.
+    """
+
+    entries: np.ndarray
+    sparse_fills: int | None = None
+
+    def __init__(self, dim: int, rows_per_product: int) -> None:
+        self.filled = np.zeros(dim**3, dtype=bool)
+        self.rows_per_product = rows_per_product
+        self.fills = 0
+        self.complete = False
+
+    def store(self, rows: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def fill(self, voxels: np.ndarray | None) -> None:
+        """Map those of ``voxels`` (flat indices; every voxel when None) not mapped yet."""
+        if self.complete:
+            return
+        missing = np.flatnonzero(~self.filled) if voxels is None else voxels[~self.filled[voxels]]
+        if missing.size == 0:
+            return
+        self.fills += 1
+        if self.sparse_fills is not None and self.fills > self.sparse_fills:
+            missing = np.flatnonzero(~self.filled)
+        for start in range(0, missing.size, self.rows_per_product):
+            chunk = missing[start : start + self.rows_per_product]
+            self.store(chunk)
+            self.filled[chunk] = True
+        if self.filled.all():
+            self.complete = True
+            self.entries.flags.writeable = False
+
+
+class _PoseMap(_ForwardMap):
+    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule."""
+
+    # Rendering a view and then carving it are a pose's two sparse fills. A
+    # pose that needs more voxels after them is shared by several objects,
+    # like the initial views every object of a loop renders and carves; it is
+    # mapped whole, since per voxel one pass costs a fraction of the small
+    # fills each object would add, and every later lookup is one gather.
+    sparse_fills = 2
+
+    def __init__(self, dim: int, yaw: float, pitch: float) -> None:
+        super().__init__(dim, _ENTRIES_PER_PRODUCT)
+        self.dim, self.rot_t = dim, _pose_rotation(yaw, pitch).T
+        self.entries = np.empty((2, dim**3), dtype=np.int32)
+
+    def store(self, rows: np.ndarray) -> None:
+        dim = self.dim
+        cells = _rounded_targets(dim, self.rot_t, rows).astype(np.int32)
+        in_range = (cells >= 0) & (cells < dim)
+        off = np.int32(dim * dim)
+        image = np.where(in_range[:, 1] & in_range[:, 2], cells[:, 1] * dim + cells[:, 2], off)
+        self.entries[0, rows] = np.where(in_range[:, 0], image, off)
+        self.entries[1, rows] = image
+
+
+class _LatticeKeys(_ForwardMap):
+    """:func:`cell_keys` of every lattice center, voxel-major: ``entries[i, k]`` is voxel ``i`` under center ``k``."""
+
+    def __init__(self, dim: int, lattice: ViewpointLattice) -> None:
+        super().__init__(dim, max(1, _ENTRIES_PER_PRODUCT // len(lattice.centers)))
+        self.dim, self.rot_t = dim, _stacked_rotations(lattice.centers)
+        self.entries = np.empty((dim**3, len(lattice.centers)), dtype=np.int32)
+
+    def store(self, rows: np.ndarray) -> None:
+        self.entries[rows] = _cell_keys_of(self.dim, _rounded_targets(self.dim, self.rot_t, rows))
 
 
 # Eight poses: the loop renders a round's views and then carves them, and the
 # CLI renders views before it carves them, so a pose is reused a few poses
-# after it is made. At dim 64 eight pairs are 16 MiB.
+# after it is made. At dim 64 eight full maps are 18 MiB.
 @lru_cache(maxsize=8)
-def _pose_pixel_ids(dim: int, yaw: float, pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    ids = _forward_pixel_ids(dim, yaw, pitch)
-    for arr in ids:
-        arr.flags.writeable = False
-    return ids
+def _pose_pixel_ids(dim: int, yaw: float, pitch: float) -> _PoseMap:
+    return _PoseMap(dim, yaw, pitch)
 
 
-def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
+def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.ndarray | None = None) -> np.ndarray:
     """Image pixel each voxel of a cubic grid projects to under ``v``.
 
     Entry ``k`` belongs to source voxel ``k`` (C order over ``(x, y, z)``)
@@ -255,18 +394,27 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True) -> np.ndarray:
     With ``clip_depth`` (rendering) a voxel is off when its
     rotated cell leaves the cube on any axis, which is what
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
-    pixel leaves the image. The array is read-only and cached per pose, for
-    the 8 most recent poses (16 MiB at dim 64), so a pose is cheap to map
-    again while it is in use: rendering a round's views and then carving
-    them builds each map once.
+    pixel leaves the image.
+
+    ``voxels``, a 1-D array of flat voxel indices, asks for those entries
+    only, in that order, as a fresh array; without it the whole map comes
+    back read-only. Maps are cached per pose, for the 8 most recent poses,
+    and filled on demand: a voxel is mapped the first time any caller asks
+    for it, under both rules at once, so rendering the ground truth and then
+    carving the voxels still kept maps each voxel at most once per pose. A
+    pose that needs more voxels after two such fills is shared (say, an
+    initial view of every object) and is mapped whole.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    cube_ids, image_ids = _pose_pixel_ids(int(dim), v.yaw, v.pitch)
-    return cube_ids if clip_depth else image_ids
+    voxels = _voxel_index(voxels)
+    pose = _pose_pixel_ids(int(dim), v.yaw, v.pitch)
+    pose.fill(voxels)
+    ids = pose.entries[0 if clip_depth else 1]
+    return ids if voxels is None else ids[voxels]
 
 
-def cell_keys(dim: int, v: Viewpoint) -> np.ndarray:
+def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray | None = None) -> np.ndarray:
     """Rotated cell of every voxel of a cubic grid under ``v``, as ray-major keys.
 
     Entry ``i`` is the int32 key ``(y * dim + z) * dim + x`` of the cell
@@ -274,37 +422,39 @@ def cell_keys(dim: int, v: Viewpoint) -> np.ndarray:
     ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is the
     depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and among
     the voxels on one pixel ray the smallest key is the one nearest the
-    camera. The rounded targets are whole numbers, so one float64 matmul
-    gives the keys exactly. Nothing is cached.
+    camera. ``voxels``, a 1-D array of flat voxel indices, maps those voxels
+    only, in that order. Nothing is cached.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     dim = int(dim)
-    target = _rounded_targets(dim, v.yaw, v.pitch)
-    in_range = (target >= 0) & (target < dim)
-    keys = (target @ np.array([1.0, dim * dim, dim])).astype(np.int32)
-    return np.where(in_range[:, 0] & in_range[:, 1] & in_range[:, 2], keys, np.int32(dim**3))
+    target = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T, _voxel_index(voxels))
+    return _cell_keys_of(dim, target)[:, 0]
 
 
 @lru_cache(maxsize=2)
-def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
-    table = np.empty((len(lattice.centers), dim**3), dtype=np.int32)
-    for row, c in zip(table, lattice.centers):
-        row[:] = cell_keys(dim, c)
-    table.flags.writeable = False
-    return table
+def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _LatticeKeys:
+    return _LatticeKeys(dim, lattice)
 
 
-def lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> np.ndarray:
+def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray | None = None) -> np.ndarray:
     """:func:`cell_keys` of every lattice center, one row per center.
 
-    Row ``k`` is ``cell_keys(dim, lattice.centers[k])``, computed pose by pose,
-    so it equals the map of that center alone. The table is read-only and
-    cached for the two most recent ``(dim, lattice)`` pairs.
+    Row ``k`` equals ``cell_keys(dim, lattice.centers[k], voxels)``: the keys
+    of the voxels in ``voxels`` (a 1-D array of flat voxel indices), or of
+    every voxel when None. The table behind it is voxel-major, filled on
+    demand and cached for the two most recent ``(dim, lattice)`` pairs: a
+    voxel's keys under every center come from one batched matmul the first
+    time any caller asks for that voxel. The result is a transposed view, so
+    its ``.T`` is C-contiguous with one row per voxel: a fresh array for
+    ``voxels``, the whole read-only table without them.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    return _lattice_cell_keys(int(dim), lattice)
+    voxels = _voxel_index(voxels)
+    table = _lattice_cell_keys(int(dim), lattice)
+    table.fill(voxels)
+    return (table.entries if voxels is None else np.take(table.entries, voxels, axis=0)).T
 
 
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +468,8 @@ def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    cells = _rounded_targets(int(dim), v.yaw, v.pitch).astype(np.int64)
+    dim = int(dim)
+    cells = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T).astype(np.int64)
     return cells, ((cells >= 0) & (cells < dim)).all(axis=1)
 
 

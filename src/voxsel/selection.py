@@ -9,12 +9,14 @@ centers into concrete camera poses.
 
 :func:`score_all` scores every lattice center from the rotated cell keys of
 the voxels above ``FIRST_HIT_EPS`` (:func:`~voxsel.geometry.cell_keys`),
-read from the lattice's cached table (:func:`~voxsel.geometry.lattice_cell_keys`)
-or, when that table would exceed ``MAX_LATTICE_TABLE_BYTES``, computed one
-center at a time and not kept: the 16,200 cells of a 2-degree lattice at
-dim 32 would need a 2.1 GB table. When every hot voxel is 1.0, as in a binary
-error grid, every first hit is 1 and a view's score is the number of
-distinct pixels they project to: one ``bincount`` over
+and reads no other voxel's keys. It gathers them from the lattice's cached
+table (:func:`~voxsel.geometry.lattice_cell_keys`), which computes the keys
+of a voxel no earlier call asked for, for every center at once, the first
+time it is asked. When that table would exceed ``MAX_LATTICE_TABLE_BYTES``
+it computes them one center at a time and keeps none: the 16,200 cells of a
+2-degree lattice at dim 32 would need a 2.1 GB table. When every hot voxel
+is 1.0, as in a binary error grid, every first hit is 1 and a view's score
+is the number of distinct pixels they project to: one ``bincount`` over
 ``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at`` picks each
 ray's nearest cell and ``np.maximum.at`` the largest value deposited there.
 The dense :func:`score_view` path (``rotate_grid`` then
@@ -59,9 +61,11 @@ __all__ = [
 # equivalent to testing != 0; it only matters for soft-valued grids.
 FIRST_HIT_EPS = 1e-9
 
-# Largest int32 cell-key table score_all builds; a finer lattice's key rows
+# Largest int32 cell-key table score_all keeps; a finer lattice's key rows
 # are computed one center at a time, so its memory does not grow with the
-# number of cells. The 30-degree lattice needs 9 MB at dim 32 and 75 MB at dim 64.
+# number of cells. The 30-degree lattice's table is 9 MB at dim 32 and 75 MB
+# at dim 64 when every voxel's keys are filled; the loop fills only those of
+# the error voxels it scores.
 MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 
 
@@ -140,50 +144,52 @@ def score_view(error: VoxelGrid, v: Viewpoint, lattice_index: tuple[int, int] = 
 def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     """Score every lattice center, returned in lattice order (yaw fastest).
 
-    Equal to :func:`score_view` per center. The keys come from the lattice's
-    cell-key table, or one center at a time when that table would exceed
+    Equal to :func:`score_view` per center. Only the keys of the voxels
+    above ``FIRST_HIT_EPS`` are read: from the lattice's cell-key table, or
+    one center at a time when that table would exceed
     :data:`MAX_LATTICE_TABLE_BYTES`.
     """
     if not error.is_cubic:
         raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
     dim = error.dims[0]
     vals = error.values.reshape(-1)
+    hot = np.flatnonzero(vals > FIRST_HIT_EPS)
+    hot_vals = vals[hot]
     if len(lattice.centers) * vals.size * 4 <= MAX_LATTICE_TABLE_BYTES:
-        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice), vals)
+        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot).T, hot_vals)
     else:
-        totals = [_first_hit_totals(dim, cell_keys(dim, c)[np.newaxis], vals)[0] for c in lattice.centers]
+        totals = [_first_hit_totals(dim, cell_keys(dim, c, hot)[:, np.newaxis], hot_vals)[0] for c in lattice.centers]
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)
     ]
 
 
-def _first_hit_totals(dim: int, table: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Per row of cell keys, the summed first-hit image of ``vals``, built without rotating the grid.
+def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Per column of cell keys, the summed first-hit image of the hot voxels, built without rotating the grid.
 
-    ``table`` holds one :func:`~voxsel.geometry.cell_keys` row per view. Only
-    voxels above ``FIRST_HIT_EPS`` can be a ray's first hit, and a rotated
-    cell is above it exactly when one of its deposits is, so only their keys
-    are gathered. When all of them are 1.0 every first hit is 1 and a view's
-    total is the number of its pixels they reach: one ``bincount``. Otherwise
-    each (view, pixel) ray's first hit is its smallest cell key, and its pixel
-    reads the largest value deposited there. Either way this is the image
-    :func:`project_first_hit` makes of :func:`rotate_grid`, summed the same way.
+    Row ``i`` of ``keys`` holds the :func:`~voxsel.geometry.cell_keys` entry
+    of hot voxel ``i`` under each view, one column per view, and ``vals[i]``
+    is its value. Only voxels above ``FIRST_HIT_EPS`` can be a ray's first
+    hit, and a rotated cell is above it exactly when one of its deposits is,
+    so the caller passes only theirs. When all of them are 1.0 every first
+    hit is 1 and a view's total is the number of its pixels they reach: one
+    ``bincount``. Otherwise each (view, pixel) ray's first hit is its
+    smallest cell key, and its pixel reads the largest value deposited
+    there. Either way this is the image :func:`project_first_hit` makes of
+    :func:`rotate_grid`, summed the same way.
     """
-    n_views = len(table)
+    n_views = keys.shape[1]
     stride = dim * dim + 1  # pixel ids plus the off sentinel
-    hot = np.flatnonzero(vals > FIRST_HIT_EPS)
-    keys = np.take(table, hot, axis=1)
-    rays = keys // dim + np.arange(0, n_views * stride, stride, dtype=np.int32)[:, np.newaxis]
-    hot_vals = vals[hot]
-    if np.all(hot_vals == 1.0):
+    rays = keys // dim + np.arange(0, n_views * stride, stride, dtype=np.int32)
+    if np.all(vals == 1.0):
         counts = np.bincount(rays.ravel(), minlength=n_views * stride).reshape(n_views, stride)
         return [float(n) for n in np.count_nonzero(counts[:, :-1], axis=1)]
     first = np.full(n_views * stride, dim**3, dtype=np.int32)
     np.minimum.at(first, rays.ravel(), keys.ravel())
     front = keys == first[rays]
     image = np.zeros(n_views * stride)
-    np.maximum.at(image, rays[front], np.broadcast_to(hot_vals, keys.shape)[front])
+    np.maximum.at(image, rays[front], np.broadcast_to(vals[:, np.newaxis], keys.shape)[front])
     image = image.reshape(n_views, stride)
     return [float(image[k, :-1].reshape(dim, dim).sum()) for k in range(n_views)]
 

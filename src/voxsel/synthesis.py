@@ -123,15 +123,16 @@ def render_silhouette(gt: VoxelGrid, v: Viewpoint, tau: float = DEFAULT_THRESHOL
     """Binary silhouette of the thresholded grid seen from ``v``.
 
     Thresholds ``gt`` at ``tau`` and marks the pixel id of every occupied
-    voxel whose rotated cell stays inside the cube. This is exactly the
-    nonzero mask of ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
+    voxel whose rotated cell stays inside the cube; only the occupied voxels
+    are mapped. This is exactly the nonzero mask of
+    ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
     """
     occupied = threshold_grid(gt, tau).bits
     if not gt.is_cubic:
         raise ValueError(f"rotation requires a cubic grid, got dims {gt.dims}")
     dim = gt.dims[0]
     image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
-    image[pixel_ids(dim, v)[occupied.reshape(-1)]] = True
+    image[pixel_ids(dim, v, voxels=np.flatnonzero(occupied))] = True
     return SilhouetteImage(image[:-1].reshape(dim, dim))
 
 

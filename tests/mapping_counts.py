@@ -1,0 +1,45 @@
+"""Count the forward-map entries the library computes, per (dim, pose, voxel).
+
+Every forward map comes from ``geometry._rounded_targets(dim, rot_t, voxels)``,
+one matmul row per voxel and pose, so wrapping it sees every entry computed:
+the per-pose pixel-id maps, the lattice key tables, streamed ``cell_keys``
+rows and the dense ``rotated_cells`` map alike. A pose is identified by the
+bytes of its ``rot.T``, which are the same in a one-pose product and in a
+group of poses side by side.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from voxsel import geometry
+
+
+class MappedEntries:
+    """Install with a pytest ``monkeypatch``; ``counts`` maps (dim, pose) to per-voxel counts."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.counts: dict[tuple[int, bytes], np.ndarray] = {}
+        original = geometry._rounded_targets
+
+        def counting(dim, rot_t, voxels=None):
+            rows = np.arange(dim**3) if voxels is None else np.asarray(voxels)
+            k = rot_t.shape[1] // 3
+            for j in range(k):
+                pose = np.ascontiguousarray(rot_t[:, [j, k + j, 2 * k + j]]).tobytes()
+                np.add.at(self.counts.setdefault((dim, pose), np.zeros(dim**3, dtype=np.int64)), rows, 1)
+            return original(dim, rot_t, voxels)
+
+        monkeypatch.setattr(geometry, "_rounded_targets", counting)
+
+    def of(self, dim: int, v: geometry.Viewpoint) -> np.ndarray:
+        """Per-voxel count of entries computed for pose ``v`` at ``dim``."""
+        pose = np.ascontiguousarray(geometry._pose_rotation(v.yaw, v.pitch).T).tobytes()
+        return self.counts.get((dim, pose), np.zeros(dim**3, dtype=np.int64))
+
+    def most(self) -> int:
+        """The largest number of times any (dim, pose, voxel) entry was computed."""
+        return max((int(c.max()) for c in self.counts.values()), default=0)
+
+    def total(self) -> int:
+        return sum(int(c.sum()) for c in self.counts.values())

@@ -26,6 +26,7 @@ from voxsel.geometry import (
 )
 from voxsel.grid import VoxelGrid
 
+from .mapping_counts import MappedEntries
 from .oracles import (
     forward_visible_count,
     quarter_turn_matrix,
@@ -370,9 +371,12 @@ class TestLatticeCellKeys:
             assert np.array_equal(table[k] // dim, pixel_ids(dim, center))
             assert np.array_equal(table[k], cell_keys(dim, center))
 
-    def test_cached_per_dim_and_lattice(self):
+    def test_cached_per_dim_and_lattice(self, monkeypatch):
         lattice = discretize_viewpoints(45)
-        assert lattice_cell_keys(6, lattice) is lattice_cell_keys(6, lattice)
+        first = lattice_cell_keys(6, lattice)
+        mapped = MappedEntries(monkeypatch)
+        assert np.array_equal(lattice_cell_keys(6, lattice), first)
+        assert mapped.total() == 0
         assert geometry._lattice_cell_keys.cache_info().maxsize == 2
 
 
@@ -385,24 +389,167 @@ class TestPoseCache:
                 assert geometry._pose_pixel_ids.cache_info().currsize <= 8
         assert geometry._pose_pixel_ids.cache_info().maxsize == 8
 
-    def test_hit_returns_the_same_read_only_arrays(self):
-        v = Viewpoint(12.5, -33.0)
-        for clip_depth in (True, False):
-            first = pixel_ids(32, v, clip_depth=clip_depth)
-            again = pixel_ids(32, v, clip_depth=clip_depth)
-            assert again is first
-            assert not first.flags.writeable
+    def test_full_maps_are_read_only_and_voxel_lookups_fresh(self):
+        dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)
+        voxels = np.array([7, 3, 1000, 3])
+        geometry._pose_pixel_ids.cache_clear()
+        geometry._lattice_cell_keys.cache_clear()
+        # Partly filled maps first, then the whole: a lookup never exposes the store.
+        for full, part in [
+            (lambda: pixel_ids(dim, v), lambda: pixel_ids(dim, v, voxels=voxels)),
+            (lambda: pixel_ids(dim, v, clip_depth=False), lambda: pixel_ids(dim, v, clip_depth=False, voxels=voxels)),
+            (lambda: lattice_cell_keys(dim, lattice), lambda: lattice_cell_keys(dim, lattice, voxels)),
+            (lambda: cell_keys(dim, v), lambda: cell_keys(dim, v, voxels)),
+        ]:
+            looked_up = part()
+            expected = looked_up.copy()
+            looked_up[...] = -1
+            assert np.array_equal(part(), expected)
+            whole = full()
+            assert np.array_equal(whole[..., voxels], expected)
+            assert np.array_equal(part(), expected)
+            looked_up = part()
+            looked_up[...] = -1
+            assert np.array_equal(full(), whole)
+        assert not pixel_ids(dim, v).flags.writeable
+        assert not pixel_ids(dim, v, clip_depth=False).flags.writeable
+        assert not lattice_cell_keys(dim, lattice).flags.writeable
 
-    def test_rendering_a_round_then_carving_it_maps_each_pose_once(self):
+    def test_a_render_carve_round_and_repeated_scoring_map_each_entry_at_most_once(self, monkeypatch):
         from voxsel.carve import ViewObservation, carve
+        from voxsel.selection import FIRST_HIT_EPS, score_all
         from voxsel.synthesis import render_silhouette
 
-        gt = VoxelGrid(np.ones((16, 16, 16)))
+        dim = 16
+        gt = VoxelGrid(random_grid(dim, 4).values > 0.7)
         views = [Viewpoint(yaw, 20.0) for yaw in (5.0, 65.0, 125.0, 185.0, 245.0, 305.0, 15.0, 75.0)]
         geometry._pose_pixel_ids.cache_clear()
-        carve([ViewObservation(v, render_silhouette(gt, v)) for v in views], 16)
-        info = geometry._pose_pixel_ids.cache_info()
-        assert (info.misses, info.hits) == (len(views), len(views))
+        geometry._lattice_cell_keys.cache_clear()
+        mapped = MappedEntries(monkeypatch)
+        gt_voxels = gt.values.reshape(-1) > 0.5
+        observations = []
+        for v in views:
+            observations.append(ViewObservation(v, render_silhouette(gt, v)))
+            # Rendering maps the ground-truth voxels only.
+            assert np.array_equal(mapped.of(dim, v) > 0, gt_voxels)
+        keep = np.ones(dim**3, dtype=bool)
+        alive_before = []
+        for obs in observations:
+            alive_before.append(keep.copy())
+            carve([obs], dim, keep=keep)
+        for v, alive in zip(views, alive_before):
+            # Carving maps the voxels still kept when the view is carved.
+            assert np.array_equal(mapped.of(dim, v) > 0, gt_voxels | alive)
+        # Carving the round again, into a fresh mask, maps nothing new.
+        total = mapped.total()
+        assert np.array_equal(carve(observations, dim).values.reshape(-1) > 0, keep)
+        assert mapped.total() == total
+
+        lattice = discretize_viewpoints(45)
+        # Three grids: unlike a pose map, the lattice table never fills whole.
+        errors = [random_grid(dim, seed) for seed in (1, 2, 3)]
+        first = [score_all(error, lattice) for error in errors]
+        hot = np.logical_or.reduce([error.values.reshape(-1) > FIRST_HIT_EPS for error in errors])
+        assert [score_all(error, lattice) for error in errors] == first
+        for c in lattice.centers:
+            assert np.array_equal(mapped.of(dim, c) > 0, hot)
+        assert mapped.most() == 1
+
+    def test_a_pose_needing_voxels_after_two_fills_is_mapped_whole(self, monkeypatch):
+        dim, v = 16, Viewpoint(33.0, -12.0)
+        geometry._pose_pixel_ids.cache_clear()
+        mapped = MappedEntries(monkeypatch)
+        parts = np.array_split(np.random.default_rng(0).permutation(dim**3)[:300], 3)
+        pixel_ids(dim, v, voxels=parts[0])
+        pixel_ids(dim, v, clip_depth=False, voxels=parts[1])
+        pixel_ids(dim, v, voxels=parts[0])  # nothing missing: not a fill
+        assert mapped.of(dim, v).sum() == 200
+        pixel_ids(dim, v, voxels=parts[2])
+        assert np.array_equal(mapped.of(dim, v), np.ones(dim**3))
+        assert not pixel_ids(dim, v).flags.writeable
+
+
+def dense_cell_keys(dim, v):
+    cells, inside = rotated_cells(dim, v)
+    return np.where(inside, (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0], dim**3)
+
+
+class TestOnDemandFill:
+    @given(
+        st.integers(0, 10_000),
+        st.one_of(st.sampled_from([31, 32]), st.integers(1, 33)),
+        st.sampled_from([22.5, 30, 45]),
+        st.one_of(st.tuples(yaw_floats, pitch_floats), st.integers(0, 71)),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_chunked_fills_match_the_dense_forward_map(self, seed, dim, interval, pose, n_chunks):
+        # Maps filled in random-order, overlapping chunks, then whole, must
+        # equal the dense per-pose oracle. A pose drawn as an index is a
+        # 30-degree center: at dims 31 and 32 some of them put rotated
+        # coordinates exactly on .5.
+        v = discretize_viewpoints(30).centers[pose] if isinstance(pose, int) else Viewpoint(*pose)
+        lattice = discretize_viewpoints(interval)
+        rng = np.random.default_rng(seed)
+        geometry._pose_pixel_ids.cache_clear()
+        geometry._lattice_cell_keys.cache_clear()
+        clipped, on_image = dense_pixel_ids(dim, v)
+        keys = dense_cell_keys(dim, v)
+        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers])
+        chunks = [rng.choice(dim**3, size=rng.integers(0, dim**3 + 1), replace=False) for _ in range(n_chunks)]
+        for chunk in chunks:
+            assert np.array_equal(pixel_ids(dim, v, voxels=chunk), clipped[chunk])
+            assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=chunk), on_image[chunk])
+            assert np.array_equal(cell_keys(dim, v, chunk), keys[chunk])
+            assert np.array_equal(lattice_cell_keys(dim, lattice, chunk), table[:, chunk])
+        assert np.array_equal(pixel_ids(dim, v), clipped)
+        assert np.array_equal(pixel_ids(dim, v, clip_depth=False), on_image)
+        assert np.array_equal(cell_keys(dim, v), keys)
+        assert np.array_equal(lattice_cell_keys(dim, lattice), table)
+
+    def test_rejects_voxels_that_are_not_flat_indices(self):
+        v = Viewpoint(0.0, 0.0)
+        for bad in (np.ones(8, dtype=bool), np.zeros((2, 2), dtype=np.int64), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="voxels"):
+                pixel_ids(2, v, voxels=bad)
+            with pytest.raises(ValueError, match="voxels"):
+                cell_keys(2, v, bad)
+            with pytest.raises(ValueError, match="voxels"):
+                lattice_cell_keys(2, discretize_viewpoints(90), bad)
+
+
+def blas_name():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown BLAS')} {blas.get('version', '')} ({blas.get('openblas configuration', '')})"
+
+
+class TestBlasIdentity:
+    # 162 centers: with each pose's columns together, one product over the
+    # 20-degree lattice differs from the per-pose one in its last columns.
+    @pytest.mark.parametrize("dim, interval", [(31, 30), (32, 30), (64, 30), (32, 20)])
+    def test_row_subsets_and_center_batches_equal_the_per_pose_matmul(self, dim, interval):
+        # Forward maps are filled voxel by voxel and lattice tables for all
+        # centers at once, and they stay byte-identical to the full per-pose
+        # map only while the BLAS computes each entry of a matmul the same
+        # way whatever rows and columns share the product. Exact .5 ties
+        # make any other rounding visible in the reports.
+        lattice = discretize_viewpoints(interval)
+        rows = np.random.default_rng(dim).permutation(dim**3)[: dim**3 // 3]
+        subset = geometry._voxel_coords(dim, rows)
+        batched = subset @ geometry._stacked_rotations(lattice.centers)
+        k = len(lattice.centers)
+        differ = []
+        for j, c in enumerate(lattice.centers):
+            rot_t = geometry._pose_rotation(c.yaw, c.pitch).T
+            full = (geometry._voxel_coords(dim) @ rot_t)[rows]
+            if not np.array_equal(subset @ rot_t, full):
+                differ.append(("row subset", c.yaw, c.pitch))
+            if not np.array_equal(batched[:, [j, k + j, 2 * k + j]], full):
+                differ.append(("center batch", c.yaw, c.pitch))
+        assert not differ, (
+            f"on {blas_name()} {len(differ)} matmuls differ from the full per-pose product, e.g. {differ[:3]}; "
+            "forward maps filled on demand would not be byte-identical to the dense map with this BLAS"
+        )
 
 
 class TestGaussianSampling:

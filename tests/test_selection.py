@@ -20,6 +20,7 @@ from voxsel.selection import (
     select_top_n,
 )
 
+from .mapping_counts import MappedEntries
 from .oracles import great_circle_deg, naive_first_hit
 
 LATTICE_30 = discretize_viewpoints(30)
@@ -255,9 +256,13 @@ class TestScoreAll:
         # Any use of the table or of the dense path would raise.
         for name in ("lattice_cell_keys", "rotate_grid", "project_first_hit", "score_view"):
             monkeypatch.setattr(selection, name, None)
-        misses = geometry._lattice_cell_keys.cache_info().misses
-        assert [score_all(error, LATTICE_30) for error in errors] == expected
-        assert geometry._lattice_cell_keys.cache_info().misses == misses
+        for error, scores in zip(errors, expected):
+            mapped = MappedEntries(monkeypatch)
+            assert score_all(error, LATTICE_30) == scores
+            # Each center's streamed row maps the voxels above the cutoff, once.
+            hot = error.values.reshape(-1) > FIRST_HIT_EPS
+            for c in LATTICE_30.centers:
+                assert np.array_equal(mapped.of(7, c), hot)
 
     @given(
         st.integers(0, 10_000),
@@ -276,13 +281,17 @@ class TestScoreAll:
             mp.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 0)
             assert score_all(error, lattice) == expected
 
-    def test_binary_and_soft_grids_share_one_lattice_table(self):
+    def test_binary_and_soft_grids_share_one_lattice_table(self, monkeypatch):
         geometry._lattice_cell_keys.cache_clear()
         lattice = discretize_viewpoints(45)
-        score_all(random_binary_grid(13, 1), lattice)
-        assert geometry._lattice_cell_keys.cache_info().misses == 1
-        score_all(random_soft_grid(13, 2), lattice)
-        assert geometry._lattice_cell_keys.cache_info().misses == 1
+        mapped = MappedEntries(monkeypatch)
+        binary, soft = random_binary_grid(13, 1), random_soft_grid(13, 2)
+        score_all(binary, lattice)
+        score_all(soft, lattice)
+        # The soft grid's scoring maps only the voxels the binary one did not.
+        hot = (binary.values.reshape(-1) > 0) | (soft.values.reshape(-1) > FIRST_HIT_EPS)
+        for c in lattice.centers:
+            assert np.array_equal(mapped.of(13, c), hot)
 
     def test_soft_grid_matches_score_view(self):
         error = random_soft_grid(9, 4, p=0.5)
