@@ -105,10 +105,7 @@ def carve(
     elif keep.dtype != np.bool_ or keep.shape != (dim**3,):
         raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
     for obs in observations:
-        # Only the voxels still kept are mapped; a full mask reads the whole map.
-        if keep.all():
-            keep &= _kept(obs, dim)
-        else:
-            alive = np.flatnonzero(keep)
-            keep[alive] = _kept(obs, dim, alive)
+        # Only the voxels still kept are mapped.
+        alive = np.flatnonzero(keep)
+        keep[alive] = _kept(obs, dim, alive)
     return VoxelGrid(keep.reshape((dim, dim, dim)).astype(np.float64))

@@ -43,10 +43,10 @@ yet go through the matmul: one pose's rows for :func:`pixel_ids`, every
 lattice center side by side for :func:`lattice_cell_keys`. A pose map that
 needs more voxels after two fills is shared by several objects and is
 mapped whole instead. A row of that matmul depends only on its voxel and
-pose on the tested BLAS, so a map filled in any order equals the full one
-bit for bit. The dense form,
-:func:`rotated_cells` and :func:`rotate_grid`, stays as public API and as
-the reference the sparse forms are tested against.
+pose on the tested BLAS (a lone row is multiplied as two, which keeps it
+off BLAS gemv), so a map filled in any order equals the full one bit for
+bit. The dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays
+as public API and as the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -256,6 +256,19 @@ def _voxel_coords(dim: int, voxels: np.ndarray | None = None) -> np.ndarray:
     return coords if voxels is None else np.take(coords.T, voxels, axis=1).T
 
 
+def _rotated_centers(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = None) -> np.ndarray:
+    """``coords @ rot_t``: centered voxel coordinates rotated, one row per voxel of ``voxels``.
+
+    A one-row product runs as two copies of the row. numpy hands a single
+    row to BLAS gemv, and on OpenBLAS 0.3.31 gemv's entries differ from
+    gemm's in the last bit, enough to round .5 ties the other way; products
+    of two or more rows go to gemm and equal the full product.
+    """
+    if voxels is None or len(voxels) != 1:
+        return _voxel_coords(dim, voxels) @ rot_t
+    return (_voxel_coords(dim, np.repeat(voxels, 2)) @ rot_t)[:1]
+
+
 def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = None) -> np.ndarray:
     """``np.rint(coords @ rot_t + half)``: rounded rotated centers, one row per voxel.
 
@@ -263,13 +276,14 @@ def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = No
     several; ``voxels`` picks the rows, all of them when None. Exact .5 ties
     occur (e.g. 24 of the 72 cells of the 30-degree lattice at dim 32) and
     the matmul's rounding noise settles them, so every forward map comes
-    from this one matmul. Each entry is the same whichever rows and poses
-    share the product: a row subset, or all lattice centers side by side,
-    equals the same rows of the full per-pose product bit for bit on the
-    tested BLAS (``tests/test_geometry.py::TestBlasIdentity``), so maps are
-    filled voxel by voxel. The add and the rounding run in place.
+    from this one matmul (:func:`_rotated_centers`). Each entry is the same
+    whichever rows and poses share the product: a row subset of any size,
+    or all lattice centers side by side, equals the same rows of the full
+    per-pose product bit for bit on the tested BLAS
+    (``tests/test_geometry.py::TestBlasIdentity``), so maps are filled voxel
+    by voxel. The add and the rounding run in place.
     """
-    target = _voxel_coords(dim, voxels) @ rot_t
+    target = _rotated_centers(dim, rot_t, voxels)
     target += (dim - 1) / 2.0
     return np.rint(target, out=target)
 
@@ -287,12 +301,14 @@ def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
     return np.where(in_x & in_y & in_z, (y * dim + z) * dim + x, np.int32(dim**3))
 
 
-def _voxel_index(voxels) -> np.ndarray | None:
+def _voxel_index(voxels, dim: int) -> np.ndarray | None:
     if voxels is None:
         return None
     voxels = np.asarray(voxels)
     if voxels.ndim != 1 or voxels.dtype.kind not in "iu":
         raise ValueError(f"voxels must be a 1-D array of flat voxel indices, got {voxels.dtype} {voxels.shape}")
+    if voxels.size and (voxels.min() < 0 or voxels.max() >= dim**3):
+        raise ValueError(f"voxels must be flat indices in [0, {dim ** 3}), got {voxels.min()} to {voxels.max()}")
     return voxels
 
 
@@ -301,34 +317,33 @@ class _ForwardMap:
 
     Subclasses allocate ``entries`` and compute and store a chunk of voxels
     in ``store``. Each voxel is mapped at most once while the map lives, by
-    the same matmul rows as the full map. After ``sparse_fills`` fills that
-    map only the voxels asked for, the next fill maps every voxel still
-    missing (never, when None). Once every voxel is mapped the entries are
-    read-only, and a lookup is one gather.
+    the same matmul rows as the full map. Once every voxel is mapped the
+    entries are read-only, and a lookup is one gather.
     """
 
     entries: np.ndarray
-    sparse_fills: int | None = None
 
     def __init__(self, dim: int, rows_per_product: int) -> None:
         self.filled = np.zeros(dim**3, dtype=bool)
         self.rows_per_product = rows_per_product
-        self.fills = 0
         self.complete = False
 
     def store(self, rows: np.ndarray) -> None:
         raise NotImplementedError
 
+    def missing(self, voxels: np.ndarray | None) -> np.ndarray:
+        """Those of ``voxels`` (flat indices; every voxel when None) not mapped yet."""
+        if self.complete:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(~self.filled) if voxels is None else voxels[~self.filled[voxels]]
+
     def fill(self, voxels: np.ndarray | None) -> None:
         """Map those of ``voxels`` (flat indices; every voxel when None) not mapped yet."""
-        if self.complete:
-            return
-        missing = np.flatnonzero(~self.filled) if voxels is None else voxels[~self.filled[voxels]]
+        self.map(self.missing(voxels))
+
+    def map(self, missing: np.ndarray) -> None:
         if missing.size == 0:
             return
-        self.fills += 1
-        if self.sparse_fills is not None and self.fills > self.sparse_fills:
-            missing = np.flatnonzero(~self.filled)
         for start in range(0, missing.size, self.rows_per_product):
             chunk = missing[start : start + self.rows_per_product]
             self.store(chunk)
@@ -339,19 +354,27 @@ class _ForwardMap:
 
 
 class _PoseMap(_ForwardMap):
-    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule."""
+    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule.
 
-    # Rendering a view and then carving it are a pose's two sparse fills. A
-    # pose that needs more voxels after them is shared by several objects,
-    # like the initial views every object of a loop renders and carves; it is
-    # mapped whole, since per voxel one pass costs a fraction of the small
-    # fills each object would add, and every later lookup is one gather.
-    sparse_fills = 2
+    Rendering a view and then carving it are a pose's two sparse fills. A
+    pose that needs more voxels after them is shared by several objects,
+    like the initial views every object of a loop renders and carves; its
+    third fill maps it whole, since per voxel one pass costs a fraction of
+    the small fills each object would add, and every later lookup is one
+    gather.
+    """
 
     def __init__(self, dim: int, yaw: float, pitch: float) -> None:
         super().__init__(dim, _ENTRIES_PER_PRODUCT)
         self.dim, self.rot_t = dim, _pose_rotation(yaw, pitch).T
         self.entries = np.empty((2, dim**3), dtype=np.int32)
+        self.fills = 0
+
+    def fill(self, voxels: np.ndarray | None) -> None:
+        missing = self.missing(voxels)
+        if missing.size:
+            self.fills += 1
+            self.map(missing if self.fills <= 2 else self.missing(None))
 
     def store(self, rows: np.ndarray) -> None:
         dim = self.dim
@@ -407,7 +430,7 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    voxels = _voxel_index(voxels)
+    voxels = _voxel_index(voxels, dim)
     pose = _pose_pixel_ids(int(dim), v.yaw, v.pitch)
     pose.fill(voxels)
     ids = pose.entries[0 if clip_depth else 1]
@@ -428,7 +451,7 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray | None = None) -> np.nd
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     dim = int(dim)
-    target = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T, _voxel_index(voxels))
+    target = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T, _voxel_index(voxels, dim))
     return _cell_keys_of(dim, target)[:, 0]
 
 
@@ -451,7 +474,7 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray | 
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    voxels = _voxel_index(voxels)
+    voxels = _voxel_index(voxels, dim)
     table = _lattice_cell_keys(int(dim), lattice)
     table.fill(voxels)
     return (table.entries if voxels is None else np.take(table.entries, voxels, axis=0)).T

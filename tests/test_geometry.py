@@ -1,5 +1,6 @@
 """Viewpoint algebra, lattice discretization, and grid rotation."""
 
+import functools
 import math
 
 import numpy as np
@@ -496,7 +497,9 @@ class TestOnDemandFill:
         clipped, on_image = dense_pixel_ids(dim, v)
         keys = dense_cell_keys(dim, v)
         table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers])
-        chunks = [rng.choice(dim**3, size=rng.integers(0, dim**3 + 1), replace=False) for _ in range(n_chunks)]
+        # One- and two-voxel chunks are fills of one and two matmul rows.
+        sizes = [rng.choice([1, 2, rng.integers(0, dim**3 + 1)]) for _ in range(n_chunks)]
+        chunks = [rng.choice(dim**3, size=min(size, dim**3), replace=False) for size in sizes]
         for chunk in chunks:
             assert np.array_equal(pixel_ids(dim, v, voxels=chunk), clipped[chunk])
             assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=chunk), on_image[chunk])
@@ -509,7 +512,8 @@ class TestOnDemandFill:
 
     def test_rejects_voxels_that_are_not_flat_indices(self):
         v = Viewpoint(0.0, 0.0)
-        for bad in (np.ones(8, dtype=bool), np.zeros((2, 2), dtype=np.int64), np.array([0.0, 1.0])):
+        bad_indices = (np.ones(8, dtype=bool), np.zeros((2, 2), dtype=np.int64), np.array([0.0, 1.0]))
+        for bad in bad_indices + (np.array([0, 8]), np.array([-1, 3]), np.array([2**40], dtype=np.uint64)):
             with pytest.raises(ValueError, match="voxels"):
                 pixel_ids(2, v, voxels=bad)
             with pytest.raises(ValueError, match="voxels"):
@@ -518,37 +522,93 @@ class TestOnDemandFill:
                 lattice_cell_keys(2, discretize_viewpoints(90), bad)
 
 
+    @pytest.mark.parametrize("dim", [31, 32])
+    def test_one_voxel_fills_at_ties_match_the_dense_forward_map(self, dim):
+        # A fill missing a single voxel multiplies a single row. Only a voxel
+        # near a .5 tie can round differently, so every such voxel of every
+        # 30-degree center is mapped alone: by project_voxel into a fresh
+        # pose map, and one voxel after another into one lattice table.
+        from voxsel.carve import project_voxel
+
+        lattice = discretize_viewpoints(30)
+        geometry._lattice_cell_keys.cache_clear()
+        union = tie_voxels(dim, 30)
+        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers])
+        for i in union:
+            assert np.array_equal(lattice_cell_keys(dim, lattice, np.array([i])), table[:, [i]])
+        for c in lattice.centers:
+            _, on_image = dense_pixel_ids(dim, c)
+            for i in near_ties(dim, geometry._voxel_coords(dim) @ geometry._pose_rotation(c.yaw, c.pitch).T):
+                geometry._pose_pixel_ids.cache_clear()
+                pixel = project_voxel(np.unravel_index(i, (dim,) * 3), c, dim)
+                assert pixel == (None if on_image[i] == dim * dim else divmod(int(on_image[i]), dim))
+
+
+def near_ties(dim, rotated):
+    """Voxels with a rotated coordinate within 1e-6 of a .5 tie.
+
+    Entries of different products of the same row differ by a few ulps at
+    most, so only these voxels can round to another cell.
+    """
+    frac = np.abs((rotated + (dim - 1) / 2) % 1 - 0.5)
+    return np.flatnonzero((frac < 1e-6).any(axis=1))
+
+
+@functools.lru_cache(maxsize=4)
+def tie_voxels(dim, interval):
+    """The voxels near a .5 tie under any center of the lattice."""
+    lattice = discretize_viewpoints(interval)
+    coords = geometry._voxel_coords(dim)
+    ties = [near_ties(dim, coords @ geometry._pose_rotation(c.yaw, c.pitch).T) for c in lattice.centers]
+    return np.unique(np.concatenate(ties))
+
+
 def blas_name():
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return f"{blas.get('name', 'unknown BLAS')} {blas.get('version', '')} ({blas.get('openblas configuration', '')})"
 
 
 class TestBlasIdentity:
+    # Fills multiply the voxels they miss in products of rows_per_product
+    # rows and one shorter tail: the pose map's 2**14 and the lattice
+    # table's 2**14 // 72 = 227 at 30 degrees (101 at 20), and any tail
+    # from one row up. Each case runs `products` full products and a tail.
     # 162 centers: with each pose's columns together, one product over the
     # 20-degree lattice differs from the per-pose one in its last columns.
+    @pytest.mark.parametrize(
+        "rows, products, tail", [(1, 300, 0), (2, 300, 1), (101, 40, 57), (227, 40, 113), (2**14, 1, 101)]
+    )
     @pytest.mark.parametrize("dim, interval", [(31, 30), (32, 30), (64, 30), (32, 20)])
-    def test_row_subsets_and_center_batches_equal_the_per_pose_matmul(self, dim, interval):
+    def test_products_of_any_row_count_equal_the_full_per_pose_matmul(self, dim, interval, rows, products, tail):
         # Forward maps are filled voxel by voxel and lattice tables for all
         # centers at once, and they stay byte-identical to the full per-pose
         # map only while the BLAS computes each entry of a matmul the same
         # way whatever rows and columns share the product. Exact .5 ties
-        # make any other rounding visible in the reports.
+        # make any other rounding visible in the reports, so the voxels near
+        # one go first.
         lattice = discretize_viewpoints(interval)
-        rows = np.random.default_rng(dim).permutation(dim**3)[: dim**3 // 3]
-        subset = geometry._voxel_coords(dim, rows)
-        batched = subset @ geometry._stacked_rotations(lattice.centers)
+        rng = np.random.default_rng(rows)
+        ties = tie_voxels(dim, interval)
+        others = np.setdiff1d(np.arange(dim**3), ties)
+        voxels = np.concatenate([rng.permutation(ties), rng.permutation(others)])[: products * rows + tail]
+        voxels = rng.permutation(voxels)
+        chunks = [voxels[start : start + rows] for start in range(0, voxels.size, rows)]
         k = len(lattice.centers)
+        stacked = geometry._stacked_rotations(lattice.centers)
+        batched = np.concatenate([geometry._rotated_centers(dim, stacked, chunk) for chunk in chunks])
         differ = []
         for j, c in enumerate(lattice.centers):
             rot_t = geometry._pose_rotation(c.yaw, c.pitch).T
-            full = (geometry._voxel_coords(dim) @ rot_t)[rows]
-            if not np.array_equal(subset @ rot_t, full):
+            full = (geometry._voxel_coords(dim) @ rot_t)[voxels]
+            subsets = np.concatenate([geometry._rotated_centers(dim, rot_t, chunk) for chunk in chunks])
+            if not np.array_equal(subsets, full):
                 differ.append(("row subset", c.yaw, c.pitch))
             if not np.array_equal(batched[:, [j, k + j, 2 * k + j]], full):
                 differ.append(("center batch", c.yaw, c.pitch))
         assert not differ, (
-            f"on {blas_name()} {len(differ)} matmuls differ from the full per-pose product, e.g. {differ[:3]}; "
-            "forward maps filled on demand would not be byte-identical to the dense map with this BLAS"
+            f"on {blas_name()} {len(differ)} products of {rows} rows differ from the full per-pose product, "
+            f"e.g. {differ[:3]}; forward maps filled on demand would not be byte-identical to the dense map "
+            "with this BLAS"
         )
 
 
