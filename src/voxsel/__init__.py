@@ -10,7 +10,7 @@ iterative harness (:mod:`voxsel.harness`), and file formats
 (:mod:`voxsel.io`).
 """
 
-from .carve import ViewObservation, carve, keep_mask, project_voxel
+from .carve import ViewObservation, carve, project_voxel
 from .geometry import (
     Viewpoint,
     ViewpointLattice,
@@ -96,7 +96,6 @@ __all__ = [
     "f_score",
     "generate_shape",
     "iou",
-    "keep_mask",
     "load_pool",
     "make_corpus",
     "pixel_ids",

@@ -3,19 +3,23 @@
 A voxel survives carving only if every observation sees it inside the
 silhouette: the voxel's pixel id under the observation's viewpoint comes from
 the pixel-id kernel rendering uses (:func:`~voxsel.geometry.pixel_ids`), and
-that pixel is looked up in the silhouette image. Because rendering and carving
-share that kernel, every ground-truth voxel projects onto a set pixel of every
-rendered silhouette, so the carve of exact silhouettes always contains the
-ground truth. Carving drops a voxel only when its (y, z) pixel falls off the
-image, which counts as outside; a rotated depth off the cube does not matter.
+that pixel is looked up in the silhouette image. Carving drops a voxel only
+when its (y, z) pixel falls off the image, which counts as outside; a rotated
+depth off the cube does not matter. Rendering also drops a voxel whose
+rotated cell leaves the cube along x, so the carve of exact silhouettes keeps
+only the ground-truth voxels whose rotated cell stays inside the cube under
+every view. That holds for every voxel within
+:func:`~voxsel.synthesis.safe_radius` of the grid center, as in every
+generated shape; a ground-truth voxel near a corner can rotate off the cube,
+miss its silhouette and be carved away.
 
-Each observation contributes one flat keep mask (:func:`keep_mask`), and the
-hull is the AND of those masks. The AND is order-independent and idempotent,
-so a caller that gains views a few at a time (the reconstruction loop) can
-keep a running mask and pass it to :func:`carve` as ``keep``: each new view is
-carved once instead of all views again. A view reads the pixel ids of the
-voxels still kept only, so a voxel an earlier view dropped is never mapped
-under a later one.
+Each observation keeps the voxels whose pixel is set in its silhouette, and
+the hull is the AND of those sets. The AND is order-independent and
+idempotent, so a caller that gains views a few at a time (the reconstruction
+loop) can keep a running mask and pass it to :func:`carve` as ``keep``: each
+new view is carved once instead of all views again. A view reads the pixel
+ids of the voxels still kept only, so a voxel an earlier view dropped is
+never mapped under a later one.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .geometry import Viewpoint, pixel_ids
 from .grid import VoxelGrid
 from .synthesis import SilhouetteImage
 
-__all__ = ["ViewObservation", "carve", "keep_mask", "project_voxel"]
+__all__ = ["ViewObservation", "carve", "project_voxel"]
 
 
 @dataclass(frozen=True)
@@ -56,22 +60,8 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
     return divmod(pixel, dim)
 
 
-def keep_mask(observation: ViewObservation, dim: int) -> np.ndarray:
-    """Flat bool mask of the voxels one observation keeps.
-
-    Entry ``k`` belongs to source voxel ``k`` (C order over ``(x, y, z)``)
-    and is True when the voxel's pixel under the observation's viewpoint is
-    set in its silhouette; a voxel whose pixel falls off the image is
-    dropped. The silhouette must be (dim, dim). The array is a fresh,
-    writable copy of ``dim ** 3`` entries.
-    """
-    if observation.silhouette.dims != (dim, dim):
-        raise ValueError(f"silhouette dims {observation.silhouette.dims} do not match grid dim {dim}")
-    return _kept(observation, dim)
-
-
-def _kept(observation: ViewObservation, dim: int, voxels: np.ndarray | None = None) -> np.ndarray:
-    """Whether each of ``voxels`` (flat indices; every voxel when None) projects onto a set pixel."""
+def _kept(observation: ViewObservation, dim: int, voxels: np.ndarray) -> np.ndarray:
+    """Whether each of ``voxels`` (flat indices) projects onto a set pixel."""
     # The trailing False is the pixel of voxels that project off the image.
     lookup = np.append(observation.silhouette.pixels.reshape(-1), False)
     return lookup[pixel_ids(dim, observation.viewpoint, clip_depth=False, voxels=voxels)]
@@ -85,7 +75,7 @@ def carve(
     Every observation must carry a (dim, dim) silhouette. The result is a
     0/1-valued grid; it shrinks (voxelwise) as observations are added, does
     not depend on their order, and is idempotent under duplicates. It is the
-    AND of the observations' :func:`keep_mask` masks.
+    AND of the one-observation carves.
 
     ``keep`` carves incrementally: a flat bool array of ``dim ** 3`` entries,
     the running mask of earlier observations (``carve(earlier, dim)`` as a

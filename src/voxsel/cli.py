@@ -23,6 +23,7 @@ from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, error_grid
 from .harness import (
     LoopConfig,
     SceneObject,
+    _check_field_types,
     compare_policies,
     comparison_json,
     config_from_dict,
@@ -129,12 +130,7 @@ def _load_corpus_dir(path: Path) -> list[SceneObject]:
     return corpus
 
 
-def _corpus_int(corpus_spec: dict, key: str, default: object = None) -> int:
-    """``corpus_spec[key]``, or ``default`` when the key is absent, checked to be an integer."""
-    value = corpus_spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"corpus field {key!r} must be an integer, got {value!r}")
-    return value
+_CORPUS_TYPES = {"dir": str, "count": int, "dim": int, "seed": int, "kinds": list}
 
 
 def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]:
@@ -148,17 +144,18 @@ def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]
     corpus_spec = spec.get("corpus")
     if not isinstance(corpus_spec, dict):
         raise ValueError("config must contain a 'corpus' object")
+    _check_field_types(corpus_spec, _CORPUS_TYPES, "corpus")
     if "dir" in corpus_spec:
-        if not isinstance(corpus_spec["dir"], str):
-            raise ValueError(f"corpus field 'dir' must be a string, got {corpus_spec['dir']!r}")
         return _load_corpus_dir(Path(corpus_spec["dir"])), config
+    if "count" not in corpus_spec:
+        raise ValueError("corpus field 'count' is required")
     kinds = corpus_spec.get("kinds", list(SHAPE_KINDS))
-    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
+    if not kinds or not all(isinstance(k, str) for k in kinds):
         raise ValueError(f"corpus field 'kinds' must be a non-empty list of shape kinds, got {kinds!r}")
     corpus = make_corpus(
-        count=_corpus_int(corpus_spec, "count"),
-        dim=_corpus_int(corpus_spec, "dim", config.dim),
-        seed=_corpus_int(corpus_spec, "seed", config.seed),
+        count=corpus_spec["count"],
+        dim=corpus_spec.get("dim", config.dim),
+        seed=corpus_spec.get("seed", config.seed),
         kinds=tuple(kinds),
     )
     return corpus, config

@@ -33,19 +33,21 @@ nowhere. It is the kernel that silhouette rendering and carving share, and
 it builds no rotated grid. Error scoring reads :func:`cell_keys`: each
 voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
 ``dim`` is the depth-clipped pixel id and whose order along a ray is its
-depth. :func:`lattice_cell_keys` holds it for every center of a lattice in
-one cached, voxel-major table.
+depth. :func:`lattice_cell_keys` gives it for every center of a lattice,
+one row per voxel, from one cached, voxel-major table.
 
-The cached maps are filled on demand. A caller passes ``voxels``, the flat
-indices it will read (rendering the occupied voxels, carving the voxels
-still kept, scoring the error voxels), and only those a map does not hold
-yet go through the matmul: one pose's rows for :func:`pixel_ids`, every
-lattice center side by side for :func:`lattice_cell_keys`. A pose map that
-needs more voxels after two fills is shared by several objects and is
-mapped whole instead. A row of that matmul depends only on its voxel and
-pose on the tested BLAS (a lone row is multiplied as two, which keeps it
-off BLAS gemv), so a map filled in any order equals the full one bit for
-bit. The dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays
+Each of them takes ``voxels``, the flat indices its caller reads (rendering
+the occupied voxels, carving the voxels still kept, scoring the error
+voxels), and returns their entries as a fresh array in the layout that
+caller reads; no whole map or view of a cache is handed out. The cached
+maps are filled on demand: only the voxels a map does not hold yet go
+through the matmul, one pose's rows for :func:`pixel_ids`, every lattice
+center side by side for :func:`lattice_cell_keys`. A pose map that needs
+more voxels after two fills is shared by several objects and is mapped
+whole instead. A row of that matmul depends only on its voxel and pose on
+the tested BLAS (a lone row is multiplied as two, which keeps it off BLAS
+gemv), so a map filled in any order equals the full one bit for bit. The
+dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays
 as public API and as the reference the sparse forms are tested against.
 """
 
@@ -221,10 +223,6 @@ def _centered_coords(dim: int) -> np.ndarray:
     return coords
 
 
-def _pose_rotation(yaw: float, pitch: float) -> np.ndarray:
-    return rotation_matrix(Viewpoint(yaw=yaw, pitch=pitch))
-
-
 # Voxel rows times poses per matmul. Its float64 temporaries (384 KiB) are
 # reused from one chunk to the next; a full pose at dim 32 filled this way
 # took 1.1 ms, and 2.8 ms as one product whose fresh temporaries are faulted
@@ -242,21 +240,20 @@ def _stacked_rotations(poses: Sequence[Viewpoint]) -> np.ndarray:
     over more than 65 poses differed from it in the last bit in some of
     their last few columns.
     """
-    rots = np.stack([_pose_rotation(v.yaw, v.pitch).T for v in poses])
+    rots = np.stack([rotation_matrix(v).T for v in poses])
     return rots.transpose(1, 2, 0).reshape(3, -1)
 
 
-def _voxel_coords(dim: int, voxels: np.ndarray | None = None) -> np.ndarray:
-    """Centered coordinates of ``voxels`` (every voxel when None), column-major like the whole array.
+def _voxel_coords(dim: int, voxels: np.ndarray) -> np.ndarray:
+    """Centered coordinates of ``voxels``, column-major like the whole array.
 
     Gathered column by column, a subset keeps that layout, which gathers and
     multiplies several times faster than a gather of rows.
     """
-    coords = _centered_coords(dim)
-    return coords if voxels is None else np.take(coords.T, voxels, axis=1).T
+    return np.take(_centered_coords(dim).T, voxels, axis=1).T
 
 
-def _rotated_centers(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = None) -> np.ndarray:
+def _rotated_centers(dim: int, rot_t: np.ndarray, voxels: np.ndarray) -> np.ndarray:
     """``coords @ rot_t``: centered voxel coordinates rotated, one row per voxel of ``voxels``.
 
     A one-row product runs as two copies of the row. numpy hands a single
@@ -264,18 +261,18 @@ def _rotated_centers(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = No
     gemm's in the last bit, enough to round .5 ties the other way; products
     of two or more rows go to gemm and equal the full product.
     """
-    if voxels is None or len(voxels) != 1:
+    if len(voxels) != 1:
         return _voxel_coords(dim, voxels) @ rot_t
     return (_voxel_coords(dim, np.repeat(voxels, 2)) @ rot_t)[:1]
 
 
-def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray | None = None) -> np.ndarray:
+def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray) -> np.ndarray:
     """``np.rint(coords @ rot_t + half)``: rounded rotated centers, one row per voxel.
 
     ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
-    several; ``voxels`` picks the rows, all of them when None. Exact .5 ties
-    occur (e.g. 24 of the 72 cells of the 30-degree lattice at dim 32) and
-    the matmul's rounding noise settles them, so every forward map comes
+    several; ``voxels`` picks the rows. Exact .5 ties occur (e.g. 24 of the
+    72 cells of the 30-degree lattice at dim 32) and the matmul's rounding
+    noise settles them, so every forward map comes
     from this one matmul (:func:`_rotated_centers`). Each entry is the same
     whichever rows and poses share the product: a row subset of any size,
     or all lattice centers side by side, equals the same rows of the full
@@ -301,9 +298,7 @@ def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
     return np.where(in_x & in_y & in_z, (y * dim + z) * dim + x, np.int32(dim**3))
 
 
-def _voxel_index(voxels, dim: int) -> np.ndarray | None:
-    if voxels is None:
-        return None
+def _voxel_index(voxels, dim: int) -> np.ndarray:
     voxels = np.asarray(voxels)
     if voxels.ndim != 1 or voxels.dtype.kind not in "iu":
         raise ValueError(f"voxels must be a 1-D array of flat voxel indices, got {voxels.dtype} {voxels.shape}")
@@ -315,30 +310,33 @@ def _voxel_index(voxels, dim: int) -> np.ndarray | None:
 class _ForwardMap:
     """Int32 ``entries`` of a forward map, each voxel's computed the first time a caller asks for them.
 
-    Subclasses allocate ``entries`` and compute and store a chunk of voxels
-    in ``store``. Each voxel is mapped at most once while the map lives, by
-    the same matmul rows as the full map. Once every voxel is mapped the
-    entries are read-only, and a lookup is one gather.
+    ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
+    several. Subclasses allocate ``entries`` and compute and store a chunk
+    of voxels in ``store``. Each voxel is mapped at most once while the map
+    lives, by the same matmul rows as the full map; once every voxel is
+    mapped a lookup is one gather. Lookups copy, so the entries never leave
+    the map.
     """
 
     entries: np.ndarray
 
-    def __init__(self, dim: int, rows_per_product: int) -> None:
+    def __init__(self, dim: int, rot_t: np.ndarray) -> None:
+        self.dim, self.rot_t = dim, rot_t
+        self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
         self.filled = np.zeros(dim**3, dtype=bool)
-        self.rows_per_product = rows_per_product
         self.complete = False
 
     def store(self, rows: np.ndarray) -> None:
         raise NotImplementedError
 
-    def missing(self, voxels: np.ndarray | None) -> np.ndarray:
-        """Those of ``voxels`` (flat indices; every voxel when None) not mapped yet."""
+    def missing(self, voxels: np.ndarray) -> np.ndarray:
+        """Those of ``voxels`` (flat indices) not mapped yet."""
         if self.complete:
             return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(~self.filled) if voxels is None else voxels[~self.filled[voxels]]
+        return voxels[~self.filled[voxels]]
 
-    def fill(self, voxels: np.ndarray | None) -> None:
-        """Map those of ``voxels`` (flat indices; every voxel when None) not mapped yet."""
+    def fill(self, voxels: np.ndarray) -> None:
+        """Map those of ``voxels`` (flat indices) not mapped yet."""
         self.map(self.missing(voxels))
 
     def map(self, missing: np.ndarray) -> None:
@@ -350,7 +348,6 @@ class _ForwardMap:
             self.filled[chunk] = True
         if self.filled.all():
             self.complete = True
-            self.entries.flags.writeable = False
 
 
 class _PoseMap(_ForwardMap):
@@ -364,17 +361,16 @@ class _PoseMap(_ForwardMap):
     gather.
     """
 
-    def __init__(self, dim: int, yaw: float, pitch: float) -> None:
-        super().__init__(dim, _ENTRIES_PER_PRODUCT)
-        self.dim, self.rot_t = dim, _pose_rotation(yaw, pitch).T
+    def __init__(self, dim: int, v: Viewpoint) -> None:
+        super().__init__(dim, rotation_matrix(v).T)
         self.entries = np.empty((2, dim**3), dtype=np.int32)
         self.fills = 0
 
-    def fill(self, voxels: np.ndarray | None) -> None:
+    def fill(self, voxels: np.ndarray) -> None:
         missing = self.missing(voxels)
         if missing.size:
             self.fills += 1
-            self.map(missing if self.fills <= 2 else self.missing(None))
+            self.map(missing if self.fills <= 2 else np.flatnonzero(~self.filled))
 
     def store(self, rows: np.ndarray) -> None:
         dim = self.dim
@@ -390,8 +386,7 @@ class _LatticeKeys(_ForwardMap):
     """:func:`cell_keys` of every lattice center, voxel-major: ``entries[i, k]`` is voxel ``i`` under center ``k``."""
 
     def __init__(self, dim: int, lattice: ViewpointLattice) -> None:
-        super().__init__(dim, max(1, _ENTRIES_PER_PRODUCT // len(lattice.centers)))
-        self.dim, self.rot_t = dim, _stacked_rotations(lattice.centers)
+        super().__init__(dim, _stacked_rotations(lattice.centers))
         self.entries = np.empty((dim**3, len(lattice.centers)), dtype=np.int32)
 
     def store(self, rows: np.ndarray) -> None:
@@ -402,15 +397,16 @@ class _LatticeKeys(_ForwardMap):
 # CLI renders views before it carves them, so a pose is reused a few poses
 # after it is made. At dim 64 eight full maps are 18 MiB.
 @lru_cache(maxsize=8)
-def _pose_pixel_ids(dim: int, yaw: float, pitch: float) -> _PoseMap:
-    return _PoseMap(dim, yaw, pitch)
+def _pose_pixel_ids(dim: int, v: Viewpoint) -> _PoseMap:
+    return _PoseMap(dim, v)
 
 
-def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.ndarray | None = None) -> np.ndarray:
-    """Image pixel each voxel of a cubic grid projects to under ``v``.
+def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.ndarray) -> np.ndarray:
+    """Image pixel each of ``voxels`` projects to under ``v``, in a cubic grid.
 
-    Entry ``k`` belongs to source voxel ``k`` (C order over ``(x, y, z)``)
-    and is the int32 id ``y * dim + z`` of the (y, z) pixel of the cell
+    ``voxels`` is a 1-D array of flat voxel indices (C order over
+    ``(x, y, z)``), and entry ``i`` of the fresh int32 result belongs to
+    ``voxels[i]``: the id ``y * dim + z`` of the (y, z) pixel of the cell
     nearest its rotated center, the cell :func:`rotated_cells` gives. A
     voxel that projects nowhere gets the single sentinel ``dim * dim``, one
     past the last pixel, so a ``dim * dim + 1`` image buffer absorbs it.
@@ -419,39 +415,35 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
     pixel leaves the image.
 
-    ``voxels``, a 1-D array of flat voxel indices, asks for those entries
-    only, in that order, as a fresh array; without it the whole map comes
-    back read-only. Maps are cached per pose, for the 8 most recent poses,
-    and filled on demand: a voxel is mapped the first time any caller asks
-    for it, under both rules at once, so rendering the ground truth and then
-    carving the voxels still kept maps each voxel at most once per pose. A
-    pose that needs more voxels after two such fills is shared (say, an
-    initial view of every object) and is mapped whole.
+    Maps are cached per pose, for the 8 most recent poses, and filled on
+    demand: a voxel is mapped the first time any caller asks for it, under
+    both rules at once, so rendering the ground truth and then carving the
+    voxels still kept maps each voxel at most once per pose. A pose that
+    needs more voxels after two such fills is shared (say, an initial view
+    of every object) and is mapped whole.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     voxels = _voxel_index(voxels, dim)
-    pose = _pose_pixel_ids(int(dim), v.yaw, v.pitch)
+    pose = _pose_pixel_ids(int(dim), v)
     pose.fill(voxels)
-    ids = pose.entries[0 if clip_depth else 1]
-    return ids if voxels is None else ids[voxels]
+    return pose.entries[0 if clip_depth else 1][voxels]
 
 
-def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray | None = None) -> np.ndarray:
-    """Rotated cell of every voxel of a cubic grid under ``v``, as ray-major keys.
+def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
+    """Rotated cell of each of ``voxels`` under ``v``, in a cubic grid, as ray-major keys.
 
-    Entry ``i`` is the int32 key ``(y * dim + z) * dim + x`` of the cell
-    :func:`rotated_cells` gives source voxel ``i``, or the sentinel
-    ``dim ** 3`` when that cell leaves the cube. ``key // dim`` is the
-    depth-clipped :func:`pixel_ids` entry (sentinel ``dim * dim``), and among
-    the voxels on one pixel ray the smallest key is the one nearest the
-    camera. ``voxels``, a 1-D array of flat voxel indices, maps those voxels
-    only, in that order. Nothing is cached.
+    ``voxels`` is a 1-D array of flat voxel indices, and entry ``i`` is the
+    int32 key ``(y * dim + z) * dim + x`` of the cell :func:`rotated_cells`
+    gives voxel ``voxels[i]``, or the sentinel ``dim ** 3`` when that cell
+    leaves the cube. ``key // dim`` is the depth-clipped :func:`pixel_ids`
+    entry (sentinel ``dim * dim``), and among the voxels on one pixel ray
+    the smallest key is the one nearest the camera. Nothing is cached.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     dim = int(dim)
-    target = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T, _voxel_index(voxels, dim))
+    target = _rounded_targets(dim, rotation_matrix(v).T, _voxel_index(voxels, dim))
     return _cell_keys_of(dim, target)[:, 0]
 
 
@@ -460,24 +452,22 @@ def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _LatticeKeys:
     return _LatticeKeys(dim, lattice)
 
 
-def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray | None = None) -> np.ndarray:
-    """:func:`cell_keys` of every lattice center, one row per center.
+def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -> np.ndarray:
+    """:func:`cell_keys` of ``voxels`` under every lattice center, one row per voxel.
 
-    Row ``k`` equals ``cell_keys(dim, lattice.centers[k], voxels)``: the keys
-    of the voxels in ``voxels`` (a 1-D array of flat voxel indices), or of
-    every voxel when None. The table behind it is voxel-major, filled on
-    demand and cached for the two most recent ``(dim, lattice)`` pairs: a
-    voxel's keys under every center come from one batched matmul the first
-    time any caller asks for that voxel. The result is a transposed view, so
-    its ``.T`` is C-contiguous with one row per voxel: a fresh array for
-    ``voxels``, the whole read-only table without them.
+    The result is a fresh C-contiguous ``(len(voxels), centers)`` int32
+    array whose column ``k`` equals ``cell_keys(dim, lattice.centers[k],
+    voxels)``. The table behind it is voxel-major, filled on demand and
+    cached for the two most recent ``(dim, lattice)`` pairs: a voxel's keys
+    under every center come from one batched matmul the first time any
+    caller asks for that voxel.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     voxels = _voxel_index(voxels, dim)
     table = _lattice_cell_keys(int(dim), lattice)
     table.fill(voxels)
-    return (table.entries if voxels is None else np.take(table.entries, voxels, axis=0)).T
+    return np.take(table.entries, voxels, axis=0)
 
 
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
@@ -492,7 +482,7 @@ def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     dim = int(dim)
-    cells = _rounded_targets(dim, _pose_rotation(v.yaw, v.pitch).T).astype(np.int64)
+    cells = _rounded_targets(dim, rotation_matrix(v).T, np.arange(dim**3)).astype(np.int64)
     return cells, ((cells >= 0) & (cells < dim)).all(axis=1)
 
 

@@ -11,9 +11,9 @@ deterministic functions of (corpus, config): the same seed reproduces the
 same report bytes.
 
 Each object's visual hull is one flat bool keep mask, the AND of its
-observations' :func:`~voxsel.carve.keep_mask` masks. New views are rendered
-and then carved into that mask by one ``carve(new, dim, keep=...)`` call, so
-each view is carved once, while its pose's forward map is still cached.
+observations' one-view carves. New views are rendered and then carved into
+that mask by one ``carve(new, dim, keep=...)`` call, so each view is carved
+once, while its pose's forward map is still cached.
 Because the AND is order-independent and idempotent, the mask always equals
 ``carve`` of all the observations. Evaluation and the convergence check read
 the mask directly; a ``VoxelGrid`` of it is built only for
@@ -167,7 +167,7 @@ _FIELD_TYPES = {
     "seed": int,
 }
 _DISTRIBUTION_TYPES = {"kind": str, "views_per_object": int}
-_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a non-empty list of shape kinds"}
 
 
 def _check_field_types(obj: dict, types: dict, where: str) -> None:

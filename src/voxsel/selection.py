@@ -156,7 +156,7 @@ def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     hot = np.flatnonzero(vals > FIRST_HIT_EPS)
     hot_vals = vals[hot]
     if len(lattice.centers) * vals.size * 4 <= MAX_LATTICE_TABLE_BYTES:
-        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot).T, hot_vals)
+        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot), hot_vals)
     else:
         totals = [_first_hit_totals(dim, cell_keys(dim, c, hot)[:, np.newaxis], hot_vals)[0] for c in lattice.centers]
     return [

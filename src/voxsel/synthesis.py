@@ -2,11 +2,15 @@
 
 The renderer stands in for a real multi-view image pipeline: a view of an
 object is the binary silhouette of its ground-truth occupancy seen from a
-viewpoint. Silhouettes are produced by the pixel-id kernel that carving and
-binary error scoring share (:func:`~voxsel.geometry.pixel_ids`), which is what
-makes carving against them exactly conservative. Synthetic test shapes are
-generated inside the grid's inscribed ball (with one voxel of margin) so no
-rotation ever clips them.
+viewpoint. Silhouettes are produced by the pixel-id kernel that carving shares
+(:func:`~voxsel.geometry.pixel_ids`). Carving against them is exactly
+conservative for the ground-truth voxels whose rotated cell stays inside the
+cube, which every voxel within :func:`safe_radius` of the center does: a
+voxel whose cell leaves the cube along x is missing from the silhouette
+(rendering uses the cube rule) but still looked up by carving (the image
+rule), so it is carved away unless another voxel sets that pixel. Synthetic
+test shapes are generated inside that safe ball (the inscribed ball with one
+voxel of margin), so no rotation ever clips them.
 """
 
 from __future__ import annotations

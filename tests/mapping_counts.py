@@ -22,19 +22,18 @@ class MappedEntries:
         self.counts: dict[tuple[int, bytes], np.ndarray] = {}
         original = geometry._rounded_targets
 
-        def counting(dim, rot_t, voxels=None):
-            rows = np.arange(dim**3) if voxels is None else np.asarray(voxels)
+        def counting(dim, rot_t, voxels):
             k = rot_t.shape[1] // 3
             for j in range(k):
                 pose = np.ascontiguousarray(rot_t[:, [j, k + j, 2 * k + j]]).tobytes()
-                np.add.at(self.counts.setdefault((dim, pose), np.zeros(dim**3, dtype=np.int64)), rows, 1)
+                np.add.at(self.counts.setdefault((dim, pose), np.zeros(dim**3, dtype=np.int64)), voxels, 1)
             return original(dim, rot_t, voxels)
 
         monkeypatch.setattr(geometry, "_rounded_targets", counting)
 
     def of(self, dim: int, v: geometry.Viewpoint) -> np.ndarray:
         """Per-voxel count of entries computed for pose ``v`` at ``dim``."""
-        pose = np.ascontiguousarray(geometry._pose_rotation(v.yaw, v.pitch).T).tobytes()
+        pose = np.ascontiguousarray(geometry.rotation_matrix(v).T).tobytes()
         return self.counts.get((dim, pose), np.zeros(dim**3, dtype=np.int64))
 
     def most(self) -> int:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsel.carve import ViewObservation, carve, keep_mask, project_voxel
+from voxsel.carve import ViewObservation, carve, project_voxel
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotated_cells
 from voxsel.grid import VoxelGrid, iou, threshold_grid
-from voxsel.synthesis import ShapeSpec, SilhouetteImage, generate_shape, render_silhouette
+from voxsel.synthesis import ShapeSpec, SilhouetteImage, generate_shape, render_silhouette, safe_radius
 
 from .oracles import AXIS_VIEWPOINTS, extrude_silhouette, quarter_turn_matrix
 
@@ -153,24 +153,6 @@ class TestCarveMatchesDenseGather:
         assert np.array_equal(carve(obs, dim).values > 0, dense_gather_carve(obs, dim))
 
 
-class TestKeepMask:
-    def test_silhouette_dim_mismatch_rejected(self):
-        obs = ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))
-        with pytest.raises(ValueError, match="do not match grid dim 16"):
-            keep_mask(obs, 16)
-        with pytest.raises(ValueError, match="do not match grid dim 16"):
-            keep_mask(ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((16, 8), dtype=bool))), 16)
-
-    def test_carve_is_the_and_of_the_masks(self):
-        gt = random_shape(7)
-        obs = observe(gt, [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0)])
-        masks = [keep_mask(o, 16) for o in obs]
-        for mask in masks:
-            assert mask.shape == (16**3,) and mask.dtype == np.bool_ and mask.flags.writeable
-        assert np.array_equal(carve(obs, 16).values.reshape(-1) > 0, np.logical_and.reduce(masks))
-        assert np.array_equal(masks[0].reshape((16,) * 3), carve(obs[:1], 16).values > 0)
-
-
 class TestIncrementalCarve:
     def test_carving_into_a_running_mask_equals_carving_everything(self):
         gt = random_shape(11)
@@ -197,16 +179,31 @@ class TestIncrementalCarve:
 
 
 class TestCarveAlgebra:
-    @given(st.integers(0, 25))
-    @settings(max_examples=25, deadline=None)
-    def test_conservative_for_ground_truth_silhouettes(self, seed):
-        gt = random_shape(seed)
+    @given(st.integers(0, 25), st.integers(8, 32), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_conservative_for_ground_truth_silhouettes(self, seed, dim, generated):
+        # The carve keeps a ground-truth voxel only while its rotated cell
+        # stays inside the cube, which holds within the safe ball: for every
+        # generated shape and for any voxel set drawn there.
         rng = np.random.default_rng(seed + 1000)
+        if generated:
+            gt = random_shape(seed, dim)
+        else:
+            centered = np.indices((dim,) * 3).reshape(3, -1).T - (dim - 1) / 2
+            ball = np.linalg.norm(centered, axis=1) <= safe_radius(dim)
+            drawn = ball & (rng.random(dim**3) < rng.uniform(0.01, 0.5))
+            gt = VoxelGrid(drawn.reshape((dim,) * 3).astype(np.float64))
         views = [
             Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)) for _ in range(4)
         ]
-        out = carve(observe(gt, views), 16)
+        out = carve(observe(gt, views), dim)
         assert np.all((out.values > 0) | (gt.values == 0))
+
+    def test_carve_is_the_and_of_one_view_carves(self):
+        gt = random_shape(7)
+        obs = observe(gt, [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0)])
+        singles = [carve([o], 16).values > 0 for o in obs]
+        assert np.array_equal(carve(obs, 16).values > 0, np.logical_and.reduce(singles))
 
     def test_more_views_never_add_voxels(self):
         gt = random_shape(11)

@@ -270,6 +270,8 @@ class TestLoop:
             ({"loop": {"iterations": 1.5}, "corpus": {"count": 2}}, "loop config field 'iterations' must be an integer"),
             ({"loop": {"interval_deg": "30"}, "corpus": {"count": 2}}, "loop config field 'interval_deg' must be a number"),
             ({"loop": {"dim": 16}, "corpus": {"dir": 5}}, "corpus field 'dir' must be a string, got 5"),
+            ({"loop": {"dim": 16, "iterations": 0}, "corpus": {"count": 2, "kindz": ["sphere"]}},
+             "unknown corpus keys: ['kindz']"),
             ({"loop": {"initial_distribution": {"views_per_object": 24}}, "corpus": {"count": 2}},
              "initial_distribution field 'kind' is required"),
         ],

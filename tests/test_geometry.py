@@ -329,54 +329,56 @@ class TestPixelIds:
     @given(st.integers(1, 12), yaw_floats, pitch_floats)
     @settings(max_examples=40, deadline=None)
     def test_both_off_rules_match_the_dense_forward_map(self, dim, yaw, pitch):
-        v = Viewpoint(yaw, pitch)
+        v, every = Viewpoint(yaw, pitch), np.arange(dim**3)
         clipped, on_image = dense_pixel_ids(dim, v)
-        assert pixel_ids(dim, v).dtype == np.int32
-        assert np.array_equal(pixel_ids(dim, v), clipped)
-        assert np.array_equal(pixel_ids(dim, v, clip_depth=False), on_image)
+        assert pixel_ids(dim, v, voxels=every).dtype == np.int32
+        assert np.array_equal(pixel_ids(dim, v, voxels=every), clipped)
+        assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=every), on_image)
 
     @pytest.mark.parametrize("dim", [31, 32])
-    def test_lattice_rows_match_the_dense_forward_map_at_tie_dims(self, dim):
+    def test_lattice_columns_match_the_dense_forward_map_at_tie_dims(self, dim):
         # At these dims some 30-degree centers put rotated coordinates exactly
-        # on .5, so a row computed any other way than pose by pose can differ.
+        # on .5, so a column computed any other way than pose by pose can differ.
         lattice = discretize_viewpoints(30)
-        table = lattice_cell_keys(dim, lattice) // dim
-        assert table.shape == (72, dim**3)
+        table = lattice_cell_keys(dim, lattice, np.arange(dim**3)) // dim
+        assert table.shape == (dim**3, 72)
         assert table.dtype == np.int32
         for k, center in enumerate(lattice.centers):
-            assert np.array_equal(table[k], dense_pixel_ids(dim, center)[0])
+            assert np.array_equal(table[:, k], dense_pixel_ids(dim, center)[0])
 
     def test_rejects_non_positive_dim(self):
+        voxels = np.array([0])
         with pytest.raises(ValueError):
-            pixel_ids(0, Viewpoint(0.0, 0.0))
+            pixel_ids(0, Viewpoint(0.0, 0.0), voxels=voxels)
         with pytest.raises(ValueError):
-            lattice_cell_keys(0, discretize_viewpoints(90))
+            lattice_cell_keys(0, discretize_viewpoints(90), voxels)
         with pytest.raises(ValueError):
-            cell_keys(0, Viewpoint(0.0, 0.0))
+            cell_keys(0, Viewpoint(0.0, 0.0), voxels)
 
 
 class TestLatticeCellKeys:
     @pytest.mark.parametrize("dim, interval", [(1, 30), (5, 45), (31, 30), (32, 30), (9, 22.5)])
-    def test_rows_are_the_dense_forward_map_as_ray_major_keys(self, dim, interval):
-        # 31 and 32 are the tie dims of the 30-degree lattice: a row must be
+    def test_columns_are_the_dense_forward_map_as_ray_major_keys(self, dim, interval):
+        # 31 and 32 are the tie dims of the 30-degree lattice: a column must be
         # computed pose by pose to match rotated_cells and cell_keys there.
         lattice = discretize_viewpoints(interval)
-        table = lattice_cell_keys(dim, lattice)
-        assert table.shape == (len(lattice.centers), dim**3)
+        every = np.arange(dim**3)
+        table = lattice_cell_keys(dim, lattice, every)
+        assert table.shape == (dim**3, len(lattice.centers))
         assert table.dtype == np.int32
-        assert not table.flags.writeable
+        assert table.flags.c_contiguous
         for k, center in enumerate(lattice.centers):
             cells, inside = rotated_cells(dim, center)
             keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
-            assert np.array_equal(table[k], np.where(inside, keys, dim**3))
-            assert np.array_equal(table[k] // dim, pixel_ids(dim, center))
-            assert np.array_equal(table[k], cell_keys(dim, center))
+            assert np.array_equal(table[:, k], np.where(inside, keys, dim**3))
+            assert np.array_equal(table[:, k] // dim, pixel_ids(dim, center, voxels=every))
+            assert np.array_equal(table[:, k], cell_keys(dim, center, every))
 
     def test_cached_per_dim_and_lattice(self, monkeypatch):
-        lattice = discretize_viewpoints(45)
-        first = lattice_cell_keys(6, lattice)
+        lattice, every = discretize_viewpoints(45), np.arange(6**3)
+        first = lattice_cell_keys(6, lattice, every)
         mapped = MappedEntries(monkeypatch)
-        assert np.array_equal(lattice_cell_keys(6, lattice), first)
+        assert np.array_equal(lattice_cell_keys(6, lattice, every), first)
         assert mapped.total() == 0
         assert geometry._lattice_cell_keys.cache_info().maxsize == 2
 
@@ -386,35 +388,27 @@ class TestPoseCache:
         rng = np.random.default_rng(3)
         for _ in range(20):
             for dim in (16, 32, 64):
-                pixel_ids(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)))
+                pixel_ids(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)), voxels=np.arange(dim))
                 assert geometry._pose_pixel_ids.cache_info().currsize <= 8
         assert geometry._pose_pixel_ids.cache_info().maxsize == 8
 
-    def test_full_maps_are_read_only_and_voxel_lookups_fresh(self):
+    def test_writing_into_a_lookup_leaves_the_next_lookup_unchanged(self):
         dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)
-        voxels = np.array([7, 3, 1000, 3])
         geometry._pose_pixel_ids.cache_clear()
         geometry._lattice_cell_keys.cache_clear()
-        # Partly filled maps first, then the whole: a lookup never exposes the store.
-        for full, part in [
-            (lambda: pixel_ids(dim, v), lambda: pixel_ids(dim, v, voxels=voxels)),
-            (lambda: pixel_ids(dim, v, clip_depth=False), lambda: pixel_ids(dim, v, clip_depth=False, voxels=voxels)),
-            (lambda: lattice_cell_keys(dim, lattice), lambda: lattice_cell_keys(dim, lattice, voxels)),
-            (lambda: cell_keys(dim, v), lambda: cell_keys(dim, v, voxels)),
-        ]:
-            looked_up = part()
-            expected = looked_up.copy()
-            looked_up[...] = -1
-            assert np.array_equal(part(), expected)
-            whole = full()
-            assert np.array_equal(whole[..., voxels], expected)
-            assert np.array_equal(part(), expected)
-            looked_up = part()
-            looked_up[...] = -1
-            assert np.array_equal(full(), whole)
-        assert not pixel_ids(dim, v).flags.writeable
-        assert not pixel_ids(dim, v, clip_depth=False).flags.writeable
-        assert not lattice_cell_keys(dim, lattice).flags.writeable
+        lookups = [
+            lambda voxels: pixel_ids(dim, v, voxels=voxels),
+            lambda voxels: pixel_ids(dim, v, clip_depth=False, voxels=voxels),
+            lambda voxels: cell_keys(dim, v, voxels),
+            lambda voxels: lattice_cell_keys(dim, lattice, voxels),
+        ]
+        # A partly filled map, then a whole one, then a lookup of the whole map.
+        for voxels in (np.array([7, 3, 1000, 3]), np.arange(dim**3), np.array([7, 3, 1000, 3])):
+            for lookup in lookups:
+                looked_up = lookup(voxels)
+                expected = looked_up.copy()
+                looked_up[...] = -1
+                assert np.array_equal(lookup(voxels), expected)
 
     def test_a_render_carve_round_and_repeated_scoring_map_each_entry_at_most_once(self, monkeypatch):
         from voxsel.carve import ViewObservation, carve
@@ -467,7 +461,8 @@ class TestPoseCache:
         assert mapped.of(dim, v).sum() == 200
         pixel_ids(dim, v, voxels=parts[2])
         assert np.array_equal(mapped.of(dim, v), np.ones(dim**3))
-        assert not pixel_ids(dim, v).flags.writeable
+        pixel_ids(dim, v, clip_depth=False, voxels=np.arange(dim**3))
+        assert np.array_equal(mapped.of(dim, v), np.ones(dim**3))
 
 
 def dense_cell_keys(dim, v):
@@ -496,7 +491,7 @@ class TestOnDemandFill:
         geometry._lattice_cell_keys.cache_clear()
         clipped, on_image = dense_pixel_ids(dim, v)
         keys = dense_cell_keys(dim, v)
-        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers])
+        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
         # One- and two-voxel chunks are fills of one and two matmul rows.
         sizes = [rng.choice([1, 2, rng.integers(0, dim**3 + 1)]) for _ in range(n_chunks)]
         chunks = [rng.choice(dim**3, size=min(size, dim**3), replace=False) for size in sizes]
@@ -504,11 +499,12 @@ class TestOnDemandFill:
             assert np.array_equal(pixel_ids(dim, v, voxels=chunk), clipped[chunk])
             assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=chunk), on_image[chunk])
             assert np.array_equal(cell_keys(dim, v, chunk), keys[chunk])
-            assert np.array_equal(lattice_cell_keys(dim, lattice, chunk), table[:, chunk])
-        assert np.array_equal(pixel_ids(dim, v), clipped)
-        assert np.array_equal(pixel_ids(dim, v, clip_depth=False), on_image)
-        assert np.array_equal(cell_keys(dim, v), keys)
-        assert np.array_equal(lattice_cell_keys(dim, lattice), table)
+            assert np.array_equal(lattice_cell_keys(dim, lattice, chunk), table[chunk])
+        every = np.arange(dim**3)
+        assert np.array_equal(pixel_ids(dim, v, voxels=every), clipped)
+        assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=every), on_image)
+        assert np.array_equal(cell_keys(dim, v, every), keys)
+        assert np.array_equal(lattice_cell_keys(dim, lattice, every), table)
 
     def test_rejects_voxels_that_are_not_flat_indices(self):
         v = Viewpoint(0.0, 0.0)
@@ -533,12 +529,12 @@ class TestOnDemandFill:
         lattice = discretize_viewpoints(30)
         geometry._lattice_cell_keys.cache_clear()
         union = tie_voxels(dim, 30)
-        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers])
+        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
         for i in union:
-            assert np.array_equal(lattice_cell_keys(dim, lattice, np.array([i])), table[:, [i]])
+            assert np.array_equal(lattice_cell_keys(dim, lattice, np.array([i])), table[[i]])
         for c in lattice.centers:
             _, on_image = dense_pixel_ids(dim, c)
-            for i in near_ties(dim, geometry._voxel_coords(dim) @ geometry._pose_rotation(c.yaw, c.pitch).T):
+            for i in near_ties(dim, geometry._centered_coords(dim) @ rotation_matrix(c).T):
                 geometry._pose_pixel_ids.cache_clear()
                 pixel = project_voxel(np.unravel_index(i, (dim,) * 3), c, dim)
                 assert pixel == (None if on_image[i] == dim * dim else divmod(int(on_image[i]), dim))
@@ -558,8 +554,8 @@ def near_ties(dim, rotated):
 def tie_voxels(dim, interval):
     """The voxels near a .5 tie under any center of the lattice."""
     lattice = discretize_viewpoints(interval)
-    coords = geometry._voxel_coords(dim)
-    ties = [near_ties(dim, coords @ geometry._pose_rotation(c.yaw, c.pitch).T) for c in lattice.centers]
+    coords = geometry._centered_coords(dim)
+    ties = [near_ties(dim, coords @ rotation_matrix(c).T) for c in lattice.centers]
     return np.unique(np.concatenate(ties))
 
 
@@ -598,8 +594,8 @@ class TestBlasIdentity:
         batched = np.concatenate([geometry._rotated_centers(dim, stacked, chunk) for chunk in chunks])
         differ = []
         for j, c in enumerate(lattice.centers):
-            rot_t = geometry._pose_rotation(c.yaw, c.pitch).T
-            full = (geometry._voxel_coords(dim) @ rot_t)[voxels]
+            rot_t = rotation_matrix(c).T
+            full = (geometry._centered_coords(dim) @ rot_t)[voxels]
             subsets = np.concatenate([geometry._rotated_centers(dim, rot_t, chunk) for chunk in chunks])
             if not np.array_equal(subsets, full):
                 differ.append(("row subset", c.yaw, c.pitch))
