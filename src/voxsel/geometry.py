@@ -40,11 +40,10 @@ Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
 caller reads; no whole map or view of a cache is handed out. The cached
-maps are filled on demand: only the voxels a map does not hold yet go
-through the matmul, one pose's rows for :func:`pixel_ids`, every lattice
-center side by side for :func:`lattice_cell_keys`. A pose map that needs
-more voxels after two fills is shared by several objects and is mapped
-whole instead. A row of that matmul depends only on its voxel and pose on
+maps are filled on demand: a lookup sends exactly the voxels its map does
+not hold yet through the matmul, one pose's rows for :func:`pixel_ids`,
+every lattice center side by side for :func:`lattice_cell_keys`, and maps
+nothing else. A row of that matmul depends only on its voxel and pose on
 the tested BLAS (a lone row is multiplied as two, which keeps it off BLAS
 gemv), so a map filled in any order equals the full one bit for bit. The
 dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays
@@ -299,10 +298,15 @@ def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
 
 
 def _voxel_index(voxels, dim: int) -> np.ndarray:
+    """``voxels`` as checked flat indices into a cubic grid; any empty 1-D input means no voxels."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     voxels = np.asarray(voxels)
+    if voxels.shape == (0,):
+        return voxels.astype(np.intp)
     if voxels.ndim != 1 or voxels.dtype.kind not in "iu":
         raise ValueError(f"voxels must be a 1-D array of flat voxel indices, got {voxels.dtype} {voxels.shape}")
-    if voxels.size and (voxels.min() < 0 or voxels.max() >= dim**3):
+    if voxels.min() < 0 or voxels.max() >= dim**3:
         raise ValueError(f"voxels must be flat indices in [0, {dim ** 3}), got {voxels.min()} to {voxels.max()}")
     return voxels
 
@@ -313,9 +317,8 @@ class _ForwardMap:
     ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
     several. Subclasses allocate ``entries`` and compute and store a chunk
     of voxels in ``store``. Each voxel is mapped at most once while the map
-    lives, by the same matmul rows as the full map; once every voxel is
-    mapped a lookup is one gather. Lookups copy, so the entries never leave
-    the map.
+    lives, by the same matmul rows as the full map, and only when a lookup
+    asks for it. Lookups copy, so the entries never leave the map.
     """
 
     entries: np.ndarray
@@ -324,53 +327,25 @@ class _ForwardMap:
         self.dim, self.rot_t = dim, rot_t
         self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
         self.filled = np.zeros(dim**3, dtype=bool)
-        self.complete = False
 
     def store(self, rows: np.ndarray) -> None:
         raise NotImplementedError
 
-    def missing(self, voxels: np.ndarray) -> np.ndarray:
-        """Those of ``voxels`` (flat indices) not mapped yet."""
-        if self.complete:
-            return np.empty(0, dtype=np.intp)
-        return voxels[~self.filled[voxels]]
-
     def fill(self, voxels: np.ndarray) -> None:
-        """Map those of ``voxels`` (flat indices) not mapped yet."""
-        self.map(self.missing(voxels))
-
-    def map(self, missing: np.ndarray) -> None:
-        if missing.size == 0:
-            return
+        """Map those of ``voxels`` (flat indices) not mapped yet, and nothing else."""
+        missing = voxels[~self.filled[voxels]]
         for start in range(0, missing.size, self.rows_per_product):
             chunk = missing[start : start + self.rows_per_product]
             self.store(chunk)
             self.filled[chunk] = True
-        if self.filled.all():
-            self.complete = True
 
 
 class _PoseMap(_ForwardMap):
-    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule.
-
-    Rendering a view and then carving it are a pose's two sparse fills. A
-    pose that needs more voxels after them is shared by several objects,
-    like the initial views every object of a loop renders and carves; its
-    third fill maps it whole, since per voxel one pass costs a fraction of
-    the small fills each object would add, and every later lookup is one
-    gather.
-    """
+    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule."""
 
     def __init__(self, dim: int, v: Viewpoint) -> None:
         super().__init__(dim, rotation_matrix(v).T)
         self.entries = np.empty((2, dim**3), dtype=np.int32)
-        self.fills = 0
-
-    def fill(self, voxels: np.ndarray) -> None:
-        missing = self.missing(voxels)
-        if missing.size:
-            self.fills += 1
-            self.map(missing if self.fills <= 2 else np.flatnonzero(~self.filled))
 
     def store(self, rows: np.ndarray) -> None:
         dim = self.dim
@@ -418,12 +393,9 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     Maps are cached per pose, for the 8 most recent poses, and filled on
     demand: a voxel is mapped the first time any caller asks for it, under
     both rules at once, so rendering the ground truth and then carving the
-    voxels still kept maps each voxel at most once per pose. A pose that
-    needs more voxels after two such fills is shared (say, an initial view
-    of every object) and is mapped whole.
+    voxels still kept maps each voxel at most once per pose, and a voxel no
+    caller asks for is never mapped.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
     voxels = _voxel_index(voxels, dim)
     pose = _pose_pixel_ids(int(dim), v)
     pose.fill(voxels)
@@ -440,10 +412,9 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
     entry (sentinel ``dim * dim``), and among the voxels on one pixel ray
     the smallest key is the one nearest the camera. Nothing is cached.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    voxels = _voxel_index(voxels, dim)
     dim = int(dim)
-    target = _rounded_targets(dim, rotation_matrix(v).T, _voxel_index(voxels, dim))
+    target = _rounded_targets(dim, rotation_matrix(v).T, voxels)
     return _cell_keys_of(dim, target)[:, 0]
 
 
@@ -462,8 +433,6 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -
     under every center come from one batched matmul the first time any
     caller asks for that voxel.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
     voxels = _voxel_index(voxels, dim)
     table = _lattice_cell_keys(int(dim), lattice)
     table.fill(voxels)

@@ -347,13 +347,13 @@ class TestPixelIds:
             assert np.array_equal(table[:, k], dense_pixel_ids(dim, center)[0])
 
     def test_rejects_non_positive_dim(self):
-        voxels = np.array([0])
-        with pytest.raises(ValueError):
-            pixel_ids(0, Viewpoint(0.0, 0.0), voxels=voxels)
-        with pytest.raises(ValueError):
-            lattice_cell_keys(0, discretize_viewpoints(90), voxels)
-        with pytest.raises(ValueError):
-            cell_keys(0, Viewpoint(0.0, 0.0), voxels)
+        for voxels in (np.array([0]), []):
+            with pytest.raises(ValueError, match="dim must be positive"):
+                pixel_ids(0, Viewpoint(0.0, 0.0), voxels=voxels)
+            with pytest.raises(ValueError, match="dim must be positive"):
+                lattice_cell_keys(0, discretize_viewpoints(90), voxels)
+            with pytest.raises(ValueError, match="dim must be positive"):
+                cell_keys(0, Viewpoint(0.0, 0.0), voxels)
 
 
 class TestLatticeCellKeys:
@@ -441,7 +441,7 @@ class TestPoseCache:
         assert mapped.total() == total
 
         lattice = discretize_viewpoints(45)
-        # Three grids: unlike a pose map, the lattice table never fills whole.
+        # Three grids, each scored twice: the table maps only their hot voxels.
         errors = [random_grid(dim, seed) for seed in (1, 2, 3)]
         first = [score_all(error, lattice) for error in errors]
         hot = np.logical_or.reduce([error.values.reshape(-1) > FIRST_HIT_EPS for error in errors])
@@ -450,19 +450,21 @@ class TestPoseCache:
             assert np.array_equal(mapped.of(dim, c) > 0, hot)
         assert mapped.most() == 1
 
-    def test_a_pose_needing_voxels_after_two_fills_is_mapped_whole(self, monkeypatch):
+    def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
+        # Like an initial view that every object of a loop renders and carves:
+        # many overlapping fills of one pose, none of which maps it whole.
         dim, v = 16, Viewpoint(33.0, -12.0)
         geometry._pose_pixel_ids.cache_clear()
         mapped = MappedEntries(monkeypatch)
-        parts = np.array_split(np.random.default_rng(0).permutation(dim**3)[:300], 3)
-        pixel_ids(dim, v, voxels=parts[0])
-        pixel_ids(dim, v, clip_depth=False, voxels=parts[1])
-        pixel_ids(dim, v, voxels=parts[0])  # nothing missing: not a fill
-        assert mapped.of(dim, v).sum() == 200
-        pixel_ids(dim, v, voxels=parts[2])
-        assert np.array_equal(mapped.of(dim, v), np.ones(dim**3))
-        pixel_ids(dim, v, clip_depth=False, voxels=np.arange(dim**3))
-        assert np.array_equal(mapped.of(dim, v), np.ones(dim**3))
+        rng = np.random.default_rng(0)
+        asked = np.zeros(dim**3, dtype=bool)
+        for fill in range(6):
+            voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
+            pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)
+            asked[voxels] = True
+            assert np.array_equal(mapped.of(dim, v) > 0, asked)
+        assert asked.sum() < dim**3 // 2
+        assert mapped.most() == 1
 
 
 def dense_cell_keys(dim, v):
@@ -517,6 +519,16 @@ class TestOnDemandFill:
             with pytest.raises(ValueError, match="voxels"):
                 lattice_cell_keys(2, discretize_viewpoints(90), bad)
 
+    def test_no_voxels_map_to_an_empty_result(self):
+        v, lattice = Viewpoint(0.0, 0.0), discretize_viewpoints(90)
+        for empty in ([], np.array([]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)):
+            for clip_depth in (True, False):
+                looked_up = pixel_ids(8, v, clip_depth=clip_depth, voxels=empty)
+                assert looked_up.shape == (0,) and looked_up.dtype == np.int32
+            keys = cell_keys(8, v, empty)
+            assert keys.shape == (0,) and keys.dtype == np.int32
+            table = lattice_cell_keys(8, lattice, empty)
+            assert table.shape == (0, len(lattice.centers)) and table.dtype == np.int32
 
     @pytest.mark.parametrize("dim", [31, 32])
     def test_one_voxel_fills_at_ties_match_the_dense_forward_map(self, dim):
