@@ -98,4 +98,4 @@ def carve(
         # Only the voxels still kept are mapped.
         alive = np.flatnonzero(keep)
         keep[alive] = _kept(obs, dim, alive)
-    return VoxelGrid(keep.reshape((dim, dim, dim)).astype(np.float64))
+    return VoxelGrid(keep.reshape((dim, dim, dim)))

@@ -39,15 +39,19 @@ one row per voxel, from one cached, voxel-major table.
 Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
-caller reads; no whole map or view of a cache is handed out. The cached
-maps are filled on demand: a lookup sends exactly the voxels its map does
-not hold yet through the matmul, one pose's rows for :func:`pixel_ids`,
-every lattice center side by side for :func:`lattice_cell_keys`, and maps
-nothing else. A row of that matmul depends only on its voxel and pose on
-the tested BLAS (a lone row is multiplied as two, which keeps it off BLAS
-gemv), so a map filled in any order equals the full one bit for bit. The
-dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays
-as public API and as the reference the sparse forms are tested against.
+caller reads; no whole map or view of a cache is handed out. Both caches
+are one store, ``_ForwardMap``: a voxel-major ``(dim**3, width)`` int32
+table with a filled mask. A pose's map has width 1, one pixel code per
+voxel from which either pixel rule is read; a lattice's table has one
+column of cell keys per center. The store is filled on demand: a lookup
+sends exactly the voxels it does not hold yet through the matmul, one
+pose's rows for :func:`pixel_ids`, every lattice center side by side for
+:func:`lattice_cell_keys`, and maps nothing else. A row of that matmul
+depends only on its voxel and pose on the tested BLAS (a lone row is
+multiplied as two, which keeps it off BLAS gemv), so a map filled in any
+order equals the full one bit for bit. The dense form,
+:func:`rotated_cells` and :func:`rotate_grid`, stays as public API and as
+the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -311,69 +315,49 @@ def _voxel_index(voxels, dim: int) -> np.ndarray:
     return voxels
 
 
+def _pixel_codes(dim: int, target: np.ndarray) -> np.ndarray:
+    """``(m, 1)`` int32 codes of rounded targets: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
+    cells = target.astype(np.int32)
+    inside = (cells >= 0) & (cells < dim)
+    off = np.int32(dim * dim)
+    image = np.where(inside[:, 1] & inside[:, 2], cells[:, 1] * dim + cells[:, 2], off)
+    return np.where(inside[:, 0], image, image + (off + 1))[:, None]
+
+
 class _ForwardMap:
-    """Int32 ``entries`` of a forward map, each voxel's computed the first time a caller asks for them.
+    """A voxel-major ``(dim**3, width)`` int32 table, each voxel's row computed the first time a lookup asks for it.
 
     ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
-    several. Subclasses allocate ``entries`` and compute and store a chunk
-    of voxels in ``store``. Each voxel is mapped at most once while the map
-    lives, by the same matmul rows as the full map, and only when a lookup
-    asks for it. Lookups copy, so the entries never leave the map.
+    several, and ``encode(dim, targets)`` turns rounded targets into rows.
+    Each voxel is mapped at most once while the map lives, by the same
+    matmul rows as the full map, and only when a lookup asks for it.
+    Lookups copy, so the entries never leave the map.
     """
 
-    entries: np.ndarray
-
-    def __init__(self, dim: int, rot_t: np.ndarray) -> None:
-        self.dim, self.rot_t = dim, rot_t
+    def __init__(
+        self, dim: int, rot_t: np.ndarray, encode: Callable[[int, np.ndarray], np.ndarray], width: int
+    ) -> None:
+        self.dim, self.rot_t, self.encode = dim, rot_t, encode
         self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
+        self.entries = np.empty((dim**3, width), dtype=np.int32)
         self.filled = np.zeros(dim**3, dtype=bool)
 
-    def store(self, rows: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def fill(self, voxels: np.ndarray) -> None:
-        """Map those of ``voxels`` (flat indices) not mapped yet, and nothing else."""
+    def lookup(self, voxels: np.ndarray) -> np.ndarray:
+        """Rows of ``voxels`` (flat indices), mapping those not mapped yet and nothing else."""
         missing = voxels[~self.filled[voxels]]
         for start in range(0, missing.size, self.rows_per_product):
             chunk = missing[start : start + self.rows_per_product]
-            self.store(chunk)
+            self.entries[chunk] = self.encode(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
             self.filled[chunk] = True
-
-
-class _PoseMap(_ForwardMap):
-    """Pixel ids of one pose: ``entries[0]`` under the cube rule, ``entries[1]`` under the image rule."""
-
-    def __init__(self, dim: int, v: Viewpoint) -> None:
-        super().__init__(dim, rotation_matrix(v).T)
-        self.entries = np.empty((2, dim**3), dtype=np.int32)
-
-    def store(self, rows: np.ndarray) -> None:
-        dim = self.dim
-        cells = _rounded_targets(dim, self.rot_t, rows).astype(np.int32)
-        in_range = (cells >= 0) & (cells < dim)
-        off = np.int32(dim * dim)
-        image = np.where(in_range[:, 1] & in_range[:, 2], cells[:, 1] * dim + cells[:, 2], off)
-        self.entries[0, rows] = np.where(in_range[:, 0], image, off)
-        self.entries[1, rows] = image
-
-
-class _LatticeKeys(_ForwardMap):
-    """:func:`cell_keys` of every lattice center, voxel-major: ``entries[i, k]`` is voxel ``i`` under center ``k``."""
-
-    def __init__(self, dim: int, lattice: ViewpointLattice) -> None:
-        super().__init__(dim, _stacked_rotations(lattice.centers))
-        self.entries = np.empty((dim**3, len(lattice.centers)), dtype=np.int32)
-
-    def store(self, rows: np.ndarray) -> None:
-        self.entries[rows] = _cell_keys_of(self.dim, _rounded_targets(self.dim, self.rot_t, rows))
+        return np.take(self.entries, voxels, axis=0)
 
 
 # Eight poses: the loop renders a round's views and then carves them, and the
 # CLI renders views before it carves them, so a pose is reused a few poses
-# after it is made. At dim 64 eight full maps are 18 MiB.
+# after it is made. At dim 64 eight full maps are 10 MiB.
 @lru_cache(maxsize=8)
-def _pose_pixel_ids(dim: int, v: Viewpoint) -> _PoseMap:
-    return _PoseMap(dim, v)
+def _pose_pixel_ids(dim: int, v: Viewpoint) -> _ForwardMap:
+    return _ForwardMap(dim, rotation_matrix(v).T, _pixel_codes, 1)
 
 
 def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.ndarray) -> np.ndarray:
@@ -391,15 +375,22 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     pixel leaves the image.
 
     Maps are cached per pose, for the 8 most recent poses, and filled on
-    demand: a voxel is mapped the first time any caller asks for it, under
-    both rules at once, so rendering the ground truth and then carving the
-    voxels still kept maps each voxel at most once per pose, and a voxel no
-    caller asks for is never mapped.
+    demand. A pose's map holds one int32 code per voxel, from which both
+    rules read: the image-rule id, plus ``dim * dim + 1`` when the rotated
+    depth leaves the cube. The cube rule takes ``min(code, dim * dim)``,
+    the image rule ``code % (dim * dim + 1)`` (a subtraction from the codes
+    past ``dim * dim``, several times faster). A voxel is mapped the first
+    time any caller asks for it, under either rule, so rendering the ground
+    truth and then carving the voxels still kept maps each voxel at most
+    once per pose, and a voxel no caller asks for is never mapped.
     """
     voxels = _voxel_index(voxels, dim)
-    pose = _pose_pixel_ids(int(dim), v)
-    pose.fill(voxels)
-    return pose.entries[0 if clip_depth else 1][voxels]
+    dim = int(dim)
+    codes = _pose_pixel_ids(dim, v).lookup(voxels)[:, 0]
+    off = dim * dim
+    if clip_depth:
+        return np.minimum(codes, off, out=codes)
+    return np.subtract(codes, off + 1, out=codes, where=codes > off)
 
 
 def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
@@ -419,8 +410,8 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _LatticeKeys:
-    return _LatticeKeys(dim, lattice)
+def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _ForwardMap:
+    return _ForwardMap(dim, _stacked_rotations(lattice.centers), _cell_keys_of, len(lattice.centers))
 
 
 def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -> np.ndarray:
@@ -434,9 +425,7 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -
     caller asks for that voxel.
     """
     voxels = _voxel_index(voxels, dim)
-    table = _lattice_cell_keys(int(dim), lattice)
-    table.fill(voxels)
-    return np.take(table.entries, voxels, axis=0)
+    return _lattice_cell_keys(int(dim), lattice).lookup(voxels)
 
 
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:

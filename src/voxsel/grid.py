@@ -36,7 +36,7 @@ DICE_SMOOTHING = 1e-6
 
 
 def _validated_values(values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"voxel grid must be 3-D, got shape {arr.shape}")
     if any(d < 1 for d in arr.shape):
@@ -45,7 +45,6 @@ def _validated_values(values: np.ndarray) -> np.ndarray:
         raise ValueError("voxel grid values must be finite")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("voxel grid values must lie in [0, 1]")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -116,7 +115,7 @@ class OccupancySet:
 
     def to_grid(self) -> VoxelGrid:
         """Binary 0.0/1.0 grid carrying these decisions as values."""
-        return VoxelGrid(self.bits.astype(np.float64))
+        return VoxelGrid(self.bits)
 
     @classmethod
     def from_flat(cls, dims: tuple[int, int, int], flat: np.ndarray) -> "OccupancySet":

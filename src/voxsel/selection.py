@@ -80,12 +80,11 @@ class ErrorProjectionMap:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.array(self.pixels, dtype=np.float64)
         if arr.ndim != 2 or any(d < 1 for d in arr.shape):
             raise ValueError(f"projection map must be 2-D with positive dims, got {arr.shape}")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("projection pixels must be finite values in [0, 1]")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 

@@ -32,6 +32,7 @@ from voxsel.synthesis import (
     sample_dataset_viewpoints,
 )
 
+from .child_env import child_env
 from .oracles import naive_first_hit, quarter_turn_rotate
 
 
@@ -304,6 +305,7 @@ def test_criterion_08_loop_determinism(tmp_path):
             [sys.executable, "-m", "voxsel.cli", "loop", "--config", str(config_path), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

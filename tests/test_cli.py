@@ -18,6 +18,8 @@ from voxsel.harness import make_corpus
 from voxsel.io import read_sil, read_vxg, write_vxg
 from voxsel.synthesis import render_silhouette
 
+from .child_env import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -343,7 +345,7 @@ class TestParser:
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "voxsel.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "voxsel.cli", "--help"], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0
         for name in ("select", "render", "gen-shapes", "carve", "loop", "compare"):

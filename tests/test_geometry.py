@@ -392,6 +392,15 @@ class TestPoseCache:
                 assert geometry._pose_pixel_ids.cache_info().currsize <= 8
         assert geometry._pose_pixel_ids.cache_info().maxsize == 8
 
+    def test_a_pose_map_holds_one_int32_per_voxel(self):
+        # Both pixel rules are read from one int32 code per voxel.
+        dim, v = 16, Viewpoint(21.0, -8.0)
+        geometry._pose_pixel_ids.cache_clear()
+        some = np.arange(0, dim**3, 7)
+        pixel_ids(dim, v, voxels=some)
+        pixel_ids(dim, v, clip_depth=False, voxels=some[::2])
+        assert geometry._pose_pixel_ids(dim, v).entries.nbytes == 4 * dim**3
+
     def test_writing_into_a_lookup_leaves_the_next_lookup_unchanged(self):
         dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)
         geometry._pose_pixel_ids.cache_clear()

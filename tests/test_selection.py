@@ -101,6 +101,17 @@ class TestProjectionMap:
         m = ErrorProjectionMap(np.full((4, 4), 0.25))
         assert m.total == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_constructor_copies_input_into_read_only_pixels(self, dtype):
+        src = np.zeros((2, 3), dtype=dtype)
+        m = ErrorProjectionMap(src)
+        src[0, 0] = 1
+        assert m.pixels[0, 0] == 0.0
+        assert m.pixels.dtype == np.float64
+        assert not m.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            m.pixels[0, 1] = 0.5
+
 
 class TestProjectFirstHit:
     def test_empty_grid_gives_zero_map(self):
