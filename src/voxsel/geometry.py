@@ -34,24 +34,25 @@ it builds no rotated grid. Error scoring reads :func:`cell_keys`: each
 voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
 ``dim`` is the depth-clipped pixel id and whose order along a ray is its
 depth. :func:`lattice_cell_keys` gives it for every center of a lattice,
-one row per voxel, from one cached, voxel-major table.
+one row per voxel, from one cached table.
 
 Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
 caller reads; no whole map or view of a cache is handed out. Both caches
-are one store, ``_ForwardMap``: a voxel-major ``(dim**3, width)`` int32
-table with a filled mask. A pose's map has width 1, one pixel code per
-voxel from which either pixel rule is read; a lattice's table has one
-column of cell keys per center. The store is filled on demand: a lookup
-sends exactly the voxels it does not hold yet through the matmul, one
-pose's rows for :func:`pixel_ids`, every lattice center side by side for
-:func:`lattice_cell_keys`, and maps nothing else. A row of that matmul
-depends only on its voxel and pose on the tested BLAS (a lone row is
-multiplied as two, which keeps it off BLAS gemv), so a map filled in any
-order equals the full one bit for bit. The dense form,
-:func:`rotated_cells` and :func:`rotate_grid`, stays as public API and as
-the reference the sparse forms are tested against.
+are one store, ``_ForwardMap``: a row of ``width`` int32 entries per voxel
+it has mapped, kept in fill order, and an int32 slot per voxel naming its
+row, so its rows grow with the voxels mapped rather than with ``dim**3``.
+A pose's map has width 1, one pixel code per voxel from which either pixel
+rule is read; a lattice's table has one column of cell keys per center.
+The store is filled on demand: a lookup sends exactly the voxels it does
+not hold yet through the matmul, one pose's rows for :func:`pixel_ids`,
+every lattice center side by side for :func:`lattice_cell_keys`, and maps
+nothing else. A row of that matmul depends only on its voxel and pose on
+the tested BLAS (a lone row is multiplied as two, which keeps it off BLAS
+gemv), so a map filled in any order equals the full one bit for bit. The
+dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays as public
+API and as the reference the sparse forms are tested against.
 """
 
 from __future__ import annotations
@@ -325,13 +326,16 @@ def _pixel_codes(dim: int, target: np.ndarray) -> np.ndarray:
 
 
 class _ForwardMap:
-    """A voxel-major ``(dim**3, width)`` int32 table, each voxel's row computed the first time a lookup asks for it.
+    """``width`` int32 entries per voxel, each voxel's row computed the first time a lookup asks for it.
 
     ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
     several, and ``encode(dim, targets)`` turns rounded targets into rows.
     Each voxel is mapped at most once while the map lives, by the same
     matmul rows as the full map, and only when a lookup asks for it.
-    Lookups copy, so the entries never leave the map.
+    Lookups copy, so the entries never leave the map. ``rows[1:used]`` holds
+    the mapped voxels' rows in fill order, doubling up to ``dim**3 + 1``
+    rows, and ``slot[i]`` is voxel ``i``'s row, 0 (a sentinel) while it is
+    unmapped; untouched pages of those zeros stay unresident.
     """
 
     def __init__(
@@ -339,22 +343,36 @@ class _ForwardMap:
     ) -> None:
         self.dim, self.rot_t, self.encode = dim, rot_t, encode
         self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
-        self.entries = np.empty((dim**3, width), dtype=np.int32)
-        self.filled = np.zeros(dim**3, dtype=bool)
+        self.slot = np.zeros(dim**3, dtype=np.int32)
+        self.rows = np.zeros((1, width), dtype=np.int32)
+        self.used = 1
 
     def lookup(self, voxels: np.ndarray) -> np.ndarray:
         """Rows of ``voxels`` (flat indices), mapping those not mapped yet and nothing else."""
-        missing = voxels[~self.filled[voxels]]
+        slots = self.slot[voxels]
+        missing = voxels[slots == 0]
+        if not missing.size:
+            return np.take(self.rows, slots, axis=0)
+        # Callers pass flatnonzero output, so the rows never pass dim**3 + 1.
+        # A voxel listed twice is mapped twice into equal rows, which costs
+        # less than checking every lookup for duplicates.
+        need = self.used + missing.size
+        if need > len(self.rows):
+            grown = np.empty((max(min(2 * len(self.rows), len(self.slot) + 1), need), self.rows.shape[1]), np.int32)
+            grown[: self.used] = self.rows[: self.used]
+            self.rows = grown
         for start in range(0, missing.size, self.rows_per_product):
             chunk = missing[start : start + self.rows_per_product]
-            self.entries[chunk] = self.encode(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
-            self.filled[chunk] = True
-        return np.take(self.entries, voxels, axis=0)
-
+            end = self.used + chunk.size
+            self.rows[self.used : end] = self.encode(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
+            self.slot[chunk] = np.arange(self.used, end, dtype=np.int32)
+            self.used = end
+        return np.take(self.rows, self.slot[voxels], axis=0)
 
 # Eight poses: the loop renders a round's views and then carves them, and the
 # CLI renders views before it carves them, so a pose is reused a few poses
-# after it is made. At dim 64 eight full maps are 10 MiB.
+# after it is made. A map holds 4 bytes of rows per voxel mapped, at most twice
+# that in capacity, and a 4-byte slot per voxel: 2 MiB at dim 64 when full.
 @lru_cache(maxsize=8)
 def _pose_pixel_ids(dim: int, v: Viewpoint) -> _ForwardMap:
     return _ForwardMap(dim, rotation_matrix(v).T, _pixel_codes, 1)
@@ -419,10 +437,10 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -
 
     The result is a fresh C-contiguous ``(len(voxels), centers)`` int32
     array whose column ``k`` equals ``cell_keys(dim, lattice.centers[k],
-    voxels)``. The table behind it is voxel-major, filled on demand and
-    cached for the two most recent ``(dim, lattice)`` pairs: a voxel's keys
-    under every center come from one batched matmul the first time any
-    caller asks for that voxel.
+    voxels)``. The table behind it holds a row for each voxel asked for so
+    far and no other, and is cached for the two most recent ``(dim,
+    lattice)`` pairs: a voxel's keys under every center come from one
+    batched matmul the first time any caller asks for that voxel.
     """
     voxels = _voxel_index(voxels, dim)
     return _lattice_cell_keys(int(dim), lattice).lookup(voxels)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxsel import geometry
@@ -392,14 +392,47 @@ class TestPoseCache:
                 assert geometry._pose_pixel_ids.cache_info().currsize <= 8
         assert geometry._pose_pixel_ids.cache_info().maxsize == 8
 
-    def test_a_pose_map_holds_one_int32_per_voxel(self):
-        # Both pixel rules are read from one int32 code per voxel.
-        dim, v = 16, Viewpoint(21.0, -8.0)
+    @pytest.mark.parametrize("table", [False, True], ids=["pose-map", "lattice-table"])
+    def test_a_map_holds_rows_in_proportion_to_the_voxels_it_maps(self, table):
+        # A pose map holds one int32 code per mapped voxel, from which both
+        # pixel rules are read; a 30-degree table holds 72 keys per mapped voxel.
+        dim, v, lattice = 16, Viewpoint(21.0, -8.0), discretize_viewpoints(30)
         geometry._pose_pixel_ids.cache_clear()
-        some = np.arange(0, dim**3, 7)
-        pixel_ids(dim, v, voxels=some)
-        pixel_ids(dim, v, clip_depth=False, voxels=some[::2])
-        assert geometry._pose_pixel_ids(dim, v).entries.nbytes == 4 * dim**3
+        geometry._lattice_cell_keys.cache_clear()
+        if table:
+            store = geometry._lattice_cell_keys(dim, lattice)
+            dense = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
+            lookups = [lambda voxels: lattice_cell_keys(dim, lattice, voxels)]
+        else:
+            store = geometry._pose_pixel_ids(dim, v)
+            cells, _ = rotated_cells(dim, v)
+            _, on_image = dense_pixel_ids(dim, v)
+            depth_in = (cells[:, 0] >= 0) & (cells[:, 0] < dim)
+            dense = np.where(depth_in, on_image, on_image + dim * dim + 1)[:, np.newaxis]
+            lookups = [
+                lambda voxels: pixel_ids(dim, v, voxels=voxels),
+                lambda voxels: pixel_ids(dim, v, clip_depth=False, voxels=voxels),
+            ]
+        rng = np.random.default_rng(5)
+        asked = np.zeros(dim**3, dtype=bool)
+        # Growing increasing fills, an unordered one, then the whole map.
+        fills = [
+            np.arange(0, dim**3, 97),
+            np.arange(0, dim**3, 13),
+            np.sort(rng.choice(dim**3, size=500, replace=False)),
+            rng.choice(dim**3, size=300, replace=False),
+            np.arange(dim**3),
+        ]
+        for k, voxels in enumerate(fills):
+            lookups[k % len(lookups)](voxels)
+            asked[voxels] = True
+            mapped = int(asked.sum())
+            assert np.count_nonzero(store.slot) == store.used - 1 == mapped
+            assert store.used <= len(store.rows) <= min(2 * mapped, dim**3 + 1)
+            assert np.array_equal(store.rows[store.slot[asked]], dense[asked])
+        assert store.rows.shape == (dim**3 + 1, dense.shape[1])
+        assert np.array_equal(np.sort(store.slot), np.arange(1, dim**3 + 1))
+        assert np.array_equal(store.rows[store.slot], dense)
 
     def test_writing_into_a_lookup_leaves_the_next_lookup_unchanged(self):
         dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)
@@ -490,11 +523,14 @@ class TestOnDemandFill:
         st.integers(1, 4),
     )
     @settings(max_examples=15, deadline=None)
+    @example(seed=0, dim=31, interval=30, pose=7, n_chunks=4)
+    @example(seed=1, dim=32, interval=30, pose=40, n_chunks=4)
     def test_chunked_fills_match_the_dense_forward_map(self, seed, dim, interval, pose, n_chunks):
         # Maps filled in random-order, overlapping chunks, then whole, must
         # equal the dense per-pose oracle. A pose drawn as an index is a
         # 30-degree center: at dims 31 and 32 some of them put rotated
-        # coordinates exactly on .5.
+        # coordinates exactly on .5. The first chunk lists a voxel twice and
+        # the second grows the fresh maps' rows by doubling them.
         v = discretize_viewpoints(30).centers[pose] if isinstance(pose, int) else Viewpoint(*pose)
         lattice = discretize_viewpoints(interval)
         rng = np.random.default_rng(seed)
@@ -506,7 +542,8 @@ class TestOnDemandFill:
         # One- and two-voxel chunks are fills of one and two matmul rows.
         sizes = [rng.choice([1, 2, rng.integers(0, dim**3 + 1)]) for _ in range(n_chunks)]
         chunks = [rng.choice(dim**3, size=min(size, dim**3), replace=False) for size in sizes]
-        for chunk in chunks:
+        first, second = (rng.choice(dim**3, size=min(2, dim**3), replace=False) for _ in range(2))
+        for chunk in [first[[0, -1, 0]], second] + chunks:
             assert np.array_equal(pixel_ids(dim, v, voxels=chunk), clipped[chunk])
             assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=chunk), on_image[chunk])
             assert np.array_equal(cell_keys(dim, v, chunk), keys[chunk])

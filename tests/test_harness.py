@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from voxsel import geometry, selection
 from voxsel.carve import ViewObservation, carve
 from voxsel.geometry import Viewpoint, discretize_viewpoints
 from voxsel.grid import VoxelGrid, f_score, iou, threshold_grid
@@ -454,6 +455,30 @@ class TestReports:
         a = report_json(run_loop(make_corpus(2, dim=16, seed=0), small_config(seed=0)))
         b = report_json(run_loop(make_corpus(2, dim=16, seed=0), small_config(seed=1)))
         assert a != b
+
+
+class TestBoundedMemory:
+    def test_the_loop_lattice_table_holds_only_the_voxels_scored(self, monkeypatch):
+        # The seed-0 C6 error-guided loop at dim 32: the 30-degree table keeps
+        # one row of 72 keys per distinct voxel score_all asked for, in at
+        # most twice their bytes, however large the cube.
+        dim = 32
+        asked = np.zeros(dim**3, dtype=bool)
+        recorded = selection.lattice_cell_keys
+
+        def recording(dim, lattice, voxels):
+            asked[voxels] = True
+            return recorded(dim, lattice, voxels)
+
+        monkeypatch.setattr(selection, "lattice_cell_keys", recording)
+        geometry._lattice_cell_keys.cache_clear()
+        corpus = make_corpus(20, dim=dim, seed=0, kinds=("ell", "cross"))
+        run_loop(corpus, LoopConfig(dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, seed=0))
+        table = geometry._lattice_cell_keys(dim, discretize_viewpoints(30))
+        distinct = int(asked.sum())
+        assert 0 < distinct < dim**3 // 4
+        assert np.count_nonzero(table.slot) == table.used - 1 == distinct
+        assert table.rows.nbytes <= 2 * distinct * 72 * 4
 
 
 @pytest.fixture(scope="module")
