@@ -14,9 +14,12 @@ inside every error-guided selection:
 
 It then reruns the guided loop with antipodes suppressed (a cell is skipped
 when its antipode is already picked) and prints both policies' mean IoU
-delta against random, the quantity criterion 6 asserts to be >= 0. The
-variant is installed by swapping the harness's ``select_and_sample`` for the
-duration of the run; the library itself is unchanged.
+delta against random, the quantity criterion 6 asserts to be >= 0. The loop
+scores the error grid ``|keep - gt|`` with ``score_all`` and ranks the scores
+with ``select_top_n``; the variant is installed by wrapping the harness's
+``run_object_iteration`` (to see the object's ground truth), ``score_all``
+(to see the error grid) and ``select_top_n`` (to pick) for the duration of
+the run. The library itself is unchanged.
 
 Run: python3 demos/measure_selection_gap.py   (about a minute)
 """
@@ -27,14 +30,15 @@ from dataclasses import replace
 import numpy as np
 
 import voxsel.harness as harness
-from voxsel.geometry import discretize_viewpoints, rotate_grid, sample_gaussian_view
-from voxsel.grid import error_grid
+from voxsel.geometry import discretize_viewpoints, rotate_grid
 from voxsel.harness import LoopConfig, make_corpus, run_loop
-from voxsel.selection import project_first_hit, rank_scores, score_all
+from voxsel.selection import project_first_hit, rank_scores
 from voxsel.synthesis import render_silhouette
 
 SEEDS = range(5)
 INTERVAL = 30
+STATS = ("cells", "tied", "selections", "multi_pick", "antipodal",
+         "all_total", "all_carvable", "picked_total", "picked_carvable")
 
 
 def antipode(index, lattice):
@@ -57,14 +61,21 @@ def pick(scores, n, lattice, suppress):
 
 @contextmanager
 def guided_selection(stats, suppress):
-    """Swap the harness's selector for an instrumented one for the duration of a run."""
-    original = harness.select_and_sample
+    """Wrap the harness's error-guided selection in an instrumented one for the duration of a run."""
     lattice = discretize_viewpoints(INTERVAL)
+    seen = {}
 
-    def select(pred, gt, interval_deg, n, rng):
-        assert interval_deg == INTERVAL
-        err = error_grid(pred, gt)
-        scores = score_all(err, lattice)
+    def iterate(obj, *args):
+        seen["gt"] = obj.gt
+        return originals["run_object_iteration"](obj, *args)
+
+    def score(error, scored_lattice):
+        assert scored_lattice == lattice
+        seen["error"] = error
+        return originals["score_all"](error, scored_lattice)
+
+    def top(scores, n):
+        err, gt = seen.pop("error"), seen["gt"]
         by_index = {s.lattice_index: s.score for s in scores}
         chosen = pick(scores, n, lattice, suppress)
         if stats is not None:
@@ -82,14 +93,17 @@ def guided_selection(stats, suppress):
                 if s in chosen:
                     stats["picked_total"] += s.score
                     stats["picked_carvable"] += carvable
-        sigma = interval_deg / 6.0
-        return [sample_gaussian_view(s.viewpoint, sigma, rng) for s in chosen]
+        return [s.viewpoint for s in chosen]
 
-    harness.select_and_sample = select
+    hooks = {"run_object_iteration": iterate, "score_all": score, "select_top_n": top}
+    originals = {name: getattr(harness, name) for name in hooks}
+    for name, hook in hooks.items():
+        setattr(harness, name, hook)
     try:
         yield
     finally:
-        harness.select_and_sample = original
+        for name, original in originals.items():
+            setattr(harness, name, original)
 
 
 def final_iou(corpus, config):
@@ -97,10 +111,7 @@ def final_iou(corpus, config):
 
 
 def main():
-    stats = dict.fromkeys(
-        ["cells", "tied", "selections", "multi_pick", "antipodal",
-         "all_total", "all_carvable", "picked_total", "picked_carvable"], 0
-    )
+    stats = dict.fromkeys(STATS, 0)
     deltas = {"paper ranking": [], "antipodes suppressed": []}
     for seed in SEEDS:
         corpus = make_corpus(20, dim=32, seed=seed, kinds=("ell", "cross"))

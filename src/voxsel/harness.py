@@ -16,8 +16,9 @@ that mask by one ``carve(new, dim, keep=...)`` call, so each view is carved
 once, while its pose's forward map is still cached.
 Because the AND is order-independent and idempotent, the mask always equals
 ``carve`` of all the observations. Evaluation and the convergence check read
-the mask directly; a ``VoxelGrid`` of it is built only for
-:func:`~voxsel.selection.select_and_sample`, which takes a grid.
+the mask directly, against a ground truth thresholded once per run, and
+error-guided selection scores the one grid ``|keep - gt|`` with
+:func:`~voxsel.selection.score_all`.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -37,7 +38,7 @@ from .geometry import Viewpoint, discretize_viewpoints
 from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, f_score, iou, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
-from .selection import select_and_sample
+from .selection import sample_around, score_all, select_top_n
 from .synthesis import (
     SHAPE_KINDS,
     GroundTruthSilhouettes,
@@ -269,7 +270,8 @@ def run_object_iteration(
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
     """
-    if np.array_equal(state.keep, obj.gt.values.reshape(-1)):
+    gt = obj.gt.values.reshape(-1)
+    if np.array_equal(state.keep, gt):
         state.converged = True
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
 
@@ -289,8 +291,9 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
-            pred = VoxelGrid(state.keep.reshape(obj.gt.dims))
-            fresh = select_and_sample(pred, obj.gt, config.interval_deg, n_fresh, state.rng)
+            error = VoxelGrid(np.abs(state.keep - gt).reshape(obj.gt.dims))
+            top = select_top_n(score_all(error, discretize_viewpoints(config.interval_deg)), n_fresh)
+            fresh = sample_around(top, config.interval_deg, state.rng)
     elif config.selection_policy == "random":
         fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
     else:  # fixed-lattice
@@ -317,9 +320,8 @@ class RunReport:
     wall_clock_s: float = 0.0
 
 
-def _evaluate(obj: SceneObject, state: _ObjectState, config: LoopConfig) -> tuple[float, float, int]:
-    pred_occ = OccupancySet(state.keep.reshape(obj.gt.dims) >= config.tau)
-    gt_occ = threshold_grid(obj.gt, config.tau)
+def _evaluate(obj: SceneObject, state: _ObjectState, gt_occ: OccupancySet, tau: float) -> tuple[float, float, int]:
+    pred_occ = OccupancySet(state.keep.reshape(obj.gt.dims) >= tau)
     excess = int(np.logical_and(pred_occ.bits, ~gt_occ.bits).sum())
     if np.array_equal(state.keep, obj.gt.values.reshape(-1)):
         state.converged = True
@@ -378,9 +380,11 @@ def run_loop(
             }
         )
 
+    gt_occs = [threshold_grid(obj.gt, config.tau) for obj in corpus]
+
     def evaluate_all(iteration: int, updates: dict[int, dict]) -> None:
         for i, obj in enumerate(corpus):
-            score_iou, score_f, excess = _evaluate(obj, states[i], config)
+            score_iou, score_f, excess = _evaluate(obj, states[i], gt_occs[i], config.tau)
             update = updates.get(i)
             object_records[i]["iterations"].append(
                 {
@@ -407,26 +411,17 @@ def run_loop(
             quota = min(max(1, round(config.update_fraction * n_objects)), len(eligible))
             subset_rng = _stream(config.seed, _TAG_SUBSET, iteration)
             picks = subset_rng.choice(len(eligible), size=quota, replace=False)
-            chosen = sorted(eligible[int(p)] for p in picks)
-            pending: list[tuple[str, list[Viewpoint]]] = []
-            for i in chosen:
-                rec = run_object_iteration(corpus[i], states[i], config, pool, provider)
-                updates[i] = rec
+            for i in sorted(eligible[int(p)] for p in picks):
+                updates[i] = run_object_iteration(corpus[i], states[i], config, pool, provider)
+            for i, rec in updates.items():
                 if rec["pool_record"]:
-                    pending.append((corpus[i].category, rec["pool_record"]))
-            for category, views in pending:
-                record(pool, category, views)
+                    record(pool, corpus[i].category, rec["pool_record"])
         evaluate_all(iteration, updates)
 
-    iterations_count = config.iterations + 1
-    mean_iou = [
-        float(np.mean([rec["iterations"][t]["iou"] for rec in object_records]))
-        for t in range(iterations_count)
-    ]
-    mean_f = [
-        float(np.mean([rec["iterations"][t]["f_score"] for rec in object_records]))
-        for t in range(iterations_count)
-    ]
+    mean_iou, mean_f = (
+        [float(np.mean([rec["iterations"][t][key] for rec in object_records])) for t in range(config.iterations + 1)]
+        for key in ("iou", "f_score")
+    )
     aggregates = {
         "mean_iou": mean_iou,
         "mean_f_score": mean_f,

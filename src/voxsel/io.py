@@ -160,7 +160,11 @@ def viewpoint_to_dict(v: Viewpoint) -> dict[str, float]:
 
 
 def viewpoint_from_dict(obj: dict) -> Viewpoint:
+    """Parse ``{"yaw": ..., "pitch": ...}``; each angle must be a JSON number (an int or float, not a bool)."""
     try:
-        return Viewpoint(yaw=float(obj["yaw"]), pitch=float(obj["pitch"]))
+        angles = obj["yaw"], obj["pitch"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"viewpoint JSON must have numeric 'yaw' and 'pitch', got {obj!r}") from exc
+    if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in angles):
+        raise ValueError(f"viewpoint JSON must have numeric 'yaw' and 'pitch', got {obj!r}")
+    return Viewpoint(yaw=float(angles[0]), pitch=float(angles[1]))

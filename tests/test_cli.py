@@ -193,6 +193,17 @@ class TestCarve:
         assert err.startswith("voxsel carve: views entry 0 must be an object with string 'silhouette'")
         assert shown in err and err.count("\n") == 1
 
+    def test_a_string_yaw_fails_cleanly(self, tmp_path, capsys):
+        main(["render", "--grid", write_grid(tmp_path / "gt.vxg", centered_box()), "--yaw", "0", "--pitch", "0",
+              "--out", str(tmp_path / "v.sil")])
+        views = tmp_path / "views.json"
+        views.write_text(json.dumps([{"yaw": "30", "pitch": 0, "silhouette": "v.sil"}]))
+        code = main(["carve", "--views", str(views), "--sil-dir", str(tmp_path), "--dim", "16",
+                     "--out", str(tmp_path / "o.vxg")])
+        assert code == 2
+        assert "numeric 'yaw' and 'pitch'" in capsys.readouterr().err
+        assert not (tmp_path / "o.vxg").exists()
+
 
 def loop_config_file(tmp_path, **loop_kw):
     base = {"dim": 16, "iterations": 1, "update_fraction": 1.0, "seed": 3}

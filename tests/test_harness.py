@@ -1,12 +1,15 @@
 """Reconstruction loop driver, corpus generation, and policy comparison."""
 
+import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxsel import geometry, selection
+from voxsel import geometry, harness, selection
 from voxsel.carve import ViewObservation, carve
 from voxsel.geometry import Viewpoint, discretize_viewpoints
 from voxsel.grid import VoxelGrid, f_score, iou, threshold_grid
@@ -362,6 +365,47 @@ class TestLoopMetrics:
                 assert it["converged"] == np.array_equal(hull.values, obj.gt.values)
 
 
+class TestLoopWork:
+    """What the loop builds per run and per selection."""
+
+    def test_ground_truth_is_thresholded_once_per_object(self, monkeypatch):
+        thresholded = []
+
+        def counting(grid, tau):
+            thresholded.append(grid)
+            return threshold_grid(grid, tau)
+
+        monkeypatch.setattr(harness, "threshold_grid", counting)
+        corpus = make_corpus(3, dim=16, seed=1)
+        run_loop(corpus, small_config(iterations=3))
+        assert [id(grid) for grid in thresholded] == [id(obj.gt) for obj in corpus]
+
+    # Under these pool modes every update selects fresh views (pool-only
+    # selects none once the pool can supply them all).
+    @pytest.mark.parametrize("pool_mode", ["mixed", "fresh-only"])
+    def test_each_error_guided_selection_scores_one_error_grid(self, monkeypatch, pool_mode):
+        scored = []
+
+        def recording(error, lattice):
+            scored.append(error.values.copy())
+            return selection.score_all(error, lattice)
+
+        monkeypatch.setattr(harness, "score_all", recording)
+        corpus = make_corpus(4, dim=16, seed=1)
+        rep = run_loop(corpus, small_config(iterations=3, pool_mode=pool_mode))
+        selections = [(k, t) for t in range(1, 4) for k, obj in enumerate(rep.objects)
+                      if obj["iterations"][t]["selected"]]
+        assert len(scored) == len(selections) > 0
+        # Each scored grid is |hull - gt| of the hull before that selection's views.
+        provider = GroundTruthSilhouettes(0.4)
+        for error, (k, t) in zip(scored, selections):
+            obj, rec = corpus[k], rep.objects[k]
+            views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
+            views += [viewpoint_from_dict(d) for it in rec["iterations"][:t] for d in it["selected"]]
+            hull = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], 16)
+            assert np.array_equal(error, np.abs(hull.values - obj.gt.values))
+
+
 class TestLoopBehavior:
     def test_per_object_iou_never_decreases(self):
         corpus = make_corpus(6, dim=16, seed=11)
@@ -479,6 +523,59 @@ class TestBoundedMemory:
         assert 0 < distinct < dim**3 // 4
         assert np.count_nonzero(table.slot) == table.used - 1 == distinct
         assert table.rows.nbytes <= 2 * distinct * 72 * 4
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_demo(name):
+    path = ROOT / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSelectionGapDemo:
+    def test_its_hooks_see_every_error_guided_selection(self):
+        demo = load_demo("measure_selection_gap")
+        corpus = make_corpus(2, dim=16, seed=0, kinds=("ell", "cross"))
+        config = small_config(iterations=1, views_per_round=3)
+        plain = run_loop(corpus, config)
+        stats = dict.fromkeys(demo.STATS, 0)
+        originals = (harness.run_object_iteration, harness.score_all, harness.select_top_n)
+        with demo.guided_selection(stats, suppress=False):
+            hooked = run_loop(corpus, config)
+        assert (harness.run_object_iteration, harness.score_all, harness.select_top_n) == originals
+        # Unsuppressed picks are the library's, so the run is unchanged.
+        assert report_json(hooked) == report_json(plain)
+        selections = sum(1 for obj in plain.objects for it in obj["iterations"] if it["selected"])
+        assert stats["selections"] == selections == len(corpus)
+        assert stats["cells"] == 72 * selections
+        assert 0 < stats["picked_carvable"] <= stats["picked_total"]
+
+
+class TestRecordedReports:
+    """The loop's reports stay byte-identical to those the benchmark recorded.
+
+    ``perfbench/workloads.py`` runs each loop workload's ``run_loop`` and
+    records the SHA-256 of its ``report_json`` in ``perfbench/expected.json``.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 10])
+    @pytest.mark.parametrize(
+        "workload, policy, dim, objects",
+        [("loop-guided-d32", "error-guided", 32, 20), ("loop-random-d32", "random", 32, 20),
+         ("loop-guided-d64", "error-guided", 64, 4)],
+    )
+    def test_report_digest_matches_the_benchmark_record(self, workload, policy, dim, objects, seed):
+        corpus = make_corpus(objects, dim=dim, seed=seed, kinds=("ell", "cross"))
+        config = LoopConfig(
+            dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, selection_policy=policy, seed=seed
+        )
+        digest = hashlib.sha256(report_json(run_loop(corpus, config)).encode("utf-8")).hexdigest()
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+        assert digest == expected["full"][workload][str(seed)]["sha256"]
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from voxsel.io import (
     write_sil,
     write_vxg,
 )
+from voxsel.pool import load_pool
 from voxsel.synthesis import SilhouetteImage
 
 
@@ -207,3 +208,25 @@ class TestViewpointJson:
             viewpoint_from_dict({"pitch": 10.0})
         with pytest.raises(ValueError, match="yaw"):
             viewpoint_from_dict({"yaw": None, "pitch": 1.0})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"yaw": "30", "pitch": 0.0},
+            {"yaw": 30.0, "pitch": "0"},
+            {"yaw": True, "pitch": 0.0},
+            {"yaw": 30, "pitch": False},
+            {"yaw": [30], "pitch": 0},
+            {"yaw": {"deg": 30}, "pitch": 0},
+        ],
+    )
+    def test_non_numeric_angles_rejected(self, obj):
+        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
+            viewpoint_from_dict(obj)
+
+    def test_integer_angles_accepted(self):
+        assert viewpoint_from_dict({"yaw": 30, "pitch": -10}) == Viewpoint(30.0, -10.0)
+
+    def test_pool_with_a_string_angle_does_not_load(self):
+        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
+            load_pool(b'{"ell": [{"yaw": "45", "pitch": false}]}')
