@@ -36,15 +36,17 @@ DICE_SMOOTHING = 1e-6
 
 
 def _validated_values(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    src = np.asarray(values)
+    arr = np.array(src, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"voxel grid must be 3-D, got shape {arr.shape}")
     if any(d < 1 for d in arr.shape):
         raise ValueError(f"voxel grid dims must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("voxel grid values must be finite")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("voxel grid values must lie in [0, 1]")
+    if src.dtype != np.bool_:  # bools are 0.0 or 1.0: nothing to check
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("voxel grid values must be finite")
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise ValueError("voxel grid values must lie in [0, 1]")
     arr.flags.writeable = False
     return arr
 
@@ -111,7 +113,7 @@ class OccupancySet:
 
     @property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def to_grid(self) -> VoxelGrid:
         """Binary 0.0/1.0 grid carrying these decisions as values."""
@@ -155,17 +157,26 @@ def error_grid(pred: VoxelGrid, gt: VoxelGrid) -> VoxelGrid:
     return VoxelGrid(np.abs(pred.values - gt.values))
 
 
+def _count_scores(n_pred: int, n_gt: int, inter: int) -> tuple[float, float]:
+    """IoU and F1 of two occupancy sets from their sizes and their intersection's size."""
+    union = n_pred + n_gt - inter
+    if union == 0:
+        return 1.0, 1.0
+    if inter == 0:  # disjoint, or exactly one side empty
+        return 0.0, 0.0
+    precision = inter / n_pred
+    recall = inter / n_gt
+    return inter / union, 2.0 * precision * recall / (precision + recall)
+
+
 def iou(pred: OccupancySet, gt: OccupancySet) -> float:
     """Intersection over union of two occupancy sets.
 
     Two empty sets agree perfectly, so the empty/empty case is 1.0.
     """
     _check_same_dims(pred, gt)
-    union = int(np.logical_or(pred.bits, gt.bits).sum())
-    if union == 0:
-        return 1.0
-    inter = int(np.logical_and(pred.bits, gt.bits).sum())
-    return inter / union
+    return _count_scores(pred.count, gt.count, int(np.count_nonzero(pred.bits & gt.bits)))[0]
+
 
 def f_score(pred: OccupancySet, gt: OccupancySet) -> float:
     """Voxelwise F1 score: harmonic mean of precision and recall.
@@ -173,18 +184,7 @@ def f_score(pred: OccupancySet, gt: OccupancySet) -> float:
     Both sets empty scores 1.0; if exactly one side is empty the score is 0.0.
     """
     _check_same_dims(pred, gt)
-    n_pred = pred.count
-    n_gt = gt.count
-    if n_pred == 0 and n_gt == 0:
-        return 1.0
-    if n_pred == 0 or n_gt == 0:
-        return 0.0
-    inter = int(np.logical_and(pred.bits, gt.bits).sum())
-    precision = inter / n_pred
-    recall = inter / n_gt
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _count_scores(pred.count, gt.count, int(np.count_nonzero(pred.bits & gt.bits)))[1]
 
 
 def bce_loss(pred: VoxelGrid, gt: VoxelGrid) -> float:

@@ -15,10 +15,13 @@ observations' one-view carves. New views are rendered and then carved into
 that mask by one ``carve(new, dim, keep=...)`` call, so each view is carved
 once, while its pose's forward map is still cached.
 Because the AND is order-independent and idempotent, the mask always equals
-``carve`` of all the observations. Evaluation and the convergence check read
-the mask directly, against a ground truth thresholded once per run, and
-error-guided selection scores the one grid ``|keep - gt|`` with
-:func:`~voxsel.selection.score_all`.
+``carve`` of all the observations. Evaluation and selection read bit masks:
+each object's ground truth is thresholded once per run and, when binary,
+held as flat bits (``_ObjectState.truth``). Evaluation computes IoU, F-score
+and excess voxels from counts of the mask, the ground truth and their AND;
+one ``keep != bits`` mask is both the convergence check and the error grid
+that error-guided selection scores with :func:`~voxsel.selection.score_all`.
+A soft ground truth is scored on ``|keep - gt|`` and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -35,7 +38,7 @@ import numpy as np
 
 from .carve import ViewObservation, carve
 from .geometry import Viewpoint, discretize_viewpoints
-from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, f_score, iou, threshold_grid
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import sample_around, score_all, select_top_n
@@ -233,7 +236,8 @@ class _ObjectState:
     ``keep`` is the flat bool mask of the ``dim**3`` voxels every observation
     keeps; with no observations it is the full cube. :meth:`observe` carves
     new views into ``keep`` once, right after they are rendered; observations
-    given to the constructor are carved in the same way.
+    given to the constructor are carved in the same way. :meth:`truth` holds
+    the object's ground truth as flat bits, computed on first use.
     """
 
     dim: int
@@ -242,6 +246,7 @@ class _ObjectState:
     converged: bool = False
     lattice_cursor: int = 0
     keep: np.ndarray = field(init=False, repr=False)
+    _truth: tuple = field(init=False, default=(None, None, None, None), repr=False)
 
     def __post_init__(self) -> None:
         self.keep = np.ones(self.dim**3, dtype=bool)
@@ -254,6 +259,15 @@ class _ObjectState:
             return
         carve(new, self.dim, keep=self.keep)
         self.observations.extend(new)
+
+    def truth(self, gt: VoxelGrid, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """Cached flat ``(occ, bits) = (gt >= tau, gt == 1)``; ``bits`` is None for a soft ``gt``, ``occ`` if equal."""
+        if self._truth[0] is not gt or self._truth[1] != tau:
+            flat = gt.values.reshape(-1)
+            occ = threshold_grid(gt, tau).bits.reshape(-1)
+            bits = occ if tau > 0 else flat == 1.0
+            self._truth = gt, tau, occ, (bits if np.array_equal(flat, bits) else None)
+        return self._truth[2:]
 
 
 def run_object_iteration(
@@ -270,8 +284,10 @@ def run_object_iteration(
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
     """
-    gt = obj.gt.values.reshape(-1)
-    if np.array_equal(state.keep, gt):
+    bits = state.truth(obj.gt, config.tau)[1]
+    # A soft ground truth (no bits) differs from every 0/1 hull: it never converges.
+    mismatch = None if bits is None else state.keep != bits
+    if mismatch is not None and not mismatch.any():
         state.converged = True
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
 
@@ -291,9 +307,9 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
-            error = VoxelGrid(np.abs(state.keep - gt).reshape(obj.gt.dims))
-            top = select_top_n(score_all(error, discretize_viewpoints(config.interval_deg)), n_fresh)
-            fresh = sample_around(top, config.interval_deg, state.rng)
+            error = np.abs(state.keep - obj.gt.values.reshape(-1)) if mismatch is None else mismatch
+            scores = score_all(VoxelGrid(error.reshape(obj.gt.dims)), discretize_viewpoints(config.interval_deg))
+            fresh = sample_around(select_top_n(scores, n_fresh), config.interval_deg, state.rng)
     elif config.selection_policy == "random":
         fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
     else:  # fixed-lattice
@@ -320,12 +336,17 @@ class RunReport:
     wall_clock_s: float = 0.0
 
 
-def _evaluate(obj: SceneObject, state: _ObjectState, gt_occ: OccupancySet, tau: float) -> tuple[float, float, int]:
-    pred_occ = OccupancySet(state.keep.reshape(obj.gt.dims) >= tau)
-    excess = int(np.logical_and(pred_occ.bits, ~gt_occ.bits).sum())
-    if np.array_equal(state.keep, obj.gt.values.reshape(-1)):
+def _evaluate(obj: SceneObject, state: _ObjectState, tau: float) -> tuple[float, float, int]:
+    """IoU, F-score and excess voxels of the hull thresholded at ``tau``, from counts of the masks."""
+    occ, bits = state.truth(obj.gt, tau)
+    if bits is not None and np.array_equal(state.keep, bits):
         state.converged = True
-    return iou(pred_occ, gt_occ), f_score(pred_occ, gt_occ), excess
+    n_gt = np.count_nonzero(occ)
+    if tau > 0:
+        n_pred, inter = np.count_nonzero(state.keep), np.count_nonzero(state.keep & occ)
+    else:  # a 0/1 hull thresholded at 0 is the whole cube
+        n_pred, inter = occ.size, n_gt
+    return (*_count_scores(int(n_pred), int(n_gt), int(inter)), int(n_pred - inter))
 
 
 def run_loop(
@@ -380,11 +401,9 @@ def run_loop(
             }
         )
 
-    gt_occs = [threshold_grid(obj.gt, config.tau) for obj in corpus]
-
     def evaluate_all(iteration: int, updates: dict[int, dict]) -> None:
         for i, obj in enumerate(corpus):
-            score_iou, score_f, excess = _evaluate(obj, states[i], gt_occs[i], config.tau)
+            score_iou, score_f, excess = _evaluate(obj, states[i], config.tau)
             update = updates.get(i)
             object_records[i]["iterations"].append(
                 {

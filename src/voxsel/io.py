@@ -163,8 +163,9 @@ def viewpoint_from_dict(obj: dict) -> Viewpoint:
     """Parse ``{"yaw": ..., "pitch": ...}``; each angle must be a JSON number (an int or float, not a bool)."""
     try:
         angles = obj["yaw"], obj["pitch"]
-    except (KeyError, TypeError) as exc:
+        if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in angles):
+            raise TypeError
+        yaw, pitch = float(angles[0]), float(angles[1])  # an int too large for a float overflows
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"viewpoint JSON must have numeric 'yaw' and 'pitch', got {obj!r}") from exc
-    if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in angles):
-        raise ValueError(f"viewpoint JSON must have numeric 'yaw' and 'pitch', got {obj!r}")
-    return Viewpoint(yaw=float(angles[0]), pitch=float(angles[1]))
+    return Viewpoint(yaw=yaw, pitch=pitch)

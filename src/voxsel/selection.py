@@ -16,10 +16,10 @@ time it is asked. When that table would exceed ``MAX_LATTICE_TABLE_BYTES``
 it computes them one center at a time and keeps none: the 16,200 cells of a
 2-degree lattice at dim 32 would need a 2.1 GB table. When every hot voxel
 is 1.0, as in a binary error grid, every first hit is 1 and a view's score
-is the number of distinct pixels they project to: one ``bincount`` over
-``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at`` picks each
-ray's nearest cell and ``np.maximum.at`` the largest value deposited there.
-The dense :func:`score_view` path (``rotate_grid`` then
+is the number of distinct pixels they project to, marked in one bool array
+indexed by ``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at``
+picks each ray's nearest cell and ``np.maximum.at`` the largest value
+deposited there. The dense :func:`score_view` path (``rotate_grid`` then
 :func:`project_first_hit`) stays as public API and as the reference both
 reductions are tested against; :func:`score_all` never calls it.
 """
@@ -172,19 +172,20 @@ def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray) -> list[floa
     is its value. Only voxels above ``FIRST_HIT_EPS`` can be a ray's first
     hit, and a rotated cell is above it exactly when one of its deposits is,
     so the caller passes only theirs. When all of them are 1.0 every first
-    hit is 1 and a view's total is the number of its pixels they reach: one
-    ``bincount``. Otherwise each (view, pixel) ray's first hit is its
-    smallest cell key, and its pixel reads the largest value deposited
-    there. Either way this is the image :func:`project_first_hit` makes of
-    :func:`rotate_grid`, summed the same way.
+    hit is 1 and a view's total is the number of its pixels they reach,
+    marked in one bool array. Otherwise each (view, pixel) ray's first hit
+    is its smallest cell key, and its pixel reads the largest value
+    deposited there. Either way this is the image :func:`project_first_hit`
+    makes of :func:`rotate_grid`, summed the same way.
     """
     n_views = keys.shape[1]
     stride = dim * dim + 1  # pixel ids plus the off sentinel
     rays = keys // dim
     rays += np.arange(0, n_views * stride, stride, dtype=np.int32)
     if np.all(vals == 1.0):
-        counts = np.bincount(rays.ravel(), minlength=n_views * stride).reshape(n_views, stride)
-        return [float(n) for n in np.count_nonzero(counts[:, :-1], axis=1)]
+        seen = np.zeros(n_views * stride, dtype=bool)
+        seen[rays] = True
+        return [float(n) for n in seen.reshape(n_views, stride)[:, :-1].sum(axis=1)]
     first = np.full(n_views * stride, dim**3, dtype=np.int32)
     np.minimum.at(first, rays.ravel(), keys.ravel())
     front = keys == first[rays]

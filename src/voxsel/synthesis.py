@@ -22,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import Viewpoint, _centered_coords, pixel_ids
-from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, threshold_grid
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _check_tau
 
 __all__ = [
     "SilhouetteImage",
@@ -131,7 +131,7 @@ def render_silhouette(gt: VoxelGrid, v: Viewpoint, tau: float = DEFAULT_THRESHOL
     are mapped. This is exactly the nonzero mask of
     ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
     """
-    occupied = threshold_grid(gt, tau).bits
+    occupied = gt.values >= _check_tau(tau)
     if not gt.is_cubic:
         raise ValueError(f"rotation requires a cubic grid, got dims {gt.dims}")
     dim = gt.dims[0]
@@ -335,4 +335,4 @@ def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> Voxel
     fraction = mask.sum() / mask.size
     if not (MIN_OCCUPANCY <= fraction <= MAX_OCCUPANCY):
         raise ValueError(f"shape occupancy {fraction:.3%} outside [1%, 60%] for {spec}")
-    return OccupancySet(mask).to_grid()
+    return VoxelGrid(mask)

@@ -204,6 +204,18 @@ class TestCarve:
         assert "numeric 'yaw' and 'pitch'" in capsys.readouterr().err
         assert not (tmp_path / "o.vxg").exists()
 
+    def test_an_angle_too_large_for_a_float_fails_cleanly(self, tmp_path, capsys):
+        main(["render", "--grid", write_grid(tmp_path / "gt.vxg", centered_box()), "--yaw", "0", "--pitch", "0",
+              "--out", str(tmp_path / "v.sil")])
+        views = tmp_path / "views.json"
+        views.write_text('[{"yaw": 1' + "0" * 400 + ', "pitch": 0, "silhouette": "v.sil"}]')
+        code = main(["carve", "--views", str(views), "--sil-dir", str(tmp_path), "--dim", "16",
+                     "--out", str(tmp_path / "o.vxg")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("voxsel carve:") and "numeric 'yaw' and 'pitch'" in err
+        assert not (tmp_path / "o.vxg").exists()
+
 
 def loop_config_file(tmp_path, **loop_kw):
     base = {"dim": 16, "iterations": 1, "update_fraction": 1.0, "seed": 3}

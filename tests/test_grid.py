@@ -44,18 +44,17 @@ class TestVoxelGrid:
 
     def test_rejects_out_of_range_values(self):
         bad = np.zeros((2, 2, 2))
-        bad[0, 0, 0] = 1.5
-        with pytest.raises(ValueError):
-            VoxelGrid(bad)
-        bad[0, 0, 0] = -0.1
-        with pytest.raises(ValueError):
-            VoxelGrid(bad)
+        for value in (1.5, 1.1, -0.1):
+            bad[0, 0, 0] = value
+            with pytest.raises(ValueError):
+                VoxelGrid(bad)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2, 2))
-        bad[1, 1, 1] = np.nan
-        with pytest.raises(ValueError):
-            VoxelGrid(bad)
+        for value in (np.nan, np.inf):
+            bad[1, 1, 1] = value
+            with pytest.raises(ValueError):
+                VoxelGrid(bad)
 
     def test_values_are_read_only(self):
         g = VoxelGrid.zeros((3, 3, 3))
@@ -87,6 +86,17 @@ class TestVoxelGrid:
     def test_from_flat_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             VoxelGrid.from_flat((2, 2, 2), np.zeros(7))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (8, 8, 8)])
+    def test_a_bool_grid_equals_its_float_grid(self, dims):
+        bits = np.random.default_rng(sum(dims)).random(dims) < 0.5
+        g = VoxelGrid(bits)
+        assert g.values.dtype == np.float64
+        assert np.array_equal(g.values, VoxelGrid(bits.astype(float)).values)
+        with pytest.raises(ValueError):
+            g.values[0, 0, 0] = 1.0
+        bits[0, 0, 0] = not bits[0, 0, 0]
+        assert g.values[0, 0, 0] != bits[0, 0, 0]
 
 
 class TestOccupancySet:
@@ -236,6 +246,23 @@ class TestMetrics:
         a, b = random_pair(seed)
         assert 0.0 <= iou(a, b) <= 1.0
         assert 0.0 <= f_score(a, b) <= 1.0
+
+    def test_scores_equal_the_set_formulas(self):
+        empty, full = (OccupancySet(np.full((5, 4, 3), v)) for v in (False, True))
+        some, _ = random_pair(9, dims=(5, 4, 3))
+        pairs = [(empty, empty), (empty, full), (full, empty), (some, OccupancySet(~some.bits))]
+        pairs += [random_pair(seed, dims=(5, 4, 3), p=0.1 + 0.2 * seed) for seed in range(5)]
+        for a, b in pairs:
+            inter = int(np.logical_and(a.bits, b.bits).sum())
+            union = int(np.logical_or(a.bits, b.bits).sum())
+            n_a, n_b = int(a.bits.sum()), int(b.bits.sum())
+            assert iou(a, b) == (inter / union if union else 1.0)
+            if n_a and n_b:
+                precision, recall = inter / n_a, inter / n_b
+                expected_f = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+            else:
+                expected_f = 0.0 if n_a or n_b else 1.0
+            assert f_score(a, b) == expected_f
 
     def test_dim_mismatch_rejected(self):
         a = OccupancySet(np.zeros((2, 2, 2), dtype=bool))

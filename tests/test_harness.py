@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxsel import geometry, harness, selection
+from voxsel import geometry, grid, harness, selection
 from voxsel.carve import ViewObservation, carve
 from voxsel.geometry import Viewpoint, discretize_viewpoints
 from voxsel.grid import VoxelGrid, f_score, iou, threshold_grid
@@ -380,6 +380,20 @@ class TestLoopWork:
         run_loop(corpus, small_config(iterations=3))
         assert [id(grid) for grid in thresholded] == [id(obj.gt) for obj in corpus]
 
+    def test_the_loop_builds_one_occupancy_set_per_object(self, monkeypatch):
+        # The ground truth's threshold; rendering and evaluation read masks.
+        built = []
+        post_init = grid.OccupancySet.__post_init__
+
+        def counting(occ):
+            built.append(occ)
+            post_init(occ)
+
+        monkeypatch.setattr(grid.OccupancySet, "__post_init__", counting)
+        corpus = make_corpus(3, dim=16, seed=1)
+        run_loop(corpus, small_config(iterations=3))
+        assert len(built) == len(corpus)
+
     # Under these pool modes every update selects fresh views (pool-only
     # selects none once the pool can supply them all).
     @pytest.mark.parametrize("pool_mode", ["mixed", "fresh-only"])
@@ -576,6 +590,40 @@ class TestRecordedReports:
         digest = hashlib.sha256(report_json(run_loop(corpus, config)).encode("utf-8")).hexdigest()
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
         assert digest == expected["full"][workload][str(seed)]["sha256"]
+
+
+def pinned_corpus(kind):
+    if kind == "converging":  # random views carve boxes exactly; the empty object converges at once
+        return make_corpus(4, dim=16, seed=0, kinds=("box", "sphere")) + [empty_object()]
+    corpus = make_corpus(4, dim=16, seed=3) + [empty_object()]
+    return [soft_object(obj, k) for k, obj in enumerate(corpus)] if kind == "soft" else corpus
+
+
+class TestPinnedReports:
+    """Dim-16 reports over every ground-truth case the loop's masks distinguish, pinned to recorded bytes.
+
+    Binary ground truth at tau 0 (every voxel occupied) and 1, soft ground
+    truth (never converges) at tau 0.4 and 0, and a corpus whose objects
+    converge during the run: under random views two boxes converge besides
+    the empty object.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, tau, policy, converged, sha256",
+        [
+            ("binary", 0.0, "error-guided", 0, "67196b5d01cea2038b46280b7d30ff16df888482dd53ab7d8044351f5bd99901"),
+            ("binary", 1.0, "error-guided", 1, "771d15a6e83940b3846e581d3029937c2f9df9d8715f27ce96012d44a4e39c76"),
+            ("soft", 0.4, "error-guided", 0, "b44084ea0a6e581db6517360d353cea7a171229106f8eaa2e5949c9c4d09384f"),
+            ("soft", 0.0, "error-guided", 0, "21b701765ee30eb78e83492acf929ea48521a32ec1bd6a8ef2b8c3589209faea"),
+            ("converging", 0.4, "random", 3, "d809cf115230862e82005e6fec58963046622e8a324bcf982ae0d7ca3f4c1bc4"),
+            ("converging", 0.4, "error-guided", 1, "46673869e78d44bbf6cfdd02c0f009c560c224dd8822fbecd9af1c2748bacf62"),
+        ],
+    )
+    def test_report_digest(self, kind, tau, policy, converged, sha256):
+        config = LoopConfig(dim=16, iterations=4, update_fraction=1.0, tau=tau, selection_policy=policy, seed=0)
+        report = run_loop(pinned_corpus(kind), config)
+        assert report.aggregates["converged_objects"] == converged
+        assert hashlib.sha256(report_json(report).encode("utf-8")).hexdigest() == sha256
 
 
 @pytest.fixture(scope="module")

@@ -227,6 +227,13 @@ class TestViewpointJson:
     def test_integer_angles_accepted(self):
         assert viewpoint_from_dict({"yaw": 30, "pitch": -10}) == Viewpoint(30.0, -10.0)
 
+    @pytest.mark.parametrize("key", ["yaw", "pitch"])
+    def test_an_integer_angle_too_large_for_a_float_rejected(self, key):
+        obj = {"yaw": 0, "pitch": 0}
+        obj[key] = 10**400  # what json.loads makes of a 1 followed by 400 zeros
+        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
+            viewpoint_from_dict(obj)
+
     def test_pool_with_a_string_angle_does_not_load(self):
         with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
             load_pool(b'{"ell": [{"yaw": "45", "pitch": false}]}')
