@@ -1,4 +1,4 @@
-"""Measure what the forward-map caches hold after one error-guided loop.
+"""Measure what the lattice table holds after one error-guided loop.
 
 Runs one seed-0 error-guided loop per ``--dim`` on the benchmark's corpus
 (ell and cross shapes; 20 objects at dim 32, 4 at dim 64, 2 at dim 128;
@@ -7,22 +7,20 @@ Runs one seed-0 error-guided loop per ``--dim`` on the benchmark's corpus
 - the 30-degree lattice table: voxels mapped (rows held), row capacity and
   bytes, and the bytes of its per-voxel slot index (at dim 128 the table
   would pass ``MAX_LATTICE_TABLE_BYTES``, so scoring keeps none);
-- every pose map still in the 8-pose cache: voxels mapped, row capacity and
-  bytes;
 - ``ru_maxrss``, the process's peak RSS so far. Dims run in the order given
   in one process, so a later dim's figure is the peak over all runs so far.
 
-A store's slot index is allocated whole but starts as zeros, so only the
+The table's slot index is allocated whole but starts as zeros, so only the
 pages a lookup touched are resident; rows are allocated as they are mapped.
+Pose pixel ids are not cached, so the table is the only forward map a loop
+keeps.
 
 Run: python3 demos/measure_forward_map_memory.py [--dim 32 64 128]
 (dims 32 and 64 by default, a few seconds; dim 128 takes a few seconds more).
 """
 
 import argparse
-import functools
 import resource
-import weakref
 
 from voxsel import geometry
 from voxsel.geometry import discretize_viewpoints
@@ -30,24 +28,6 @@ from voxsel.harness import LoopConfig, make_corpus, run_loop
 from voxsel.selection import MAX_LATTICE_TABLE_BYTES
 
 OBJECTS = {32: 20, 64: 4, 128: 2}
-
-
-def track_pose_maps():
-    """Swap the pose-map cache for one that also remembers each map it makes, weakly.
-
-    The cache keeps the same size, so the maps alive after a run are the ones
-    it holds.
-    """
-    made = weakref.WeakValueDictionary()
-    make = geometry._pose_pixel_ids.__wrapped__
-
-    @functools.lru_cache(maxsize=geometry._pose_pixel_ids.cache_info().maxsize)
-    def recording(dim, v):
-        made[(dim, v)] = store = make(dim, v)
-        return store
-
-    geometry._pose_pixel_ids = recording
-    return made
 
 
 def describe(store):
@@ -61,9 +41,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dim", type=int, nargs="+", default=[32, 64], choices=sorted(OBJECTS))
     args = parser.parse_args()
-    made = track_pose_maps()
     for dim in args.dim:
-        geometry._pose_pixel_ids.cache_clear()
         geometry._lattice_cell_keys.cache_clear()
         corpus = make_corpus(OBJECTS[dim], dim=dim, seed=0, kinds=("ell", "cross"))
         config = LoopConfig(dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, seed=0)
@@ -74,9 +52,6 @@ def main():
             print("  30-degree table  none: past MAX_LATTICE_TABLE_BYTES, scoring streams one center at a time")
         else:
             print(f"  30-degree table  {describe(geometry._lattice_cell_keys(dim, lattice))}")
-        for (map_dim, v), store in sorted(made.items(), key=lambda item: (item[0][1].yaw, item[0][1].pitch)):
-            if map_dim == dim:
-                print(f"  pose ({v.yaw:7.2f}, {v.pitch:6.2f})  {describe(store)}")
         print(f"  ru_maxrss so far {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 

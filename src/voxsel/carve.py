@@ -20,6 +20,10 @@ loop) can keep a running mask and pass it to :func:`carve` as ``keep``: each
 new view is carved once instead of all views again. A view reads the pixel
 ids of the voxels still kept only, so a voxel an earlier view dropped is
 never mapped under a later one.
+
+The loop renders and carves a view of its own ground truth in one pass,
+``_render_and_carve``, which maps each voxel kept or occupied once under the
+view's pose and reads both pixel rules from that one map.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Viewpoint, pixel_ids
+from .geometry import Viewpoint, _pixel_rule, _pose_pixel_codes, pixel_ids
 from .grid import VoxelGrid
 from .synthesis import SilhouetteImage
 
@@ -99,3 +103,18 @@ def carve(
         alive = np.flatnonzero(keep)
         keep[alive] = _kept(obs, dim, alive)
     return VoxelGrid(keep.reshape((dim, dim, dim)))
+
+
+def _render_and_carve(occ: np.ndarray, dim: int, v: Viewpoint, keep: np.ndarray) -> SilhouetteImage:
+    """``render_silhouette`` of the flat occupancy mask ``occ`` from ``v``, carved into ``keep`` in place.
+
+    Maps each voxel of ``keep | occ`` once: an occupied voxel outside the
+    hull still sets its pixel, as it does in ``render_silhouette``.
+    """
+    alive = np.flatnonzero(keep | occ)
+    codes = _pose_pixel_codes(dim, v, alive)
+    image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
+    image[_pixel_rule(codes[occ[alive]], dim, clip_depth=True)] = True
+    image[-1] = False
+    keep[alive] &= image[_pixel_rule(codes, dim, clip_depth=False)]
+    return SilhouetteImage(image[:-1].reshape(dim, dim))

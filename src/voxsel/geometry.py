@@ -39,18 +39,19 @@ one row per voxel, from one cached table.
 Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
-caller reads; no whole map or view of a cache is handed out. Both caches
-are one store, ``_ForwardMap``: a row of ``width`` int32 entries per voxel
-it has mapped, kept in fill order, and an int32 slot per voxel naming its
-row, so its rows grow with the voxels mapped rather than with ``dim**3``.
-A pose's map has width 1, one pixel code per voxel from which either pixel
-rule is read; a lattice's table has one column of cell keys per center.
-The store is filled on demand: a lookup sends exactly the voxels it does
-not hold yet through the matmul, one pose's rows for :func:`pixel_ids`,
-every lattice center side by side for :func:`lattice_cell_keys`, and maps
-nothing else. A row of that matmul depends only on its voxel and pose on
-the tested BLAS (a lone row is multiplied as two, which keeps it off BLAS
-gemv), so a map filled in any order equals the full one bit for bit. The
+caller reads. :func:`pixel_ids` and :func:`cell_keys` keep nothing: a call
+maps exactly its voxels, one matmul row each. A pose's pixel ids come as one
+int32 code per voxel from which either pixel rule is read, so a caller that
+needs both for one pose (the loop renders a view and carves it in one pass,
+:mod:`voxsel.carve`) maps each voxel once. The lattice table is the one
+cache, ``_ForwardMap``: a row of cell keys under every center per voxel it
+has mapped, kept in fill order, and an int32 slot per voxel naming its row,
+so its rows grow with the voxels mapped rather than with ``dim**3``. It is
+filled on demand: a lookup sends exactly the voxels it does not hold yet
+through the matmul, every center side by side, and maps nothing else. A row
+of that matmul depends only on its voxel and pose on the tested BLAS (a
+lone row is multiplied as two, which keeps it off BLAS gemv), so a map
+filled in any order, or in any chunks, equals the full one bit for bit. The
 dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays as public
 API and as the reference the sparse forms are tested against.
 """
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -317,34 +318,33 @@ def _voxel_index(voxels, dim: int) -> np.ndarray:
 
 
 def _pixel_codes(dim: int, target: np.ndarray) -> np.ndarray:
-    """``(m, 1)`` int32 codes of rounded targets: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
+    """int32 codes of rounded targets: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
     cells = target.astype(np.int32)
     inside = (cells >= 0) & (cells < dim)
     off = np.int32(dim * dim)
     image = np.where(inside[:, 1] & inside[:, 2], cells[:, 1] * dim + cells[:, 2], off)
-    return np.where(inside[:, 0], image, image + (off + 1))[:, None]
+    return np.where(inside[:, 0], image, image + (off + 1))
 
 
 class _ForwardMap:
-    """``width`` int32 entries per voxel, each voxel's row computed the first time a lookup asks for it.
+    """A lattice's cell keys, one row per voxel, each voxel's row computed the first time a lookup asks for it.
 
-    ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
-    several, and ``encode(dim, targets)`` turns rounded targets into rows.
-    Each voxel is mapped at most once while the map lives, by the same
-    matmul rows as the full map, and only when a lookup asks for it.
-    Lookups copy, so the entries never leave the map. ``rows[1:used]`` holds
-    the mapped voxels' rows in fill order, doubling up to ``dim**3 + 1``
-    rows, and ``slot[i]`` is voxel ``i``'s row, 0 (a sentinel) while it is
-    unmapped; untouched pages of those zeros stay unresident.
+    ``rot_t`` is the :func:`_stacked_rotations` of the lattice's centers, and
+    a voxel's row holds its :func:`_cell_keys_of` under each of them. Each
+    voxel is mapped at most once while the map lives, by the same matmul
+    rows as the full map, and only when a lookup asks for it. Lookups copy,
+    so the entries never leave the map. ``rows[1:used]`` holds the mapped
+    voxels' rows in fill order, doubling up to ``dim**3 + 1`` rows, and
+    ``slot[i]`` is voxel ``i``'s row, 0 (a sentinel) while it is unmapped;
+    untouched pages of those zeros stay unresident.
     """
 
-    def __init__(
-        self, dim: int, rot_t: np.ndarray, encode: Callable[[int, np.ndarray], np.ndarray], width: int
-    ) -> None:
-        self.dim, self.rot_t, self.encode = dim, rot_t, encode
-        self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
+    def __init__(self, dim: int, rot_t: np.ndarray) -> None:
+        self.dim, self.rot_t = dim, rot_t
+        poses = rot_t.shape[1] // 3
+        self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // poses)
         self.slot = np.zeros(dim**3, dtype=np.int32)
-        self.rows = np.zeros((1, width), dtype=np.int32)
+        self.rows = np.zeros((1, poses), dtype=np.int32)
         self.used = 1
 
     def lookup(self, voxels: np.ndarray) -> np.ndarray:
@@ -364,18 +364,32 @@ class _ForwardMap:
         for start in range(0, missing.size, self.rows_per_product):
             chunk = missing[start : start + self.rows_per_product]
             end = self.used + chunk.size
-            self.rows[self.used : end] = self.encode(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
+            self.rows[self.used : end] = _cell_keys_of(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
             self.slot[chunk] = np.arange(self.used, end, dtype=np.int32)
             self.used = end
         return np.take(self.rows, self.slot[voxels], axis=0)
 
-# Eight poses: the loop renders a round's views and then carves them, and the
-# CLI renders views before it carves them, so a pose is reused a few poses
-# after it is made. A map holds 4 bytes of rows per voxel mapped, at most twice
-# that in capacity, and a 4-byte slot per voxel: 2 MiB at dim 64 when full.
-@lru_cache(maxsize=8)
-def _pose_pixel_ids(dim: int, v: Viewpoint) -> _ForwardMap:
-    return _ForwardMap(dim, rotation_matrix(v).T, _pixel_codes, 1)
+
+def _pose_pixel_codes(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
+    """:func:`_pixel_codes` of ``voxels`` under ``v``, computed afresh in chunks of matmul rows."""
+    rot_t = rotation_matrix(v).T
+    codes = np.empty(len(voxels), dtype=np.int32)
+    for start in range(0, len(voxels), _ENTRIES_PER_PRODUCT):
+        chunk = voxels[start : start + _ENTRIES_PER_PRODUCT]
+        codes[start : start + len(chunk)] = _pixel_codes(dim, _rounded_targets(dim, rot_t, chunk))
+    return codes
+
+
+def _pixel_rule(codes: np.ndarray, dim: int, *, clip_depth: bool) -> np.ndarray:
+    """:func:`pixel_ids` under either rule, read from pixel codes in place.
+
+    The cube rule is ``min(code, dim * dim)``, the image rule ``code % (dim
+    * dim + 1)``, computed as a subtraction, several times faster.
+    """
+    off = dim * dim
+    if clip_depth:
+        return np.minimum(codes, off, out=codes)
+    return np.subtract(codes, off + 1, out=codes, where=codes > off)
 
 
 def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.ndarray) -> np.ndarray:
@@ -392,23 +406,15 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
     pixel leaves the image.
 
-    Maps are cached per pose, for the 8 most recent poses, and filled on
-    demand. A pose's map holds one int32 code per voxel, from which both
-    rules read: the image-rule id, plus ``dim * dim + 1`` when the rotated
-    depth leaves the cube. The cube rule takes ``min(code, dim * dim)``,
-    the image rule ``code % (dim * dim + 1)`` (a subtraction from the codes
-    past ``dim * dim``, several times faster). A voxel is mapped the first
-    time any caller asks for it, under either rule, so rendering the ground
-    truth and then carving the voxels still kept maps each voxel at most
-    once per pose, and a voxel no caller asks for is never mapped.
+    Nothing is cached: each call maps exactly ``voxels``, one matmul row per
+    voxel, into one int32 code per voxel from which both rules read: the
+    image-rule id, plus ``dim * dim + 1`` when the rotated depth leaves the
+    cube. A caller that needs both rules for one pose reads them from the
+    same codes, as the loop's one-pass render and carve does.
     """
     voxels = _voxel_index(voxels, dim)
     dim = int(dim)
-    codes = _pose_pixel_ids(dim, v).lookup(voxels)[:, 0]
-    off = dim * dim
-    if clip_depth:
-        return np.minimum(codes, off, out=codes)
-    return np.subtract(codes, off + 1, out=codes, where=codes > off)
+    return _pixel_rule(_pose_pixel_codes(dim, v, voxels), dim, clip_depth=clip_depth)
 
 
 def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
@@ -429,7 +435,7 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _ForwardMap:
-    return _ForwardMap(dim, _stacked_rotations(lattice.centers), _cell_keys_of, len(lattice.centers))
+    return _ForwardMap(dim, _stacked_rotations(lattice.centers))
 
 
 def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -> np.ndarray:

@@ -11,16 +11,17 @@ deterministic functions of (corpus, config): the same seed reproduces the
 same report bytes.
 
 Each object's visual hull is one flat bool keep mask, the AND of its
-observations' one-view carves. New views are rendered and then carved into
-that mask by one ``carve(new, dim, keep=...)`` call, so each view is carved
-once, while its pose's forward map is still cached.
-Because the AND is order-independent and idempotent, the mask always equals
-``carve`` of all the observations. Evaluation and selection read bit masks:
-each object's ground truth is thresholded once per run and, when binary,
-held as flat bits (``_ObjectState.truth``). Evaluation computes IoU, F-score
-and excess voxels from counts of the mask, the ground truth and their AND;
-one ``keep != bits`` mask is both the convergence check and the error grid
-that error-guided selection scores with :func:`~voxsel.selection.score_all`.
+observations' one-view carves, each carved once: initial views and other
+providers' views by ``carve(new, dim, keep=...)``, and new views from the
+default provider in one pass that renders and carves them from the
+ground-truth bits. Because the AND is order-independent and idempotent, the
+mask always equals ``carve`` of all the observations. Evaluation and
+selection read bit masks: each object's ground truth is thresholded once per
+run and, when binary, held as flat bits (``_ObjectState.truth``). Evaluation
+computes IoU, F-score and excess voxels from counts of the mask, the ground
+truth and their AND; one ``keep != bits`` mask is both the convergence check
+and the error grid that error-guided selection scores with
+:func:`~voxsel.selection.score_all`.
 A soft ground truth is scored on ``|keep - gt|`` and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .carve import ViewObservation, carve
+from .carve import ViewObservation, _render_and_carve, carve
 from .geometry import Viewpoint, discretize_viewpoints
 from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
@@ -235,9 +236,10 @@ class _ObjectState:
 
     ``keep`` is the flat bool mask of the ``dim**3`` voxels every observation
     keeps; with no observations it is the full cube. :meth:`observe` carves
-    new views into ``keep`` once, right after they are rendered; observations
-    given to the constructor are carved in the same way. :meth:`truth` holds
-    the object's ground truth as flat bits, computed on first use.
+    rendered views into ``keep`` once, as it does the observations given to
+    the constructor; the default provider's new views are carved as rendered.
+    :meth:`truth` holds the object's ground truth as flat bits, computed on
+    first use.
     """
 
     dim: int
@@ -319,7 +321,12 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
+    if provider == GroundTruthSilhouettes(config.tau):
+        # The loop's own renderer: each view is rendered and carved in one pass.
+        occ = state.truth(obj.gt, config.tau)[0]
+        state.observations += [ViewObservation(v, _render_and_carve(occ, state.dim, v, state.keep)) for v in added]
+    else:
+        state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
     pool_record = fresh if config.selection_policy == "error-guided" else []
     return {"added": added, "pool_record": pool_record, "pool_fallback": fallback, "converged": False}
 

@@ -383,36 +383,15 @@ class TestLatticeCellKeys:
         assert geometry._lattice_cell_keys.cache_info().maxsize == 2
 
 
-class TestPoseCache:
-    def test_holds_at_most_eight_poses_across_dims(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            for dim in (16, 32, 64):
-                pixel_ids(dim, Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)), voxels=np.arange(dim))
-                assert geometry._pose_pixel_ids.cache_info().currsize <= 8
-        assert geometry._pose_pixel_ids.cache_info().maxsize == 8
+class TestMappingWork:
+    """What each forward-map call maps, and what the lattice table keeps."""
 
-    @pytest.mark.parametrize("table", [False, True], ids=["pose-map", "lattice-table"])
-    def test_a_map_holds_rows_in_proportion_to_the_voxels_it_maps(self, table):
-        # A pose map holds one int32 code per mapped voxel, from which both
-        # pixel rules are read; a 30-degree table holds 72 keys per mapped voxel.
-        dim, v, lattice = 16, Viewpoint(21.0, -8.0), discretize_viewpoints(30)
-        geometry._pose_pixel_ids.cache_clear()
+    def test_a_map_holds_rows_in_proportion_to_the_voxels_it_maps(self):
+        # A 30-degree table holds 72 keys per mapped voxel.
+        dim, lattice = 16, discretize_viewpoints(30)
         geometry._lattice_cell_keys.cache_clear()
-        if table:
-            store = geometry._lattice_cell_keys(dim, lattice)
-            dense = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
-            lookups = [lambda voxels: lattice_cell_keys(dim, lattice, voxels)]
-        else:
-            store = geometry._pose_pixel_ids(dim, v)
-            cells, _ = rotated_cells(dim, v)
-            _, on_image = dense_pixel_ids(dim, v)
-            depth_in = (cells[:, 0] >= 0) & (cells[:, 0] < dim)
-            dense = np.where(depth_in, on_image, on_image + dim * dim + 1)[:, np.newaxis]
-            lookups = [
-                lambda voxels: pixel_ids(dim, v, voxels=voxels),
-                lambda voxels: pixel_ids(dim, v, clip_depth=False, voxels=voxels),
-            ]
+        store = geometry._lattice_cell_keys(dim, lattice)
+        dense = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
         rng = np.random.default_rng(5)
         asked = np.zeros(dim**3, dtype=bool)
         # Growing increasing fills, an unordered one, then the whole map.
@@ -423,8 +402,8 @@ class TestPoseCache:
             rng.choice(dim**3, size=300, replace=False),
             np.arange(dim**3),
         ]
-        for k, voxels in enumerate(fills):
-            lookups[k % len(lookups)](voxels)
+        for voxels in fills:
+            lattice_cell_keys(dim, lattice, voxels)
             asked[voxels] = True
             mapped = int(asked.sum())
             assert np.count_nonzero(store.slot) == store.used - 1 == mapped
@@ -436,7 +415,6 @@ class TestPoseCache:
 
     def test_writing_into_a_lookup_leaves_the_next_lookup_unchanged(self):
         dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)
-        geometry._pose_pixel_ids.cache_clear()
         geometry._lattice_cell_keys.cache_clear()
         lookups = [
             lambda voxels: pixel_ids(dim, v, voxels=voxels),
@@ -453,34 +431,34 @@ class TestPoseCache:
                 assert np.array_equal(lookup(voxels), expected)
 
     def test_a_render_carve_round_and_repeated_scoring_map_each_entry_at_most_once(self, monkeypatch):
-        from voxsel.carve import ViewObservation, carve
+        from voxsel.carve import ViewObservation, _render_and_carve, carve
         from voxsel.selection import FIRST_HIT_EPS, score_all
         from voxsel.synthesis import render_silhouette
 
         dim = 16
+        # Random over the whole cube: voxels near the corners rotate off it,
+        # so the hull loses some of the ground truth.
         gt = VoxelGrid(random_grid(dim, 4).values > 0.7)
+        occ = gt.values.reshape(-1) > 0.5
         views = [Viewpoint(yaw, 20.0) for yaw in (5.0, 65.0, 125.0, 185.0, 245.0, 305.0, 15.0, 75.0)]
-        geometry._pose_pixel_ids.cache_clear()
+        # The reference: each view rendered, then carved into a running mask.
+        reference, running = [], np.ones(dim**3, dtype=bool)
+        for v in views:
+            silhouette = render_silhouette(gt, v)
+            carve([ViewObservation(v, silhouette)], dim, keep=running)
+            reference.append((silhouette, running.copy()))
         geometry._lattice_cell_keys.cache_clear()
         mapped = MappedEntries(monkeypatch)
-        gt_voxels = gt.values.reshape(-1) > 0.5
-        observations = []
-        for v in views:
-            observations.append(ViewObservation(v, render_silhouette(gt, v)))
-            # Rendering maps the ground-truth voxels only.
-            assert np.array_equal(mapped.of(dim, v) > 0, gt_voxels)
         keep = np.ones(dim**3, dtype=bool)
-        alive_before = []
-        for obs in observations:
-            alive_before.append(keep.copy())
-            carve([obs], dim, keep=keep)
-        for v, alive in zip(views, alive_before):
-            # Carving maps the voxels still kept when the view is carved.
-            assert np.array_equal(mapped.of(dim, v) > 0, gt_voxels | alive)
-        # Carving the round again, into a fresh mask, maps nothing new.
-        total = mapped.total()
-        assert np.array_equal(carve(observations, dim).values.reshape(-1) > 0, keep)
-        assert mapped.total() == total
+        outside_hull = 0
+        for v, (silhouette, carved) in zip(views, reference):
+            alive = keep | occ
+            outside_hull += np.count_nonzero(occ & ~keep)
+            assert np.array_equal(_render_and_carve(occ, dim, v, keep).pixels, silhouette.pixels)
+            assert np.array_equal(keep, carved)
+            # One pass maps the voxels still kept and the occupied ones, once each.
+            assert np.array_equal(mapped.of(dim, v), alive)
+        assert outside_hull > 0
 
         lattice = discretize_viewpoints(45)
         # Three grids, each scored twice: the table maps only their hot voxels.
@@ -493,20 +471,26 @@ class TestPoseCache:
         assert mapped.most() == 1
 
     def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
-        # Like an initial view that every object of a loop renders and carves:
-        # many overlapping fills of one pose, none of which maps it whole.
+        # Nothing is kept between calls under one pose, so every call's voxels
+        # are missing: pixel_ids under either rule maps exactly the voxels it
+        # is given, and a render and carve exactly those of keep | occ, each once.
+        from voxsel.carve import _render_and_carve
+
         dim, v = 16, Viewpoint(33.0, -12.0)
-        geometry._pose_pixel_ids.cache_clear()
         mapped = MappedEntries(monkeypatch)
         rng = np.random.default_rng(0)
-        asked = np.zeros(dim**3, dtype=bool)
+        expected = np.zeros(dim**3, dtype=np.int64)
         for fill in range(6):
-            voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
-            pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)
-            asked[voxels] = True
-            assert np.array_equal(mapped.of(dim, v) > 0, asked)
-        assert asked.sum() < dim**3 // 2
-        assert mapped.most() == 1
+            if fill % 3 == 2:
+                keep, occ = rng.random(dim**3) < 0.3, rng.random(dim**3) < 0.1
+                expected += keep | occ
+                _render_and_carve(occ, dim, v, keep)
+            else:
+                voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
+                pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)
+                expected[voxels] += 1
+            assert np.array_equal(mapped.of(dim, v), expected)
+        assert mapped.most() > 1
 
 
 def dense_cell_keys(dim, v):
@@ -534,7 +518,6 @@ class TestOnDemandFill:
         v = discretize_viewpoints(30).centers[pose] if isinstance(pose, int) else Viewpoint(*pose)
         lattice = discretize_viewpoints(interval)
         rng = np.random.default_rng(seed)
-        geometry._pose_pixel_ids.cache_clear()
         geometry._lattice_cell_keys.cache_clear()
         clipped, on_image = dense_pixel_ids(dim, v)
         keys = dense_cell_keys(dim, v)
@@ -580,8 +563,8 @@ class TestOnDemandFill:
     def test_one_voxel_fills_at_ties_match_the_dense_forward_map(self, dim):
         # A fill missing a single voxel multiplies a single row. Only a voxel
         # near a .5 tie can round differently, so every such voxel of every
-        # 30-degree center is mapped alone: by project_voxel into a fresh
-        # pose map, and one voxel after another into one lattice table.
+        # 30-degree center is mapped alone: by project_voxel, and one voxel
+        # after another into one lattice table.
         from voxsel.carve import project_voxel
 
         lattice = discretize_viewpoints(30)
@@ -593,7 +576,6 @@ class TestOnDemandFill:
         for c in lattice.centers:
             _, on_image = dense_pixel_ids(dim, c)
             for i in near_ties(dim, geometry._centered_coords(dim) @ rotation_matrix(c).T):
-                geometry._pose_pixel_ids.cache_clear()
                 pixel = project_voxel(np.unravel_index(i, (dim,) * 3), c, dim)
                 assert pixel == (None if on_image[i] == dim * dim else divmod(int(on_image[i]), dim))
 
@@ -623,8 +605,8 @@ def blas_name():
 
 
 class TestBlasIdentity:
-    # Fills multiply the voxels they miss in products of rows_per_product
-    # rows and one shorter tail: the pose map's 2**14 and the lattice
+    # Maps multiply their voxels in products of a fixed row count and one
+    # shorter tail: 2**14 for a pose's pixel codes and the lattice
     # table's 2**14 // 72 = 227 at 30 degrees (101 at 20), and any tail
     # from one row up. Each case runs `products` full products and a tail.
     # 162 centers: with each pose's columns together, one product over the

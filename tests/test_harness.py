@@ -318,19 +318,36 @@ class TestRunningHull:
         assert len(state.observations) == 1 and np.array_equal(state.keep, before)
 
     def test_run_loop_carves_each_observation_once(self, monkeypatch):
-        import voxsel.harness as harness
-
-        carved = []
+        # Initial views are carved by carve, the default provider's new views
+        # by the one-pass render and carve; between them, every observation once.
+        by_carve, by_one_pass, states = [], [], []
+        render_and_carve = harness._render_and_carve
 
         def counting_carve(observations, dim, **kw):
-            carved.extend(observations)
+            by_carve.extend(obs.silhouette for obs in observations)
             return carve(observations, dim, **kw)
 
+        def counting_render_and_carve(occ, dim, v, keep):
+            by_one_pass.append(render_and_carve(occ, dim, v, keep))
+            return by_one_pass[-1]
+
+        class RecordedState(_ObjectState):
+            def __post_init__(self):
+                states.append(self)
+                super().__post_init__()
+
         monkeypatch.setattr(harness, "carve", counting_carve)
+        monkeypatch.setattr(harness, "_render_and_carve", counting_render_and_carve)
+        monkeypatch.setattr(harness, "_ObjectState", RecordedState)
         config = small_config(iterations=2, update_fraction=1.0)
         rep = run_loop(make_corpus(3, dim=16, seed=1), config)
+        carved = by_carve + by_one_pass
+        assert by_carve and by_one_pass
         assert len(carved) == sum(obj["iterations"][-1]["view_count"] for obj in rep.objects)
-        assert len({id(obs) for obs in carved}) == len(carved)
+        observed = [obs.silhouette for state in states for obs in state.observations]
+        assert sorted(map(id, carved)) == sorted(map(id, observed))
+        for state in states:
+            assert_hull_is_carve(state, config.dim)
 
 
 def soft_object(obj, seed):
@@ -595,8 +612,20 @@ class TestRecordedReports:
 def pinned_corpus(kind):
     if kind == "converging":  # random views carve boxes exactly; the empty object converges at once
         return make_corpus(4, dim=16, seed=0, kinds=("box", "sphere")) + [empty_object()]
+    if kind == "past-safe-radius":  # ground-truth voxels near the corners rotate off the cube and get carved
+        rng = np.random.default_rng(11)
+        grids = [rng.random((16,) * 3) < p for p in (0.02, 0.3)] + [np.pad(np.ones((14,) * 3), 1)]
+        return [SceneObject(f"corner-{k}", "box", VoxelGrid(g)) for k, g in enumerate(grids)]
     corpus = make_corpus(4, dim=16, seed=3) + [empty_object()]
-    return [soft_object(obj, k) for k, obj in enumerate(corpus)] if kind == "soft" else corpus
+    soft = kind in ("soft", "soft-rendered-at-0.6")
+    return [soft_object(obj, k) for k, obj in enumerate(corpus)] if soft else corpus
+
+
+# Providers other than the loop's default; every other kind runs with the default.
+PINNED_PROVIDERS = {
+    "noisy": NoisySilhouettes(GroundTruthSilhouettes(0.4), 0.05, seed=2),
+    "soft-rendered-at-0.6": GroundTruthSilhouettes(0.6),
+}
 
 
 class TestPinnedReports:
@@ -605,7 +634,10 @@ class TestPinnedReports:
     Binary ground truth at tau 0 (every voxel occupied) and 1, soft ground
     truth (never converges) at tau 0.4 and 0, and a corpus whose objects
     converge during the run: under random views two boxes converge besides
-    the empty object.
+    the empty object. The last rows pin both sides of the loop's provider
+    branch: noisy silhouettes, soft ground truth rendered at 0.6 and
+    evaluated at 0.4, and the default provider over grids with voxels past
+    ``safe_radius``, which the hulls lose in part.
     """
 
     @pytest.mark.parametrize(
@@ -617,11 +649,15 @@ class TestPinnedReports:
             ("soft", 0.0, "error-guided", 0, "21b701765ee30eb78e83492acf929ea48521a32ec1bd6a8ef2b8c3589209faea"),
             ("converging", 0.4, "random", 3, "d809cf115230862e82005e6fec58963046622e8a324bcf982ae0d7ca3f4c1bc4"),
             ("converging", 0.4, "error-guided", 1, "46673869e78d44bbf6cfdd02c0f009c560c224dd8822fbecd9af1c2748bacf62"),
+            ("noisy", 0.4, "error-guided", 1, "9eecd78e18f8d5cc92dd04c7d0f908a4fe1cde94ed8931b38921f19085c4d370"),
+            ("soft-rendered-at-0.6", 0.4, "error-guided", 0, "f5ab4c392fa41a48357d317762abdde37278f633b695478088c917ef85e42f9d"),
+            ("past-safe-radius", 0.4, "error-guided", 0, "8b0ebebc79ecacb40d72f533e8bc47a0668c084e6d569e67e64d95473ef1be4d"),
+            ("past-safe-radius", 0.4, "random", 0, "b18ed4a6e8a62398b38c363b05ae6285064f4abfd47c62e73e319cf352530fa7"),
         ],
     )
     def test_report_digest(self, kind, tau, policy, converged, sha256):
         config = LoopConfig(dim=16, iterations=4, update_fraction=1.0, tau=tau, selection_policy=policy, seed=0)
-        report = run_loop(pinned_corpus(kind), config)
+        report = run_loop(pinned_corpus(kind), config, provider=PINNED_PROVIDERS.get(kind))
         assert report.aggregates["converged_objects"] == converged
         assert hashlib.sha256(report_json(report).encode("utf-8")).hexdigest() == sha256
 
