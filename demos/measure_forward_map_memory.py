@@ -25,7 +25,6 @@ import resource
 from voxsel import geometry
 from voxsel.geometry import discretize_viewpoints
 from voxsel.harness import LoopConfig, make_corpus, run_loop
-from voxsel.selection import MAX_LATTICE_TABLE_BYTES
 
 OBJECTS = {32: 20, 64: 4, 128: 2}
 
@@ -47,11 +46,11 @@ def main():
         config = LoopConfig(dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, seed=0)
         run_loop(corpus, config)
         print(f"dim {dim}, {len(corpus)} objects, {dim**3:,} voxels")
-        lattice = discretize_viewpoints(30)
-        if len(lattice.centers) * dim**3 * 4 > MAX_LATTICE_TABLE_BYTES:
-            print("  30-degree table  none: past MAX_LATTICE_TABLE_BYTES, scoring streams one center at a time")
+        store = geometry._lattice_cell_keys(dim, discretize_viewpoints(30))
+        if store.used == 1:
+            print("  30-degree table  no rows: past MAX_LATTICE_TABLE_BYTES, scoring streamed one center at a time")
         else:
-            print(f"  30-degree table  {describe(geometry._lattice_cell_keys(dim, lattice))}")
+            print(f"  30-degree table  {describe(store)}")
         print(f"  ru_maxrss so far {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 

@@ -198,17 +198,18 @@ class ViewpointLattice:
 def discretize_viewpoints(interval_deg: float) -> ViewpointLattice:
     """Split yaw [-180, 180) and pitch [-90, 90] into interval_deg cells.
 
-    The interval must divide both 360 and 180 (so 22.5 is fine, 50 is not).
-    Each cell is represented by its median angle, e.g. a 30 degree lattice
-    starts at (-165, -75). The lattice is immutable and cached for the eight
-    most recent intervals, so the loop does not rebuild it per selection.
+    The interval must divide both 360 and 180 (so 22.5 is fine, 50 is not)
+    and be at least 1 degree (64,800 centers, the finest lattice). Each cell
+    is represented by its median angle, e.g. a 30 degree lattice starts at
+    (-165, -75). The lattice is immutable and cached for the eight most
+    recent intervals, so the loop does not rebuild it per selection.
     """
     interval_deg = float(interval_deg)
-    if interval_deg <= 0:
-        raise ValueError(f"interval must be positive, got {interval_deg}")
+    if not interval_deg >= 1.0:
+        raise ValueError(f"interval must be at least 1 degree (the 64,800-center lattice), got {interval_deg}")
     n_yaw = round(360.0 / interval_deg)
     n_pitch = round(180.0 / interval_deg)
-    if n_pitch < 1 or n_yaw * interval_deg != 360.0 or n_pitch * interval_deg != 180.0:
+    if n_yaw * interval_deg != 360.0 or n_pitch * interval_deg != 180.0:
         raise ValueError(f"interval must divide both 360 and 180, got {interval_deg}")
     centers = tuple(
         Viewpoint(
@@ -353,9 +354,10 @@ class _ForwardMap:
         missing = voxels[slots == 0]
         if not missing.size:
             return np.take(self.rows, slots, axis=0)
-        # Callers pass flatnonzero output, so the rows never pass dim**3 + 1.
-        # A voxel listed twice is mapped twice into equal rows, which costs
-        # less than checking every lookup for duplicates.
+        # The loop passes flatnonzero output, strictly increasing and so free
+        # of duplicates; other lookups map each voxel they list once.
+        if not (missing[1:] > missing[:-1]).all():
+            missing = np.unique(missing)
         need = self.used + missing.size
         if need > len(self.rows):
             grown = np.empty((max(min(2 * len(self.rows), len(self.slot) + 1), need), self.rows.shape[1]), np.int32)

@@ -10,19 +10,20 @@ New silhouettes are appended and all objects are re-evaluated. Reports are
 deterministic functions of (corpus, config): the same seed reproduces the
 same report bytes.
 
-Each object's visual hull is one flat bool keep mask, the AND of its
-observations' one-view carves, each carved once: initial views and other
-providers' views by ``carve(new, dim, keep=...)``, and new views from the
-default provider in one pass that renders and carves them from the
-ground-truth bits. Because the AND is order-independent and idempotent, the
-mask always equals ``carve`` of all the observations. Evaluation and
-selection read bit masks: each object's ground truth is thresholded once per
-run and, when binary, held as flat bits (``_ObjectState.truth``). Evaluation
-computes IoU, F-score and excess voxels from counts of the mask, the ground
-truth and their AND; one ``keep != bits`` mask is both the convergence check
-and the error grid that error-guided selection scores with
-:func:`~voxsel.selection.score_all`.
-A soft ground truth is scored on ``|keep - gt|`` and never converges.
+Each object's state (``_ObjectState``) is built once from its ground truth
+and the loop's tau, which it thresholds once: ``occ`` is the flat bool
+``gt >= tau`` and, for a 0/1 ground truth, ``bits`` the flat ``gt == 1``.
+Its visual hull is one flat bool keep mask, the AND of its observations'
+one-view carves, each carved once: initial views and other providers' views
+by ``carve(new, dim, keep=...)``, and new views from the default provider in
+one pass that renders and carves them from ``occ``. Because the AND is
+order-independent and idempotent, the mask always equals ``carve`` of all
+the observations. An object has converged when its keep mask equals its
+bits, which the state decides in one place; a converged object is not
+re-observed. Evaluation computes IoU, F-score and excess voxels from counts
+of the mask, ``occ`` and their AND. Error-guided selection scores the error
+grid ``keep != bits`` with :func:`~voxsel.selection.score_all`; a soft
+ground truth is scored on ``|keep - gt|`` and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -110,7 +111,7 @@ class LoopConfig:
     """
 
     dim: int = 32
-    interval_deg: int = 30
+    interval_deg: float = 30
     views_per_round: int = 3
     initial_views: int = 3
     initial_distribution: ViewDistribution = field(default_factory=lambda: ViewDistribution("aligned"))
@@ -232,28 +233,41 @@ def make_corpus(
 
 @dataclass
 class _ObjectState:
-    """One object's views and its running hull.
+    """One object's ground truth, views and running hull.
 
-    ``keep`` is the flat bool mask of the ``dim**3`` voxels every observation
-    keeps; with no observations it is the full cube. :meth:`observe` carves
-    rendered views into ``keep`` once, as it does the observations given to
-    the constructor; the default provider's new views are carved as rendered.
-    :meth:`truth` holds the object's ground truth as flat bits, computed on
-    first use.
+    The constructor thresholds ``gt`` at ``tau`` once: ``occ`` is the flat
+    bool ``gt >= tau`` and ``bits`` the flat ``gt == 1`` when ``gt`` is 0/1,
+    else None (a soft ground truth). ``keep`` is the flat bool mask of the
+    ``dim**3`` voxels every observation keeps; with no observations it is
+    the full cube. :meth:`observe` carves rendered views into ``keep`` once,
+    as it does the observations given to the constructor; the default
+    provider's new views are carved as rendered.
     """
 
-    dim: int
+    gt: VoxelGrid
+    tau: float
     observations: list[ViewObservation]
     rng: np.random.Generator
-    converged: bool = False
     lattice_cursor: int = 0
+    dim: int = field(init=False)
+    occ: np.ndarray = field(init=False, repr=False)
+    bits: np.ndarray | None = field(init=False, repr=False)
     keep: np.ndarray = field(init=False, repr=False)
-    _truth: tuple = field(init=False, default=(None, None, None, None), repr=False)
 
     def __post_init__(self) -> None:
+        self.dim = self.gt.dims[0]
+        flat = self.gt.values.reshape(-1)
+        self.occ = threshold_grid(self.gt, self.tau).bits.reshape(-1)
+        bits = self.occ if self.tau > 0 else flat == 1.0
+        self.bits = bits if np.array_equal(flat, bits) else None
         self.keep = np.ones(self.dim**3, dtype=bool)
         given, self.observations = self.observations, []
         self.observe(given)
+
+    @property
+    def converged(self) -> bool:
+        """Zero reconstruction error: the hull equals a 0/1 ground truth (a soft one never converges)."""
+        return self.bits is not None and np.array_equal(self.keep, self.bits)
 
     def observe(self, new: Sequence[ViewObservation]) -> None:
         """Append observations and AND them into ``keep`` with one ``carve`` call."""
@@ -261,15 +275,6 @@ class _ObjectState:
             return
         carve(new, self.dim, keep=self.keep)
         self.observations.extend(new)
-
-    def truth(self, gt: VoxelGrid, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
-        """Cached flat ``(occ, bits) = (gt >= tau, gt == 1)``; ``bits`` is None for a soft ``gt``, ``occ`` if equal."""
-        if self._truth[0] is not gt or self._truth[1] != tau:
-            flat = gt.values.reshape(-1)
-            occ = threshold_grid(gt, tau).bits.reshape(-1)
-            bits = occ if tau > 0 else flat == 1.0
-            self._truth = gt, tau, occ, (bits if np.array_equal(flat, bits) else None)
-        return self._truth[2:]
 
 
 def run_object_iteration(
@@ -286,11 +291,7 @@ def run_object_iteration(
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
     """
-    bits = state.truth(obj.gt, config.tau)[1]
-    # A soft ground truth (no bits) differs from every 0/1 hull: it never converges.
-    mismatch = None if bits is None else state.keep != bits
-    if mismatch is not None and not mismatch.any():
-        state.converged = True
+    if state.converged:
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
 
     n = config.views_per_round
@@ -309,7 +310,7 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
-            error = np.abs(state.keep - obj.gt.values.reshape(-1)) if mismatch is None else mismatch
+            error = np.abs(state.keep - obj.gt.values.ravel()) if state.bits is None else state.keep != state.bits
             scores = score_all(VoxelGrid(error.reshape(obj.gt.dims)), discretize_viewpoints(config.interval_deg))
             fresh = sample_around(select_top_n(scores, n_fresh), config.interval_deg, state.rng)
     elif config.selection_policy == "random":
@@ -323,8 +324,8 @@ def run_object_iteration(
     added = fresh + pool_views
     if provider == GroundTruthSilhouettes(config.tau):
         # The loop's own renderer: each view is rendered and carved in one pass.
-        occ = state.truth(obj.gt, config.tau)[0]
-        state.observations += [ViewObservation(v, _render_and_carve(occ, state.dim, v, state.keep)) for v in added]
+        for v in added:
+            state.observations.append(ViewObservation(v, _render_and_carve(state.occ, state.dim, v, state.keep)))
     else:
         state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
     pool_record = fresh if config.selection_policy == "error-guided" else []
@@ -343,16 +344,13 @@ class RunReport:
     wall_clock_s: float = 0.0
 
 
-def _evaluate(obj: SceneObject, state: _ObjectState, tau: float) -> tuple[float, float, int]:
-    """IoU, F-score and excess voxels of the hull thresholded at ``tau``, from counts of the masks."""
-    occ, bits = state.truth(obj.gt, tau)
-    if bits is not None and np.array_equal(state.keep, bits):
-        state.converged = True
-    n_gt = np.count_nonzero(occ)
-    if tau > 0:
-        n_pred, inter = np.count_nonzero(state.keep), np.count_nonzero(state.keep & occ)
+def _evaluate(state: _ObjectState) -> tuple[float, float, int]:
+    """IoU, F-score and excess voxels of the hull thresholded at the state's tau, from counts of the masks."""
+    n_gt = np.count_nonzero(state.occ)
+    if state.tau > 0:
+        n_pred, inter = np.count_nonzero(state.keep), np.count_nonzero(state.keep & state.occ)
     else:  # a 0/1 hull thresholded at 0 is the whole cube
-        n_pred, inter = occ.size, n_gt
+        n_pred, inter = state.occ.size, n_gt
     return (*_count_scores(int(n_pred), int(n_gt), int(inter)), int(n_pred - inter))
 
 
@@ -396,9 +394,7 @@ def run_loop(
         stride_idx = [k * len(candidates) // config.initial_views for k in range(config.initial_views)]
         initial = [candidates[k] for k in stride_idx]
         observations = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial]
-        states.append(
-            _ObjectState(dim=config.dim, observations=observations, rng=_stream(config.seed, _TAG_SELECT, i))
-        )
+        states.append(_ObjectState(obj.gt, config.tau, observations, _stream(config.seed, _TAG_SELECT, i)))
         object_records.append(
             {
                 "name": obj.name,
@@ -409,8 +405,8 @@ def run_loop(
         )
 
     def evaluate_all(iteration: int, updates: dict[int, dict]) -> None:
-        for i, obj in enumerate(corpus):
-            score_iou, score_f, excess = _evaluate(obj, states[i], config.tau)
+        for i in range(len(corpus)):
+            score_iou, score_f, excess = _evaluate(states[i])
             update = updates.get(i)
             object_records[i]["iterations"].append(
                 {

@@ -308,6 +308,14 @@ class TestLoop:
         err = capsys.readouterr().err
         assert err.startswith(f"voxsel {command}: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["loop", "compare"])
+    def test_a_sub_degree_interval_fails_cleanly(self, tmp_path, capsys, command):
+        # 0.01 degrees would ask for a 648,000,000-center lattice.
+        cfg = loop_config_file(tmp_path, interval_deg=0.01)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"voxsel {command}: interval must be at least 1 degree") and err.count("\n") == 1
+
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps([1]))

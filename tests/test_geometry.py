@@ -197,6 +197,12 @@ class TestLattice:
         with pytest.raises(ValueError):
             discretize_viewpoints(bad)
 
+    @pytest.mark.parametrize("fine", [0.5, 0.01, 2**-10])
+    def test_sub_degree_intervals_rejected_before_building(self, fine):
+        # 0.5 divides 360 and 180; 0.01 would build 648,000,000 centers.
+        with pytest.raises(ValueError, match="at least 1 degree"):
+            discretize_viewpoints(fine)
+
     def test_yaw_index_varies_fastest(self):
         lat = discretize_viewpoints(30)
         assert lat.centers[1] == Viewpoint(-135.0, -75.0)
@@ -412,6 +418,17 @@ class TestMappingWork:
         assert store.rows.shape == (dim**3 + 1, dense.shape[1])
         assert np.array_equal(np.sort(store.slot), np.arange(1, dim**3 + 1))
         assert np.array_equal(store.rows[store.slot], dense)
+
+    def test_a_voxel_listed_many_times_is_mapped_once(self, monkeypatch):
+        dim, lattice = 8, discretize_viewpoints(30)
+        geometry._lattice_cell_keys.cache_clear()
+        store = geometry._lattice_cell_keys(dim, lattice)
+        dense = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
+        mapped = MappedEntries(monkeypatch)
+        for voxels, held in [(np.zeros(100_000, dtype=int), 1), (np.array([9, 4, 9, 0, 4, 200, 9]), 4)]:
+            assert np.array_equal(lattice_cell_keys(dim, lattice, voxels), dense[voxels])
+            assert store.used - 1 == held and len(store.rows) <= dim**3 + 1
+        assert mapped.most() == 1
 
     def test_writing_into_a_lookup_leaves_the_next_lookup_unchanged(self):
         dim, v, lattice = 12, Viewpoint(12.5, -33.0), discretize_viewpoints(45)

@@ -237,7 +237,7 @@ class TestRunLoopStructure:
         provider = GroundTruthSilhouettes(0.4)
         views = [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0), Viewpoint(0.0, 90.0)]
         obs = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in views]
-        state = _ObjectState(dim=dim, observations=obs, rng=np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, obs, np.random.default_rng(0))
         rec = run_object_iteration(obj, state, small_config(), ViewpointPool(), provider)
         assert rec == {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
         assert state.converged
@@ -271,7 +271,7 @@ class TestRunningHull:
         # Two objects per category, so the second of each can draw pooled views.
         for obj in make_corpus(4, dim=config.dim, seed=5, kinds=["ell", "cross"]):
             obs = [ViewObservation(v, provider.render(obj.gt, v)) for v in initial_views]
-            state = _ObjectState(dim=config.dim, observations=obs, rng=np.random.default_rng(1))
+            state = _ObjectState(obj.gt, config.tau, obs, np.random.default_rng(1))
             assert_hull_is_carve(state, config.dim)
             for _ in range(rounds):
                 rec = run_object_iteration(obj, state, config, pool, provider)
@@ -301,7 +301,7 @@ class TestRunningHull:
     def test_repeating_an_observation_changes_nothing(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
         obs = ViewObservation(Viewpoint(40.0, 10.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(40.0, 10.0)))
-        state = _ObjectState(dim=16, observations=[obs], rng=np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, [obs], np.random.default_rng(0))
         before = state.keep.copy()
         state.observe([obs])
         assert np.array_equal(state.keep, before)
@@ -310,12 +310,35 @@ class TestRunningHull:
 
     def test_rejects_a_silhouette_of_another_dim(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
-        state = _ObjectState(dim=16, observations=[], rng=np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, [], np.random.default_rng(0))
         state.observe([ViewObservation(Viewpoint(0.0, 0.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(0.0, 0.0)))])
         before = state.keep.copy()
         with pytest.raises(ValueError, match="do not match grid dim 16"):
             state.observe([ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))])
         assert len(state.observations) == 1 and np.array_equal(state.keep, before)
+
+    def test_a_provider_subclass_renders_its_own_silhouettes(self, monkeypatch):
+        # At the loop's tau but with other silhouettes: only the default
+        # provider itself may be rendered and carved in one pass.
+        class ErodedSilhouettes(GroundTruthSilhouettes):
+            def render(self, gt, v):
+                pixels = super().render(gt, v).pixels
+                return SilhouetteImage(pixels & np.roll(pixels, 1, axis=0))
+
+        def one_pass(*args):
+            raise AssertionError("a provider subclass was rendered and carved in one pass")
+
+        monkeypatch.setattr(harness, "_render_and_carve", one_pass)
+        config = small_config()
+        provider = ErodedSilhouettes(config.tau)
+        obj = make_corpus(1, dim=config.dim, seed=5, kinds=["ell"])[0]
+        state = _ObjectState(obj.gt, config.tau, [], np.random.default_rng(1))
+        for _ in range(2):
+            run_object_iteration(obj, state, config, ViewpointPool(), provider)
+        views = [obs.viewpoint for obs in state.observations]
+        assert len(views) == 2 * config.views_per_round
+        expected = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], config.dim)
+        assert np.array_equal(state.keep, expected.values.reshape(-1) > 0)
 
     def test_run_loop_carves_each_observation_once(self, monkeypatch):
         # Initial views are carved by carve, the default provider's new views
