@@ -21,9 +21,12 @@ new view is carved once instead of all views again. A view reads the pixel
 ids of the voxels still kept only, so a voxel an earlier view dropped is
 never mapped under a later one.
 
-The loop renders and carves a view of its own ground truth in one pass,
+The loop renders and carves views of its own ground truth in one pass,
 ``_render_and_carve``, which maps each voxel kept or occupied once under the
-view's pose and reads both pixel rules from that one map.
+view's pose and reads both pixel rules from that one map. One pass serves
+every object seen from the same pose: the loop carves each object's first
+initial view, cut from the full cube, for all objects sharing that pose in
+one call, so the pose maps the cube once rather than once per object.
 """
 
 from __future__ import annotations
@@ -105,16 +108,29 @@ def carve(
     return VoxelGrid(keep.reshape((dim, dim, dim)))
 
 
-def _render_and_carve(occ: np.ndarray, dim: int, v: Viewpoint, keep: np.ndarray) -> SilhouetteImage:
-    """``render_silhouette`` of the flat occupancy mask ``occ`` from ``v``, carved into ``keep`` in place.
+def _render_and_carve(
+    occs: Sequence[np.ndarray], dim: int, v: Viewpoint, keeps: Sequence[np.ndarray]
+) -> list[SilhouetteImage]:
+    """``render_silhouette`` of each flat occupancy mask in ``occs`` from ``v``, carved into its ``keeps`` entry in place.
 
-    Maps each voxel of ``keep | occ`` once: an occupied voxel outside the
-    hull still sets its pixel, as it does in ``render_silhouette``.
+    Maps each voxel of the union of every ``keep | occ`` once: an occupied
+    voxel outside its hull still sets its pixel, as it does in
+    ``render_silhouette``. Each object's silhouette and carve equal those of
+    a call with that object alone.
     """
-    alive = np.flatnonzero(keep | occ)
+    union = keeps[0] | occs[0]
+    for keep, occ in zip(keeps[1:], occs[1:]):
+        union |= keep
+        union |= occ
+    alive = np.flatnonzero(union)
     codes = _pose_pixel_codes(dim, v, alive)
-    image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
-    image[_pixel_rule(codes[occ[alive]], dim, clip_depth=True)] = True
-    image[-1] = False
-    keep[alive] &= image[_pixel_rule(codes, dim, clip_depth=False)]
-    return SilhouetteImage(image[:-1].reshape(dim, dim))
+    images = []
+    for occ in occs:
+        image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
+        image[_pixel_rule(codes[occ[alive]], dim, clip_depth=True)] = True
+        image[-1] = False
+        images.append(image)
+    pixels = _pixel_rule(codes, dim, clip_depth=False)
+    for keep, image in zip(keeps, images):
+        keep[alive] &= image[pixels]
+    return [SilhouetteImage(image[:-1].reshape(dim, dim)) for image in images]

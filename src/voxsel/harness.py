@@ -14,16 +14,20 @@ Each object's state (``_ObjectState``) is built once from its ground truth
 and the loop's tau, which it thresholds once: ``occ`` is the flat bool
 ``gt >= tau`` and, for a 0/1 ground truth, ``bits`` the flat ``gt == 1``.
 Its visual hull is one flat bool keep mask, the AND of its observations'
-one-view carves, each carved once: initial views and other providers' views
-by ``carve(new, dim, keep=...)``, and new views from the default provider in
-one pass that renders and carves them from ``occ``. Because the AND is
-order-independent and idempotent, the mask always equals ``carve`` of all
-the observations. An object has converged when its keep mask equals its
-bits, which the state decides in one place; a converged object is not
-re-observed. Evaluation computes IoU, F-score and excess voxels from counts
-of the mask, ``occ`` and their AND. Error-guided selection scores the error
-grid ``keep != bits`` with :func:`~voxsel.selection.score_all`; a soft
-ground truth is scored on ``|keep - gt|`` and never converges.
+one-view carves, each carved once. Under the default provider
+(``GroundTruthSilhouettes`` at the loop's tau) the loop renders and carves
+views itself, in one pass from ``occ``: each object's first initial view,
+cut from the full cube, in one pass for all objects sharing that pose, and
+every new view in one pass per object. The other initial views, and every
+view of another provider, are rendered by the provider and carved by
+``carve(new, dim, keep=...)``. Because the AND is order-independent and
+idempotent, the mask always equals ``carve`` of all the observations. An
+object has converged when its keep mask equals its bits, which the state
+decides in one place; a converged object is not re-observed. Evaluation
+computes IoU, F-score and excess voxels from counts of the mask, ``occ``
+and their AND. Error-guided selection scores the error grid
+``keep != bits`` with :func:`~voxsel.selection.score_all`; a soft ground
+truth is scored on ``|keep - gt|`` and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -240,8 +244,11 @@ class _ObjectState:
     else None (a soft ground truth). ``keep`` is the flat bool mask of the
     ``dim**3`` voxels every observation keeps; with no observations it is
     the full cube. :meth:`observe` carves rendered views into ``keep`` once,
-    as it does the observations given to the constructor; the default
-    provider's new views are carved as rendered.
+    as it does the observations given to the constructor. The loop builds
+    each state with no observations: under the default provider it renders
+    and carves views in one pass (``_render_and_carve``) and appends them
+    to ``observations`` itself, each first initial view in one pass shared
+    by every object seen from that pose.
     """
 
     gt: VoxelGrid
@@ -275,6 +282,11 @@ class _ObjectState:
             return
         carve(new, self.dim, keep=self.keep)
         self.observations.extend(new)
+
+
+def _renders_in_one_pass(provider: ViewProvider, tau: float) -> bool:
+    """Whether the loop renders and carves ``provider``'s views itself: only the default provider at the loop's tau."""
+    return provider == GroundTruthSilhouettes(tau)
 
 
 def run_object_iteration(
@@ -322,10 +334,11 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    if provider == GroundTruthSilhouettes(config.tau):
+    if _renders_in_one_pass(provider, config.tau):
         # The loop's own renderer: each view is rendered and carved in one pass.
         for v in added:
-            state.observations.append(ViewObservation(v, _render_and_carve(state.occ, state.dim, v, state.keep)))
+            [silhouette] = _render_and_carve([state.occ], state.dim, v, [state.keep])
+            state.observations.append(ViewObservation(v, silhouette))
     else:
         state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
     pool_record = fresh if config.selection_policy == "error-guided" else []
@@ -388,13 +401,14 @@ def run_loop(
 
     dist = config.initial_distribution
     states: list[_ObjectState] = []
+    initials: list[list[Viewpoint]] = []
     object_records: list[dict] = []
     for i, obj in enumerate(corpus):
         candidates = sample_dataset_viewpoints(dist, _stream(config.seed, _TAG_INIT, i))
         stride_idx = [k * len(candidates) // config.initial_views for k in range(config.initial_views)]
         initial = [candidates[k] for k in stride_idx]
-        observations = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial]
-        states.append(_ObjectState(obj.gt, config.tau, observations, _stream(config.seed, _TAG_SELECT, i)))
+        states.append(_ObjectState(obj.gt, config.tau, [], _stream(config.seed, _TAG_SELECT, i)))
+        initials.append(initial)
         object_records.append(
             {
                 "name": obj.name,
@@ -403,6 +417,21 @@ def run_loop(
                 "iterations": [],
             }
         )
+
+    # A first initial view is carved out of the full cube, so the objects seen
+    # from the same first pose share one pass that maps the cube once.
+    first = 0
+    if _renders_in_one_pass(provider, config.tau):
+        first = 1
+        sharing: dict[Viewpoint, list[_ObjectState]] = {}
+        for state, initial in zip(states, initials):
+            sharing.setdefault(initial[0], []).append(state)
+        for v, group in sharing.items():
+            silhouettes = _render_and_carve([s.occ for s in group], config.dim, v, [s.keep for s in group])
+            for state, silhouette in zip(group, silhouettes):
+                state.observations.append(ViewObservation(v, silhouette))
+    for obj, state, initial in zip(corpus, states, initials):
+        state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial[first:]])
 
     def evaluate_all(iteration: int, updates: dict[int, dict]) -> None:
         for i in range(len(corpus)):

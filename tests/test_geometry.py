@@ -471,7 +471,8 @@ class TestMappingWork:
         for v, (silhouette, carved) in zip(views, reference):
             alive = keep | occ
             outside_hull += np.count_nonzero(occ & ~keep)
-            assert np.array_equal(_render_and_carve(occ, dim, v, keep).pixels, silhouette.pixels)
+            [rendered] = _render_and_carve([occ], dim, v, [keep])
+            assert np.array_equal(rendered.pixels, silhouette.pixels)
             assert np.array_equal(keep, carved)
             # One pass maps the voxels still kept and the occupied ones, once each.
             assert np.array_equal(mapped.of(dim, v), alive)
@@ -487,6 +488,49 @@ class TestMappingWork:
             assert np.array_equal(mapped.of(dim, c) > 0, hot)
         assert mapped.most() == 1
 
+    def test_objects_sharing_a_pose_are_rendered_and_carved_as_if_alone(self, monkeypatch):
+        # Four objects with different partial hulls seen from one pose, so
+        # the union they share is more than any one of them maps; the last
+        # one is random over the whole cube, so some of its voxels lie past
+        # the safe radius and outside its hull.
+        from voxsel.carve import ViewObservation, _render_and_carve, carve
+        from voxsel.harness import make_corpus
+        from voxsel.synthesis import render_silhouette, safe_radius
+
+        dim, v = 16, Viewpoint(-180.0, 60.0)
+        gts = [obj.gt for obj in make_corpus(3, dim=dim, seed=4)] + [random_grid(dim, 6)]
+        radius = np.linalg.norm(np.indices((dim,) * 3).reshape(3, -1).T - (dim - 1) / 2.0, axis=1)
+        assert np.any((gts[-1].values.reshape(-1) > 0) & (radius > safe_radius(dim)))
+        earlier = [
+            [Viewpoint(30.0, 10.0), Viewpoint(-70.0, -40.0)],
+            [Viewpoint(30.0, 10.0)],
+            [Viewpoint(-150.0, 45.0)],
+            [Viewpoint(100.0, 5.0)],
+        ]
+        occs, keeps = [], []
+        for gt, views in zip(gts, earlier):
+            keep = np.ones(dim**3, dtype=bool)
+            carve([ViewObservation(w, render_silhouette(gt, w)) for w in views], dim, keep=keep)
+            occs.append(gt.values.reshape(-1) >= 0.4)
+            keeps.append(keep)
+        assert len({keep.tobytes() for keep in keeps}) == len(keeps)
+        assert np.any(occs[-1] & ~keeps[-1])
+        union = np.logical_or.reduce([keep | occ for keep, occ in zip(keeps, occs)])
+        assert not np.array_equal(union, keeps[0] | occs[0])
+        # The reference: each object rendered, then carved, on its own.
+        reference = []
+        for gt, keep in zip(gts, keeps):
+            silhouette, carved = render_silhouette(gt, v), keep.copy()
+            carve([ViewObservation(v, silhouette)], dim, keep=carved)
+            reference.append((silhouette, carved))
+        mapped = MappedEntries(monkeypatch)
+        silhouettes = _render_and_carve(occs, dim, v, keeps)
+        for rendered, keep, (silhouette, carved) in zip(silhouettes, keeps, reference):
+            assert np.array_equal(rendered.pixels, silhouette.pixels)
+            assert np.array_equal(keep, carved)
+        # The union of every keep | occ is mapped under the pose, once each.
+        assert np.array_equal(mapped.of(dim, v), union)
+
     def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
         # Nothing is kept between calls under one pose, so every call's voxels
         # are missing: pixel_ids under either rule maps exactly the voxels it
@@ -501,7 +545,7 @@ class TestMappingWork:
             if fill % 3 == 2:
                 keep, occ = rng.random(dim**3) < 0.3, rng.random(dim**3) < 0.1
                 expected += keep | occ
-                _render_and_carve(occ, dim, v, keep)
+                _render_and_carve([occ], dim, v, [keep])
             else:
                 voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
                 pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)

@@ -40,6 +40,8 @@ from voxsel.synthesis import (
     generate_shape,
 )
 
+from .mapping_counts import MappedEntries
+
 
 def small_config(**kw):
     base = dict(dim=16, iterations=2, update_fraction=1.0, seed=0)
@@ -263,6 +265,19 @@ def assert_hull_is_carve(state, dim):
     assert np.array_equal(state.keep, expected.reshape(-1) > 0)
 
 
+def recorded_states(monkeypatch):
+    """The ``_ObjectState`` of every object ``run_loop`` builds from now on, in the order built."""
+    states = []
+
+    class RecordedState(_ObjectState):
+        def __post_init__(self):
+            states.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "_ObjectState", RecordedState)
+    return states
+
+
 class TestRunningHull:
     """The per-object keep mask always equals carving all of the object's observations."""
 
@@ -319,7 +334,8 @@ class TestRunningHull:
 
     def test_a_provider_subclass_renders_its_own_silhouettes(self, monkeypatch):
         # At the loop's tau but with other silhouettes: only the default
-        # provider itself may be rendered and carved in one pass.
+        # provider itself may be rendered and carved in one pass, in the
+        # initial views as in the new ones.
         class ErodedSilhouettes(GroundTruthSilhouettes):
             def render(self, gt, v):
                 pixels = super().render(gt, v).pixels
@@ -329,48 +345,49 @@ class TestRunningHull:
             raise AssertionError("a provider subclass was rendered and carved in one pass")
 
         monkeypatch.setattr(harness, "_render_and_carve", one_pass)
+        states = recorded_states(monkeypatch)
         config = small_config()
         provider = ErodedSilhouettes(config.tau)
-        obj = make_corpus(1, dim=config.dim, seed=5, kinds=["ell"])[0]
-        state = _ObjectState(obj.gt, config.tau, [], np.random.default_rng(1))
-        for _ in range(2):
-            run_object_iteration(obj, state, config, ViewpointPool(), provider)
-        views = [obs.viewpoint for obs in state.observations]
-        assert len(views) == 2 * config.views_per_round
-        expected = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], config.dim)
-        assert np.array_equal(state.keep, expected.values.reshape(-1) > 0)
+        corpus = make_corpus(3, dim=config.dim, seed=5, kinds=["ell"])
+        rep = run_loop(corpus, config, provider=provider)
+        for obj, rec, state in zip(corpus, rep.objects, states):
+            views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
+            views += [viewpoint_from_dict(d) for it in rec["iterations"] for d in it["selected"]]
+            assert len(views) == config.initial_views + config.iterations * config.views_per_round
+            assert [obs.viewpoint for obs in state.observations] == views
+            expected = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], config.dim)
+            assert np.array_equal(state.keep, expected.values.reshape(-1) > 0)
 
     def test_run_loop_carves_each_observation_once(self, monkeypatch):
-        # Initial views are carved by carve, the default provider's new views
-        # by the one-pass render and carve; between them, every observation once.
-        by_carve, by_one_pass, states = [], [], []
+        # The default provider's first initial views and new views are carved
+        # by the one-pass render and carve, the other initial views by carve;
+        # between them, every observation once.
+        by_carve, by_one_pass = [], []
         render_and_carve = harness._render_and_carve
 
         def counting_carve(observations, dim, **kw):
             by_carve.extend(obs.silhouette for obs in observations)
             return carve(observations, dim, **kw)
 
-        def counting_render_and_carve(occ, dim, v, keep):
-            by_one_pass.append(render_and_carve(occ, dim, v, keep))
-            return by_one_pass[-1]
-
-        class RecordedState(_ObjectState):
-            def __post_init__(self):
-                states.append(self)
-                super().__post_init__()
+        def counting_render_and_carve(occs, dim, v, keeps):
+            silhouettes = render_and_carve(occs, dim, v, keeps)
+            by_one_pass.extend(silhouettes)
+            return silhouettes
 
         monkeypatch.setattr(harness, "carve", counting_carve)
         monkeypatch.setattr(harness, "_render_and_carve", counting_render_and_carve)
-        monkeypatch.setattr(harness, "_ObjectState", RecordedState)
+        states = recorded_states(monkeypatch)
         config = small_config(iterations=2, update_fraction=1.0)
         rep = run_loop(make_corpus(3, dim=16, seed=1), config)
         carved = by_carve + by_one_pass
         assert by_carve and by_one_pass
+        assert len(by_carve) == len(states) * (config.initial_views - 1)
         assert len(carved) == sum(obj["iterations"][-1]["view_count"] for obj in rep.objects)
         observed = [obs.silhouette for state in states for obs in state.observations]
         assert sorted(map(id, carved)) == sorted(map(id, observed))
         for state in states:
             assert_hull_is_carve(state, config.dim)
+
 
 
 def soft_object(obj, seed):
@@ -433,6 +450,16 @@ class TestLoopWork:
         corpus = make_corpus(3, dim=16, seed=1)
         run_loop(corpus, small_config(iterations=3))
         assert len(built) == len(corpus)
+
+    def test_objects_sharing_the_first_initial_pose_map_it_once(self, monkeypatch):
+        # Every object's first initial view is carved out of the full cube
+        # from the first aligned pose, in one pass for all three objects.
+        mapped = MappedEntries(monkeypatch)
+        config = small_config(iterations=2)
+        rep = run_loop(make_corpus(3, dim=16, seed=1), config)
+        first_pose = viewpoint_from_dict(rep.objects[0]["initial_views"][0])
+        assert all(viewpoint_from_dict(obj["initial_views"][0]) == first_pose for obj in rep.objects)
+        assert mapped.of(16, first_pose).max() == 1
 
     # Under these pool modes every update selects fresh views (pool-only
     # selects none once the pool can supply them all).
@@ -649,6 +676,11 @@ PINNED_PROVIDERS = {
     "noisy": NoisySilhouettes(GroundTruthSilhouettes(0.4), 0.05, seed=2),
     "soft-rendered-at-0.6": GroundTruthSilhouettes(0.6),
 }
+# Initial views other than the loop's default, over the default corpus.
+PINNED_CONFIGS = {
+    "hemispherical": {"initial_distribution": ViewDistribution("hemispherical")},
+    "one-initial-view": {"initial_views": 1},
+}
 
 
 class TestPinnedReports:
@@ -660,7 +692,10 @@ class TestPinnedReports:
     the empty object. The last rows pin both sides of the loop's provider
     branch: noisy silhouettes, soft ground truth rendered at 0.6 and
     evaluated at 0.4, and the default provider over grids with voxels past
-    ``safe_radius``, which the hulls lose in part.
+    ``safe_radius``, which the hulls lose in part. The two last rows pin how
+    first initial views are grouped by pose: hemispherical initial views,
+    where every object's first pose is its own, and a single initial view,
+    where the default loop never calls ``carve``.
     """
 
     @pytest.mark.parametrize(
@@ -676,10 +711,15 @@ class TestPinnedReports:
             ("soft-rendered-at-0.6", 0.4, "error-guided", 0, "f5ab4c392fa41a48357d317762abdde37278f633b695478088c917ef85e42f9d"),
             ("past-safe-radius", 0.4, "error-guided", 0, "8b0ebebc79ecacb40d72f533e8bc47a0668c084e6d569e67e64d95473ef1be4d"),
             ("past-safe-radius", 0.4, "random", 0, "b18ed4a6e8a62398b38c363b05ae6285064f4abfd47c62e73e319cf352530fa7"),
+            ("hemispherical", 0.4, "error-guided", 1, "e433ee8f487cec4d201a78a869e6223984cbe69fcb57a1cf14c46ae1c9a9ca78"),
+            ("one-initial-view", 0.4, "random", 2, "5944eaa3aecce353a58211070747a0fd4a07709428af000b417fe44debba53e2"),
         ],
     )
     def test_report_digest(self, kind, tau, policy, converged, sha256):
-        config = LoopConfig(dim=16, iterations=4, update_fraction=1.0, tau=tau, selection_policy=policy, seed=0)
+        config = LoopConfig(
+            dim=16, iterations=4, update_fraction=1.0, tau=tau, selection_policy=policy, seed=0,
+            **PINNED_CONFIGS.get(kind, {}),
+        )
         report = run_loop(pinned_corpus(kind), config, provider=PINNED_PROVIDERS.get(kind))
         assert report.aggregates["converged_objects"] == converged
         assert hashlib.sha256(report_json(report).encode("utf-8")).hexdigest() == sha256
