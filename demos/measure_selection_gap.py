@@ -15,11 +15,12 @@ inside every error-guided selection:
 It then reruns the guided loop with antipodes suppressed (a cell is skipped
 when its antipode is already picked) and prints both policies' mean IoU
 delta against random, the quantity criterion 6 asserts to be >= 0. The loop
-scores the error grid ``|keep - gt|`` with ``score_all`` and ranks the scores
-with ``select_top_n``; the variant is installed by wrapping the harness's
-``run_object_iteration`` (to see the object's ground truth), ``score_all``
-(to see the error grid) and ``select_top_n`` (to pick) for the duration of
-the run. The library itself is unchanged.
+scores its mismatch mask ``keep != gt`` into one total per lattice cell with
+the private ``selection._lattice_totals`` and takes the best-ranked cells with
+``selection._top_centers``; the variant is installed by wrapping the
+harness's ``run_object_iteration`` (to see the object's ground truth),
+``_lattice_totals`` (to see the error grid) and ``_top_centers`` (to pick)
+for the duration of the run. The library itself is unchanged.
 
 Run: python3 demos/measure_selection_gap.py   (about a minute)
 """
@@ -32,7 +33,8 @@ import numpy as np
 import voxsel.harness as harness
 from voxsel.geometry import discretize_viewpoints, rotate_grid
 from voxsel.harness import LoopConfig, make_corpus, run_loop
-from voxsel.selection import project_first_hit, rank_scores
+from voxsel.grid import VoxelGrid
+from voxsel.selection import ViewScore, project_first_hit, rank_scores
 from voxsel.synthesis import render_silhouette
 
 SEEDS = range(5)
@@ -69,13 +71,15 @@ def guided_selection(stats, suppress):
         seen["gt"] = obj.gt
         return originals["run_object_iteration"](obj, *args)
 
-    def score(error, scored_lattice):
+    def score(dim, error, scored_lattice):
         assert scored_lattice == lattice
-        seen["error"] = error
-        return originals["score_all"](error, scored_lattice)
+        seen["error"] = VoxelGrid(error.reshape(dim, dim, dim))
+        return originals["_lattice_totals"](dim, error, scored_lattice)
 
-    def top(scores, n):
+    def top(totals, scored_lattice, n):
+        assert scored_lattice == lattice
         err, gt = seen.pop("error"), seen["gt"]
+        scores = [ViewScore(c, float(totals[k]), lattice.lattice_index(k)) for k, c in enumerate(lattice.centers)]
         by_index = {s.lattice_index: s.score for s in scores}
         chosen = pick(scores, n, lattice, suppress)
         if stats is not None:
@@ -95,7 +99,7 @@ def guided_selection(stats, suppress):
                     stats["picked_carvable"] += carvable
         return [s.viewpoint for s in chosen]
 
-    hooks = {"run_object_iteration": iterate, "score_all": score, "select_top_n": top}
+    hooks = {"run_object_iteration": iterate, "_lattice_totals": score, "_top_centers": top}
     originals = {name: getattr(harness, name) for name in hooks}
     for name, hook in hooks.items():
         setattr(harness, name, hook)

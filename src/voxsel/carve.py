@@ -132,5 +132,8 @@ def _render_and_carve(
         images.append(image)
     pixels = _pixel_rule(codes, dim, clip_depth=False)
     for keep, image in zip(keeps, images):
-        keep[alive] &= image[pixels]
+        if alive.size == keep.size:  # the whole cube, as in a first view: a plain AND
+            np.logical_and(keep, image[pixels], out=keep)
+        else:
+            keep[alive] &= image[pixels]
     return [SilhouetteImage(image[:-1].reshape(dim, dim)) for image in images]

@@ -297,11 +297,18 @@ def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
     ``target`` is ``(m, 3 * poses)``, every x first, then every y, then
     every z, as :func:`_stacked_rotations` lays them out.
     """
-    cells = target.astype(np.int32)
-    inside = (cells >= 0) & (cells < dim)
-    x, y, z = np.split(cells, 3, axis=1)
-    in_x, in_y, in_z = np.split(inside, 3, axis=1)
-    return np.where(in_x & in_y & in_z, (y * dim + z) * dim + x, np.int32(dim**3))
+    x, y, z = np.split(target.astype(np.int32), 3, axis=1)
+    keys = y * dim
+    keys += z
+    keys *= dim
+    keys += x
+    np.putmask(keys, _off_cube(x, dim) | _off_cube(y, dim) | _off_cube(z, dim), dim**3)
+    return keys
+
+
+def _off_cube(cells: np.ndarray, dim: int) -> np.ndarray:
+    """Whether int32 cells leave ``[0, dim)``, in one test: as uint32 a negative cell wraps past ``dim``."""
+    return cells.view(np.uint32) >= dim
 
 
 def _voxel_index(voxels, dim: int) -> np.ndarray:
@@ -321,10 +328,12 @@ def _voxel_index(voxels, dim: int) -> np.ndarray:
 def _pixel_codes(dim: int, target: np.ndarray) -> np.ndarray:
     """int32 codes of rounded targets: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
     cells = target.astype(np.int32)
-    inside = (cells >= 0) & (cells < dim)
-    off = np.int32(dim * dim)
-    image = np.where(inside[:, 1] & inside[:, 2], cells[:, 1] * dim + cells[:, 2], off)
-    return np.where(inside[:, 0], image, image + (off + 1))
+    outside = _off_cube(cells, dim)  # one test of the contiguous (m, 3) array, faster than three of its columns
+    off = dim * dim
+    codes = cells[:, 1] * dim
+    codes += cells[:, 2]
+    np.putmask(codes, outside[:, 1] | outside[:, 2], off)
+    return np.add(codes, off + 1, out=codes, where=outside[:, 0])
 
 
 class _ForwardMap:

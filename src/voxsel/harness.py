@@ -25,9 +25,11 @@ idempotent, the mask always equals ``carve`` of all the observations. An
 object has converged when its keep mask equals its bits, which the state
 decides in one place; a converged object is not re-observed. Evaluation
 computes IoU, F-score and excess voxels from counts of the mask, ``occ``
-and their AND. Error-guided selection scores the error grid
-``keep != bits`` with :func:`~voxsel.selection.score_all`; a soft ground
-truth is scored on ``|keep - gt|`` and never converges.
+and their AND. Error-guided selection passes the mismatch mask
+``keep != bits`` straight to the scoring kernel of :mod:`voxsel.selection`
+and takes the best-ranked lattice centers from its totals, building no grid
+and no per-center scores; a soft ground truth is scored on ``|keep - gt|``
+and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -47,7 +49,7 @@ from .geometry import Viewpoint, discretize_viewpoints
 from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
-from .selection import sample_around, score_all, select_top_n
+from .selection import _lattice_totals, _top_centers, sample_around
 from .synthesis import (
     SHAPE_KINDS,
     GroundTruthSilhouettes,
@@ -323,8 +325,9 @@ def run_object_iteration(
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
             error = np.abs(state.keep - obj.gt.values.ravel()) if state.bits is None else state.keep != state.bits
-            scores = score_all(VoxelGrid(error.reshape(obj.gt.dims)), discretize_viewpoints(config.interval_deg))
-            fresh = sample_around(select_top_n(scores, n_fresh), config.interval_deg, state.rng)
+            lattice = discretize_viewpoints(config.interval_deg)
+            top = _top_centers(_lattice_totals(state.dim, error, lattice), lattice, n_fresh)
+            fresh = sample_around(top, config.interval_deg, state.rng)
     elif config.selection_policy == "random":
         fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
     else:  # fixed-lattice

@@ -7,21 +7,31 @@ the viewpoint that produced it; the highest-scoring lattice centers are the
 views most worth re-observing, and Gaussian jitter around them turns interval
 centers into concrete camera poses.
 
-:func:`score_all` scores every lattice center from the rotated cell keys of
-the voxels above ``FIRST_HIT_EPS`` (:func:`~voxsel.geometry.cell_keys`),
-and reads no other voxel's keys. It gathers them from the lattice's cached
-table (:func:`~voxsel.geometry.lattice_cell_keys`), which computes the keys
-of a voxel no earlier call asked for, for every center at once, the first
-time it is asked. When that table would exceed ``MAX_LATTICE_TABLE_BYTES``
-it computes them one center at a time and keeps none: the 16,200 cells of a
-2-degree lattice at dim 32 would need a 2.1 GB table. When every hot voxel
-is 1.0, as in a binary error grid, every first hit is 1 and a view's score
-is the number of distinct pixels they project to, marked in one bool array
-indexed by ``view * (dim * dim + 1) + pixel``. Otherwise ``np.minimum.at``
-picks each ray's nearest cell and ``np.maximum.at`` the largest value
-deposited there. The dense :func:`score_view` path (``rotate_grid`` then
-:func:`project_first_hit`) stays as public API and as the reference both
-reductions are tested against; :func:`score_all` never calls it.
+One private kernel, ``_lattice_totals``, scores every lattice center of a
+flat error array into one float64 totals array: a bool mask (the loop's
+mismatch ``keep != bits``, whose every first hit is 1) or float values.
+:func:`score_all` validates a grid and wraps the kernel's totals into
+:class:`ViewScore` objects; the loop passes its masks to the kernel directly
+and takes the best centers from the totals, so a selection builds no grid
+and no scores. One stable ``np.lexsort`` (``_ranking``) holds the ranking
+rule, descending score, then yaw index, then pitch index, for the loop and
+for :func:`rank_scores` and :func:`select_top_n` alike.
+
+The kernel reads the rotated cell keys of the voxels above
+``FIRST_HIT_EPS`` only (:func:`~voxsel.geometry.cell_keys`). It gathers them
+from the lattice's cached table (:func:`~voxsel.geometry.lattice_cell_keys`),
+which computes the keys of a voxel no earlier call asked for, for every
+center at once, the first time it is asked. When that table would exceed
+``MAX_LATTICE_TABLE_BYTES`` it computes them one center at a time and keeps
+none: the 16,200 cells of a 2-degree lattice at dim 32 would need a 2.1 GB
+table. When every hot voxel is 1.0 a view's score is the number of distinct
+pixels they project to: the gathered keys become ray ids ``view * (dim *
+dim + 1) + pixel`` in place and are scattered into one bool array in
+bounded chunks. Otherwise ``np.minimum.at`` picks each ray's nearest cell
+and ``np.maximum.at`` the largest value deposited there. Each view's total
+is one row of a single axis reduction. The dense :func:`score_view` path
+(``rotate_grid`` then :func:`project_first_hit`) stays as public API and as
+the reference both reductions are tested against; no scoring path calls it.
 """
 
 from __future__ import annotations
@@ -61,11 +71,12 @@ __all__ = [
 # equivalent to testing != 0; it only matters for soft-valued grids.
 FIRST_HIT_EPS = 1e-9
 
-# Largest int32 cell-key table score_all keeps; a finer lattice's key rows
-# are computed one center at a time, so its memory does not grow with the
-# number of cells. The table holds the keys of the voxels scored (a seed-0
-# loop's 30-degree table: 0.7 MB at dim 32, 5 MB at dim 64), but the budget
-# counts every voxel's (9 MB and 75 MB), so it bounds a table mapped whole.
+# Largest int32 cell-key table the scoring kernel keeps; a finer lattice's
+# key rows are computed one center at a time, so its memory does not grow
+# with the number of cells. The table holds the keys of the voxels scored
+# (a seed-0 loop's 30-degree table: 0.7 MB at dim 32, 5 MB at dim 64), but
+# the budget counts every voxel's (9 MB and 75 MB), so it bounds a table
+# mapped whole.
 MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 
 
@@ -143,56 +154,97 @@ def score_view(error: VoxelGrid, v: Viewpoint, lattice_index: tuple[int, int] = 
 def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     """Score every lattice center, returned in lattice order (yaw fastest).
 
-    Equal to :func:`score_view` per center. Only the keys of the voxels
-    above ``FIRST_HIT_EPS`` are read: from the lattice's cell-key table, or
-    one center at a time when that table would exceed
-    :data:`MAX_LATTICE_TABLE_BYTES`.
+    Equal to :func:`score_view` per center: validates the grid and wraps the
+    totals of ``_lattice_totals`` over its flat values, which reads only the
+    keys of the voxels above ``FIRST_HIT_EPS``.
     """
     if not error.is_cubic:
         raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
-    dim = error.dims[0]
-    vals = error.values.reshape(-1)
-    hot = np.flatnonzero(vals > FIRST_HIT_EPS)
-    hot_vals = vals[hot]
-    if len(lattice.centers) * vals.size * 4 <= MAX_LATTICE_TABLE_BYTES:
-        totals = _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot), hot_vals)
-    else:
-        totals = [_first_hit_totals(dim, cell_keys(dim, c, hot)[:, np.newaxis], hot_vals)[0] for c in lattice.centers]
+    totals = _lattice_totals(error.dims[0], error.values.reshape(-1), lattice).tolist()
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)
     ]
 
 
-def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray) -> list[float]:
+# Ray ids scattered per fancy-index call: numpy casts an int32 index to a
+# fresh intp array, so casting chunk by chunk bounds that copy at 512 KiB.
+_SCATTER_CHUNK = 2**16
+
+
+def _lattice_totals(dim: int, error: np.ndarray, lattice: ViewpointLattice) -> np.ndarray:
+    """float64 first-hit totals of every lattice center, in lattice order, of a flat ``dim**3`` error array.
+
+    ``error`` is a bool mask (the loop's mismatch ``keep != bits``, every
+    first hit 1) or float values, whose voxels above ``FIRST_HIT_EPS`` are
+    the hot ones. Their keys come from the lattice's cached table, or one
+    center at a time when that table would exceed
+    :data:`MAX_LATTICE_TABLE_BYTES`.
+    """
+    if error.dtype == np.bool_:
+        hot, vals = np.flatnonzero(error), None
+    else:
+        hot = np.flatnonzero(error > FIRST_HIT_EPS)
+        vals = error[hot]
+        if np.all(vals == 1.0):
+            vals = None
+    if len(lattice.centers) * error.size * 4 <= MAX_LATTICE_TABLE_BYTES:
+        return _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot), vals)
+    rows = (cell_keys(dim, c, hot)[:, np.newaxis] for c in lattice.centers)
+    return np.concatenate([_first_hit_totals(dim, keys, vals) for keys in rows])
+
+
+def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
     """Per column of cell keys, the summed first-hit image of the hot voxels, built without rotating the grid.
 
-    Row ``i`` of ``keys`` holds the :func:`~voxsel.geometry.cell_keys` entry
-    of hot voxel ``i`` under each view, one column per view, and ``vals[i]``
-    is its value. Only voxels above ``FIRST_HIT_EPS`` can be a ray's first
-    hit, and a rotated cell is above it exactly when one of its deposits is,
-    so the caller passes only theirs. When all of them are 1.0 every first
-    hit is 1 and a view's total is the number of its pixels they reach,
-    marked in one bool array. Otherwise each (view, pixel) ray's first hit
-    is its smallest cell key, and its pixel reads the largest value
-    deposited there. Either way this is the image :func:`project_first_hit`
-    makes of :func:`rotate_grid`, summed the same way.
+    Row ``i`` of ``keys``, a fresh array this call may overwrite, holds the
+    :func:`~voxsel.geometry.cell_keys` entry of hot voxel ``i`` under each
+    view, one column per view, and ``vals[i]`` is its value. Only voxels
+    above ``FIRST_HIT_EPS`` can be a ray's first hit, and a rotated cell is
+    above it exactly when one of its deposits is, so the caller passes only
+    theirs. With ``vals`` None every hot voxel is 1.0, every first hit is 1
+    and a view's total is the number of its pixels they reach, marked in one
+    bool array: the keys become ray ids in place. Otherwise each (view,
+    pixel) ray's first hit is its smallest cell key, and its pixel reads the
+    largest value deposited there. Either way this is the image
+    :func:`project_first_hit` makes of :func:`rotate_grid`, summed the same
+    way, one view per row.
     """
     n_views = keys.shape[1]
     stride = dim * dim + 1  # pixel ids plus the off sentinel
-    rays = keys // dim
-    rays += np.arange(0, n_views * stride, stride, dtype=np.int32)
-    if np.all(vals == 1.0):
+    offsets = np.arange(0, n_views * stride, stride, dtype=np.int32)
+    if vals is None:
+        keys //= dim
+        keys += offsets
+        rays = keys.reshape(-1)
         seen = np.zeros(n_views * stride, dtype=bool)
-        seen[rays] = True
-        return [float(n) for n in seen.reshape(n_views, stride)[:, :-1].sum(axis=1)]
+        for start in range(0, rays.size, _SCATTER_CHUNK):
+            seen[rays[start : start + _SCATTER_CHUNK].astype(np.intp)] = True
+        return np.count_nonzero(seen.reshape(n_views, stride)[:, :-1], axis=1).astype(np.float64)
+    rays = keys // dim
+    rays += offsets
     first = np.full(n_views * stride, dim**3, dtype=np.int32)
     np.minimum.at(first, rays.ravel(), keys.ravel())
     front = keys == first[rays]
     image = np.zeros(n_views * stride)
     np.maximum.at(image, rays[front], np.broadcast_to(vals[:, np.newaxis], keys.shape)[front])
-    image = image.reshape(n_views, stride)
-    return [float(image[k, :-1].reshape(dim, dim).sum()) for k in range(n_views)]
+    return image.reshape(n_views, stride)[:, :-1].sum(axis=1)
+
+
+def _ranking(scores: np.ndarray, yaw_index: np.ndarray, pitch_index: np.ndarray) -> np.ndarray:
+    """Positions of ``scores`` best first: descending score, ties by ascending yaw index, then pitch index.
+
+    The one ranking rule, which the loop and :func:`rank_scores` share.
+    ``np.lexsort`` is stable, so entries equal in all three keep their input
+    order.
+    """
+    return np.lexsort((pitch_index, yaw_index, -np.asarray(scores, dtype=np.float64)))
+
+
+def _top_centers(totals: np.ndarray, lattice: ViewpointLattice, n: int) -> list[Viewpoint]:
+    """The ``n`` best-ranked centers of per-center ``totals`` in lattice order."""
+    order = _ranking(totals, *lattice.lattice_index(np.arange(len(totals))))
+    return [lattice.centers[k] for k in order[:n]]
 
 
 def rank_scores(scores: Iterable[ViewScore]) -> list[ViewScore]:
@@ -202,7 +254,9 @@ def rank_scores(scores: Iterable[ViewScore]) -> list[ViewScore]:
     ranking is a deterministic function of the score multiset: permuting the
     input cannot change the output.
     """
-    return sorted(scores, key=lambda s: (-s.score, s.lattice_index))
+    scores = list(scores)
+    index = np.array([s.lattice_index for s in scores], dtype=np.int64).reshape(-1, 2)
+    return [scores[k] for k in _ranking([s.score for s in scores], index[:, 0], index[:, 1])]
 
 
 def select_top_n(scores: Sequence[ViewScore], n: int) -> list[Viewpoint]:

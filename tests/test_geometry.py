@@ -352,6 +352,22 @@ class TestPixelIds:
         for k, center in enumerate(lattice.centers):
             assert np.array_equal(table[:, k], dense_pixel_ids(dim, center)[0])
 
+    @pytest.mark.parametrize("dim", [15, 16, 31])
+    def test_cells_off_either_side_of_each_axis_match_the_dense_forward_map(self, dim):
+        # Keys and codes test range as uint32, where a negative cell wraps past
+        # dim; the poses must send cells below 0 and past dim on every axis.
+        every, below, above = np.arange(dim**3), np.zeros(3, bool), np.zeros(3, bool)
+        for center in discretize_viewpoints(45).centers:
+            cells, inside = rotated_cells(dim, center)
+            below |= (cells < 0).any(axis=0)
+            above |= (cells >= dim).any(axis=0)
+            keys = (cells[:, 1] * dim + cells[:, 2]) * dim + cells[:, 0]
+            assert np.array_equal(cell_keys(dim, center, every), np.where(inside, keys, dim**3))
+            clipped, on_image = dense_pixel_ids(dim, center)
+            assert np.array_equal(pixel_ids(dim, center, voxels=every), clipped)
+            assert np.array_equal(pixel_ids(dim, center, clip_depth=False, voxels=every), on_image)
+        assert below.all() and above.all()
+
     def test_rejects_non_positive_dim(self):
         for voxels in (np.array([0]), []):
             with pytest.raises(ValueError, match="dim must be positive"):

@@ -467,11 +467,11 @@ class TestLoopWork:
     def test_each_error_guided_selection_scores_one_error_grid(self, monkeypatch, pool_mode):
         scored = []
 
-        def recording(error, lattice):
-            scored.append(error.values.copy())
-            return selection.score_all(error, lattice)
+        def recording(dim, error, lattice):
+            scored.append(error.reshape(dim, dim, dim).copy())
+            return selection._lattice_totals(dim, error, lattice)
 
-        monkeypatch.setattr(harness, "score_all", recording)
+        monkeypatch.setattr(harness, "_lattice_totals", recording)
         corpus = make_corpus(4, dim=16, seed=1)
         rep = run_loop(corpus, small_config(iterations=3, pool_mode=pool_mode))
         selections = [(k, t) for t in range(1, 4) for k, obj in enumerate(rep.objects)
@@ -624,10 +624,10 @@ class TestSelectionGapDemo:
         config = small_config(iterations=1, views_per_round=3)
         plain = run_loop(corpus, config)
         stats = dict.fromkeys(demo.STATS, 0)
-        originals = (harness.run_object_iteration, harness.score_all, harness.select_top_n)
+        originals = (harness.run_object_iteration, harness._lattice_totals, harness._top_centers)
         with demo.guided_selection(stats, suppress=False):
             hooked = run_loop(corpus, config)
-        assert (harness.run_object_iteration, harness.score_all, harness.select_top_n) == originals
+        assert (harness.run_object_iteration, harness._lattice_totals, harness._top_centers) == originals
         # Unsuppressed picks are the library's, so the run is unchanged.
         assert report_json(hooked) == report_json(plain)
         selections = sum(1 for obj in plain.objects for it in obj["iterations"] if it["selected"])

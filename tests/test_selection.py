@@ -1,5 +1,7 @@
 """First-hit projection, view scoring, top-n selection, Gaussian sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +349,58 @@ class TestScoreAll:
         assert calls == []
         score_view(error, LATTICE_30.centers[0])
         assert len(calls) == 1
+
+
+class TestLatticeTotals:
+    """The private kernel the loop scores its mismatch masks with, which ``score_all`` wraps."""
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("kind", ["bool mask", "0/1 floats", "soft", "all-false mask"])
+    def test_totals_equal_the_scores_of_score_all(self, monkeypatch, kind, streamed):
+        dim = 11
+        grid = random_soft_grid(dim, 4, p=0.4) if kind == "soft" else random_binary_grid(dim, 4, p=0.4)
+        if kind == "all-false mask":
+            grid = VoxelGrid.zeros((dim, dim, dim))
+        expected = [s.score for s in score_all(grid, LATTICE_30)]
+        flat = grid.values.reshape(-1)
+        error = flat > 0 if kind.endswith("mask") else flat
+        if streamed:  # below the table: every center's key row is computed on its own
+            monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * dim**3 * 4 - 1)
+            monkeypatch.setattr(selection, "lattice_cell_keys", None)
+        totals = selection._lattice_totals(dim, error, LATTICE_30)
+        assert totals.dtype == np.float64 and totals.shape == (72,)
+        assert totals.tolist() == expected
+        assert kind != "all-false mask" or not totals.any()
+
+    def test_a_warm_binary_call_allocates_under_six_bytes_per_entry(self):
+        # The lookup's fresh keys become ray ids in place (4 bytes per hot
+        # voxel and center) and are scattered in bounded intp chunks; a whole
+        # ray-id copy, or an intp cast of all of them, would add 4 or 8.
+        dim = 64
+        mask = np.random.default_rng(0).random(dim**3) < 0.05
+        selection._lattice_totals(dim, mask, LATTICE_30)  # the table now holds these voxels
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            selection._lattice_totals(dim, mask, LATTICE_30)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (np.count_nonzero(mask) * 72) < 6.0
+
+
+class TestRanking:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), min_size=72, max_size=72), st.randoms())
+    @settings(max_examples=30, deadline=None)
+    def test_one_rule_orders_the_loop_and_the_public_ranking(self, values, shuffler):
+        # Four values over 72 cells force ties, which the yaw then pitch index settles.
+        totals = np.array(values)
+        scores = [ViewScore(c, values[k], LATTICE_30.lattice_index(k)) for k, c in enumerate(LATTICE_30.centers)]
+        shuffler.shuffle(scores)
+        ranked = rank_scores(scores)
+        assert ranked == sorted(scores, key=lambda s: (-s.score, s.lattice_index))
+        for n in range(1, 73):
+            assert selection._top_centers(totals, LATTICE_30, n) == select_top_n(scores, n)
 
 
 class TestSelectTopN:
