@@ -27,6 +27,8 @@ view's pose and reads both pixel rules from that one map. One pass serves
 every object seen from the same pose: the loop carves each object's first
 initial view, cut from the full cube, for all objects sharing that pose in
 one call, so the pose maps the cube once rather than once per object.
+:func:`carve` and the one pass AND a view into a mask by one step, a plain
+AND when the view mapped the whole cube and a gather-and-AND otherwise.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
     return divmod(pixel, dim)
 
 
-def _kept(observation: ViewObservation, dim: int, voxels: np.ndarray) -> np.ndarray:
-    """Whether each of ``voxels`` (flat indices) projects onto a set pixel."""
-    # The trailing False is the pixel of voxels that project off the image.
-    lookup = np.append(observation.silhouette.pixels.reshape(-1), False)
-    return lookup[pixel_ids(dim, observation.viewpoint, clip_depth=False, voxels=voxels)]
-
-
 def carve(
     observations: Sequence[ViewObservation], dim: int, *, keep: np.ndarray | None = None
 ) -> VoxelGrid:
@@ -104,8 +99,17 @@ def carve(
     for obs in observations:
         # Only the voxels still kept are mapped.
         alive = np.flatnonzero(keep)
-        keep[alive] = _kept(obs, dim, alive)
+        image = np.append(obs.silhouette.pixels.reshape(-1), False)  # the last entry takes off voxels
+        _carve_into(keep, alive, image[pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive)])
     return VoxelGrid(keep.reshape((dim, dim, dim)))
+
+
+def _carve_into(keep: np.ndarray, alive: np.ndarray, kept: np.ndarray) -> None:
+    """AND ``kept``, one entry per voxel of ``alive``, into ``keep``: a plain AND when ``alive`` is the whole cube."""
+    if alive.size == keep.size:
+        np.logical_and(keep, kept, out=keep)
+    else:
+        keep[alive] &= kept
 
 
 def _render_and_carve(
@@ -132,8 +136,5 @@ def _render_and_carve(
         images.append(image)
     pixels = _pixel_rule(codes, dim, clip_depth=False)
     for keep, image in zip(keeps, images):
-        if alive.size == keep.size:  # the whole cube, as in a first view: a plain AND
-            np.logical_and(keep, image[pixels], out=keep)
-        else:
-            keep[alive] &= image[pixels]
+        _carve_into(keep, alive, image[pixels])
     return [SilhouetteImage(image[:-1].reshape(dim, dim)) for image in images]

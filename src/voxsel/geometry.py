@@ -39,16 +39,17 @@ one row per voxel, from one cached table.
 Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
-caller reads. :func:`pixel_ids` and :func:`cell_keys` keep nothing: a call
-maps exactly its voxels, one matmul row each. A pose's pixel ids come as one
-int32 code per voxel from which either pixel rule is read, so a caller that
-needs both for one pose (the loop renders a view and carves it in one pass,
+caller reads, filled by one chunked loop over the matmul (``_fill``).
+:func:`pixel_ids` and :func:`cell_keys` keep nothing: a call maps exactly
+its voxels, one matmul row each. A pose's pixel ids come as one int32 code
+per voxel from which either pixel rule is read, so a caller that needs both
+for one pose (the loop renders a view and carves it in one pass,
 :mod:`voxsel.carve`) maps each voxel once. The lattice table is the one
 cache, ``_ForwardMap``: a row of cell keys under every center per voxel it
 has mapped, kept in fill order, and an int32 slot per voxel naming its row,
 so its rows grow with the voxels mapped rather than with ``dim**3``. It is
 filled on demand: a lookup sends exactly the voxels it does not hold yet
-through the matmul, every center side by side, and maps nothing else. A row
+through the fill, every center side by side, and maps nothing else. A row
 of that matmul depends only on its voxel and pose on the tested BLAS (a
 lone row is multiplied as two, which keeps it off BLAS gemv), so a map
 filled in any order, or in any chunks, equals the full one bit for bit. The
@@ -291,6 +292,18 @@ def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray) -> np.ndar
     return np.rint(target, out=target)
 
 
+def _fill(out: np.ndarray, dim: int, rot_t: np.ndarray, voxels: np.ndarray, encode) -> np.ndarray:
+    """``out`` with row ``i`` set to ``encode`` of the rounded targets of ``voxels[i]``.
+
+    The voxels go through the matmul in products of ``_ENTRIES_PER_PRODUCT`` entries, voxel rows times poses.
+    """
+    rows = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
+    for start in range(0, len(voxels), rows):
+        chunk = voxels[start : start + rows]
+        out[start : start + len(chunk)] = encode(dim, _rounded_targets(dim, rot_t, chunk))
+    return out
+
+
 def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
     """Ray-major keys of rounded targets: ``(m, poses)`` int32, ``dim**3`` off the cube.
 
@@ -351,10 +364,8 @@ class _ForwardMap:
 
     def __init__(self, dim: int, rot_t: np.ndarray) -> None:
         self.dim, self.rot_t = dim, rot_t
-        poses = rot_t.shape[1] // 3
-        self.rows_per_product = max(1, _ENTRIES_PER_PRODUCT // poses)
         self.slot = np.zeros(dim**3, dtype=np.int32)
-        self.rows = np.zeros((1, poses), dtype=np.int32)
+        self.rows = np.zeros((1, rot_t.shape[1] // 3), dtype=np.int32)
         self.used = 1
 
     def lookup(self, voxels: np.ndarray) -> np.ndarray:
@@ -367,28 +378,20 @@ class _ForwardMap:
         # of duplicates; other lookups map each voxel they list once.
         if not (missing[1:] > missing[:-1]).all():
             missing = np.unique(missing)
-        need = self.used + missing.size
-        if need > len(self.rows):
-            grown = np.empty((max(min(2 * len(self.rows), len(self.slot) + 1), need), self.rows.shape[1]), np.int32)
+        end = self.used + missing.size
+        if end > len(self.rows):
+            grown = np.empty((max(min(2 * len(self.rows), len(self.slot) + 1), end), self.rows.shape[1]), np.int32)
             grown[: self.used] = self.rows[: self.used]
             self.rows = grown
-        for start in range(0, missing.size, self.rows_per_product):
-            chunk = missing[start : start + self.rows_per_product]
-            end = self.used + chunk.size
-            self.rows[self.used : end] = _cell_keys_of(self.dim, _rounded_targets(self.dim, self.rot_t, chunk))
-            self.slot[chunk] = np.arange(self.used, end, dtype=np.int32)
-            self.used = end
+        _fill(self.rows[self.used : end], self.dim, self.rot_t, missing, _cell_keys_of)
+        self.slot[missing] = np.arange(self.used, end, dtype=np.int32)
+        self.used = end
         return np.take(self.rows, self.slot[voxels], axis=0)
 
 
 def _pose_pixel_codes(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
-    """:func:`_pixel_codes` of ``voxels`` under ``v``, computed afresh in chunks of matmul rows."""
-    rot_t = rotation_matrix(v).T
-    codes = np.empty(len(voxels), dtype=np.int32)
-    for start in range(0, len(voxels), _ENTRIES_PER_PRODUCT):
-        chunk = voxels[start : start + _ENTRIES_PER_PRODUCT]
-        codes[start : start + len(chunk)] = _pixel_codes(dim, _rounded_targets(dim, rot_t, chunk))
-    return codes
+    """:func:`_pixel_codes` of ``voxels`` under ``v``, computed afresh."""
+    return _fill(np.empty(len(voxels), dtype=np.int32), dim, rotation_matrix(v).T, voxels, _pixel_codes)
 
 
 def _pixel_rule(codes: np.ndarray, dim: int, *, clip_depth: bool) -> np.ndarray:
@@ -440,8 +443,7 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
     """
     voxels = _voxel_index(voxels, dim)
     dim = int(dim)
-    target = _rounded_targets(dim, rotation_matrix(v).T, voxels)
-    return _cell_keys_of(dim, target)[:, 0]
+    return _fill(np.empty((len(voxels), 1), dtype=np.int32), dim, rotation_matrix(v).T, voxels, _cell_keys_of)[:, 0]
 
 
 @lru_cache(maxsize=2)

@@ -40,7 +40,7 @@ leak randomness across objects.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -162,23 +162,16 @@ def config_to_dict(config: LoopConfig) -> dict:
     return asdict(config)
 
 
-# The JSON type each loop config field must have: the loop passes counts,
-# sizes and seeds to range() and SeedSequence, and divides by the interval.
+# The JSON type each loop config field must have, read from the dataclass
+# annotations: the loop passes counts, sizes and seeds to range() and
+# SeedSequence, and divides by the interval; a float field takes any number.
 _NUMBER = (int, float)
 _FIELD_TYPES = {
-    "dim": int,
-    "interval_deg": _NUMBER,
-    "views_per_round": int,
-    "initial_views": int,
-    "iterations": int,
-    "update_fraction": _NUMBER,
-    "tau": _NUMBER,
-    "selection_policy": str,
-    "pool_mode": str,
-    "pool_capacity": int,
-    "seed": int,
+    key: _NUMBER if kind is float else kind
+    for key, kind in get_type_hints(LoopConfig).items()
+    if key != "initial_distribution"
 }
-_DISTRIBUTION_TYPES = {"kind": str, "views_per_object": int}
+_DISTRIBUTION_TYPES = get_type_hints(ViewDistribution)
 _TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a non-empty list of shape kinds"}
 
 
@@ -245,19 +238,18 @@ class _ObjectState:
     bool ``gt >= tau`` and ``bits`` the flat ``gt == 1`` when ``gt`` is 0/1,
     else None (a soft ground truth). ``keep`` is the flat bool mask of the
     ``dim**3`` voxels every observation keeps; with no observations it is
-    the full cube. :meth:`observe` carves rendered views into ``keep`` once,
-    as it does the observations given to the constructor. The loop builds
-    each state with no observations: under the default provider it renders
-    and carves views in one pass (``_render_and_carve``) and appends them
-    to ``observations`` itself, each first initial view in one pass shared
-    by every object seen from that pose.
+    the full cube. A state starts with no observations: :meth:`observe`
+    carves rendered views into ``keep`` once and appends them, and under the
+    default provider the loop renders and carves views in one pass
+    (:func:`_observe_in_one_pass`), each first initial view in one pass
+    shared by every object seen from that pose.
     """
 
     gt: VoxelGrid
     tau: float
-    observations: list[ViewObservation]
     rng: np.random.Generator
     lattice_cursor: int = 0
+    observations: list[ViewObservation] = field(init=False, default_factory=list)
     dim: int = field(init=False)
     occ: np.ndarray = field(init=False, repr=False)
     bits: np.ndarray | None = field(init=False, repr=False)
@@ -270,8 +262,6 @@ class _ObjectState:
         bits = self.occ if self.tau > 0 else flat == 1.0
         self.bits = bits if np.array_equal(flat, bits) else None
         self.keep = np.ones(self.dim**3, dtype=bool)
-        given, self.observations = self.observations, []
-        self.observe(given)
 
     @property
     def converged(self) -> bool:
@@ -289,6 +279,13 @@ class _ObjectState:
 def _renders_in_one_pass(provider: ViewProvider, tau: float) -> bool:
     """Whether the loop renders and carves ``provider``'s views itself: only the default provider at the loop's tau."""
     return provider == GroundTruthSilhouettes(tau)
+
+
+def _observe_in_one_pass(states: Sequence[_ObjectState], v: Viewpoint) -> None:
+    """Render ``v`` of each state's ``occ``, carve it into its ``keep`` and append it, in one pass for all of them."""
+    silhouettes = _render_and_carve([s.occ for s in states], states[0].dim, v, [s.keep for s in states])
+    for state, silhouette in zip(states, silhouettes):
+        state.observations.append(ViewObservation(v, silhouette))
 
 
 def run_object_iteration(
@@ -340,8 +337,7 @@ def run_object_iteration(
     if _renders_in_one_pass(provider, config.tau):
         # The loop's own renderer: each view is rendered and carved in one pass.
         for v in added:
-            [silhouette] = _render_and_carve([state.occ], state.dim, v, [state.keep])
-            state.observations.append(ViewObservation(v, silhouette))
+            _observe_in_one_pass([state], v)
     else:
         state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
     pool_record = fresh if config.selection_policy == "error-guided" else []
@@ -410,7 +406,7 @@ def run_loop(
         candidates = sample_dataset_viewpoints(dist, _stream(config.seed, _TAG_INIT, i))
         stride_idx = [k * len(candidates) // config.initial_views for k in range(config.initial_views)]
         initial = [candidates[k] for k in stride_idx]
-        states.append(_ObjectState(obj.gt, config.tau, [], _stream(config.seed, _TAG_SELECT, i)))
+        states.append(_ObjectState(obj.gt, config.tau, _stream(config.seed, _TAG_SELECT, i)))
         initials.append(initial)
         object_records.append(
             {
@@ -430,9 +426,7 @@ def run_loop(
         for state, initial in zip(states, initials):
             sharing.setdefault(initial[0], []).append(state)
         for v, group in sharing.items():
-            silhouettes = _render_and_carve([s.occ for s in group], config.dim, v, [s.keep for s in group])
-            for state, silhouette in zip(group, silhouettes):
-                state.observations.append(ViewObservation(v, silhouette))
+            _observe_in_one_pass(group, v)
     for obj, state, initial in zip(corpus, states, initials):
         state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial[first:]])
 

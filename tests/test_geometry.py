@@ -656,6 +656,57 @@ class TestOnDemandFill:
                 pixel = project_voxel(np.unravel_index(i, (dim,) * 3), c, dim)
                 assert pixel == (None if on_image[i] == dim * dim else divmod(int(on_image[i]), dim))
 
+    def test_a_pose_fill_past_one_product_matches_the_dense_forward_map(self, monkeypatch):
+        # 2**14 + 1 voxels fill one full 2**14-row product and a one-row
+        # tail; the tail is a voxel near a .5 tie under the pose.
+        dim, lattice = 32, discretize_viewpoints(30)
+        coords = geometry._centered_coords(dim)
+        v = next(c for c in lattice.centers if near_ties(dim, coords @ rotation_matrix(c).T).size)
+        tail = near_ties(dim, coords @ rotation_matrix(v).T)[0]
+        rng = np.random.default_rng(3)
+        voxels = np.append(rng.choice(np.setdiff1d(np.arange(dim**3), tail), size=2**14, replace=False), tail)
+        (clipped, on_image), keys = dense_pixel_ids(dim, v), dense_cell_keys(dim, v)
+        products = product_rows(monkeypatch)
+        assert np.array_equal(pixel_ids(dim, v, voxels=voxels), clipped[voxels])
+        assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=voxels), on_image[voxels])
+        assert np.array_equal(cell_keys(dim, v, voxels), keys[voxels])
+        assert products == [2**14, 1] * 3
+
+    def test_a_lattice_fill_past_one_product_matches_the_dense_forward_map(self, monkeypatch):
+        # A product over the 30-degree lattice holds 2**14 // 72 = 227 rows,
+        # so 228 fresh voxels fill one product and a one-row tail. The tail
+        # is a voxel whose keys differ when its lone row goes to BLAS gemv
+        # (168 voxels at dim 32 on the tested BLAS), so it must be
+        # multiplied as two rows.
+        dim, lattice = 32, discretize_viewpoints(30)
+        coords, stacked = geometry._centered_coords(dim), geometry._stacked_rotations(lattice.centers)
+        table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
+
+        def lone_row_keys(i):
+            return geometry._cell_keys_of(dim, np.rint(coords[[i]] @ stacked + (dim - 1) / 2))[0]
+
+        ties = tie_voxels(dim, 30)
+        ties = ties[ties >= 227]
+        tail = ([i for i in ties if not np.array_equal(lone_row_keys(i), table[i])] or ties)[0]
+        voxels = np.append(np.sort(np.random.default_rng(4).choice(tail, size=227, replace=False)), tail)
+        geometry._lattice_cell_keys.cache_clear()
+        products = product_rows(monkeypatch)
+        assert np.array_equal(lattice_cell_keys(dim, lattice, voxels), table[voxels])
+        assert products == [227, 1]
+
+
+def product_rows(monkeypatch):
+    """The voxel rows of every forward-map product from now on, in the order made."""
+    rows = []
+    original = geometry._rounded_targets
+
+    def recording(dim, rot_t, voxels):
+        rows.append(len(voxels))
+        return original(dim, rot_t, voxels)
+
+    monkeypatch.setattr(geometry, "_rounded_targets", recording)
+    return rows
+
 
 def near_ties(dim, rotated):
     """Voxels with a rotated coordinate within 1e-6 of a .5 tie.

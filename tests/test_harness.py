@@ -239,7 +239,8 @@ class TestRunLoopStructure:
         provider = GroundTruthSilhouettes(0.4)
         views = [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0), Viewpoint(0.0, 90.0)]
         obs = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in views]
-        state = _ObjectState(obj.gt, 0.4, obs, np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
+        state.observe(obs)
         rec = run_object_iteration(obj, state, small_config(), ViewpointPool(), provider)
         assert rec == {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
         assert state.converged
@@ -286,7 +287,8 @@ class TestRunningHull:
         # Two objects per category, so the second of each can draw pooled views.
         for obj in make_corpus(4, dim=config.dim, seed=5, kinds=["ell", "cross"]):
             obs = [ViewObservation(v, provider.render(obj.gt, v)) for v in initial_views]
-            state = _ObjectState(obj.gt, config.tau, obs, np.random.default_rng(1))
+            state = _ObjectState(obj.gt, config.tau, np.random.default_rng(1))
+            state.observe(obs)
             assert_hull_is_carve(state, config.dim)
             for _ in range(rounds):
                 rec = run_object_iteration(obj, state, config, pool, provider)
@@ -316,7 +318,8 @@ class TestRunningHull:
     def test_repeating_an_observation_changes_nothing(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
         obs = ViewObservation(Viewpoint(40.0, 10.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(40.0, 10.0)))
-        state = _ObjectState(obj.gt, 0.4, [obs], np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
+        state.observe([obs])
         before = state.keep.copy()
         state.observe([obs])
         assert np.array_equal(state.keep, before)
@@ -325,7 +328,7 @@ class TestRunningHull:
 
     def test_rejects_a_silhouette_of_another_dim(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
-        state = _ObjectState(obj.gt, 0.4, [], np.random.default_rng(0))
+        state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
         state.observe([ViewObservation(Viewpoint(0.0, 0.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(0.0, 0.0)))])
         before = state.keep.copy()
         with pytest.raises(ValueError, match="do not match grid dim 16"):
