@@ -58,6 +58,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     pred = _load_grid(args.pred)
     gt = _load_grid(args.gt)
     lattice = discretize_viewpoints(args.interval)

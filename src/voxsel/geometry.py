@@ -34,7 +34,8 @@ it builds no rotated grid. Error scoring reads :func:`cell_keys`: each
 voxel's rotated cell as ``(y * dim + z) * dim + x``, whose quotient by
 ``dim`` is the depth-clipped pixel id and whose order along a ray is its
 depth. :func:`lattice_cell_keys` gives it for every center of a lattice,
-one row per voxel, from one cached table.
+one row per voxel, from one table cached per dim and lattice. A lattice is
+determined by its interval, and compares and hashes by the interval alone.
 
 Each of them takes ``voxels``, the flat indices its caller reads (rendering
 the occupied voxels, carving the voxels still kept, scoring the error
@@ -60,7 +61,7 @@ API and as the reference the sparse forms are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -166,14 +167,33 @@ def viewpoint_from_direction(direction: np.ndarray) -> Viewpoint:
 class ViewpointLattice:
     """Regular grid of viewpoint interval centers covering the view sphere.
 
-    ``centers`` is ordered with the yaw index varying fastest, so entry ``k``
-    covers yaw cell ``k % n_yaw`` and pitch cell ``k // n_yaw``.
+    Yaw [-180, 180) and pitch [-90, 90] split into ``interval_deg`` cells, each represented by its
+    median angle (a 30 degree lattice starts at (-165, -75)); the interval must divide 360 and 180
+    (22.5 does, 50 does not) and be at least 1 degree (64,800 centers). The constructor derives
+    ``n_yaw``, ``n_pitch`` and ``centers`` from the interval, so a lattice compares and hashes by it
+    alone. Entry ``k`` of ``centers`` covers yaw cell ``k % n_yaw`` and pitch cell ``k // n_yaw``.
     """
 
     interval_deg: float
-    n_yaw: int
-    n_pitch: int
-    centers: tuple[Viewpoint, ...]
+    n_yaw: int = field(init=False, compare=False)
+    n_pitch: int = field(init=False, compare=False)
+    centers: tuple[Viewpoint, ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        interval_deg = float(self.interval_deg)
+        if not interval_deg >= 1.0:
+            raise ValueError(f"interval must be at least 1 degree (the 64,800-center lattice), got {interval_deg}")
+        n_yaw = round(360.0 / interval_deg)
+        n_pitch = round(180.0 / interval_deg)
+        if n_yaw * interval_deg != 360.0 or n_pitch * interval_deg != 180.0:
+            raise ValueError(f"interval must divide both 360 and 180, got {interval_deg}")
+        centers = tuple(
+            Viewpoint(yaw=-180.0 + (i + 0.5) * interval_deg, pitch=-90.0 + (j + 0.5) * interval_deg)
+            for j in range(n_pitch)
+            for i in range(n_yaw)
+        )
+        for key, value in zip(("interval_deg", "n_yaw", "n_pitch", "centers"), (interval_deg, n_yaw, n_pitch, centers)):
+            object.__setattr__(self, key, value)
 
     def lattice_index(self, k: int) -> tuple[int, int]:
         """(yaw index, pitch index) of the k-th center."""
@@ -197,30 +217,8 @@ class ViewpointLattice:
 
 @lru_cache(maxsize=8)
 def discretize_viewpoints(interval_deg: float) -> ViewpointLattice:
-    """Split yaw [-180, 180) and pitch [-90, 90] into interval_deg cells.
-
-    The interval must divide both 360 and 180 (so 22.5 is fine, 50 is not)
-    and be at least 1 degree (64,800 centers, the finest lattice). Each cell
-    is represented by its median angle, e.g. a 30 degree lattice starts at
-    (-165, -75). The lattice is immutable and cached for the eight most
-    recent intervals, so the loop does not rebuild it per selection.
-    """
-    interval_deg = float(interval_deg)
-    if not interval_deg >= 1.0:
-        raise ValueError(f"interval must be at least 1 degree (the 64,800-center lattice), got {interval_deg}")
-    n_yaw = round(360.0 / interval_deg)
-    n_pitch = round(180.0 / interval_deg)
-    if n_yaw * interval_deg != 360.0 or n_pitch * interval_deg != 180.0:
-        raise ValueError(f"interval must divide both 360 and 180, got {interval_deg}")
-    centers = tuple(
-        Viewpoint(
-            yaw=-180.0 + (i + 0.5) * interval_deg,
-            pitch=-90.0 + (j + 0.5) * interval_deg,
-        )
-        for j in range(n_pitch)
-        for i in range(n_yaw)
-    )
-    return ViewpointLattice(interval_deg=interval_deg, n_yaw=n_yaw, n_pitch=n_pitch, centers=centers)
+    """``ViewpointLattice(interval_deg)``, cached for the eight most recent intervals; the loop asks per selection."""
+    return ViewpointLattice(interval_deg)
 
 
 @lru_cache(maxsize=8)

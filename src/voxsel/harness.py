@@ -149,6 +149,8 @@ class LoopConfig:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}, expected one of {POLICIES}")
         if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}, expected one of {POOL_MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         n_centers = len(discretize_viewpoints(self.interval_deg).centers)  # validates the interval
         # An empty pool makes every pool mode select all views_per_round views fresh.
         if self.selection_policy == "error-guided" and self.views_per_round > n_centers:
@@ -217,6 +219,8 @@ def make_corpus(
     """
     if count < 1:
         raise ValueError(f"corpus count must be positive, got {count}")
+    if seed < 0:
+        raise ValueError(f"corpus seed must be nonnegative, got {seed}")
     if len(kinds) == 0:
         raise ValueError(f"corpus kinds must name at least one shape kind, got {kinds!r}")
     for kind in kinds:
@@ -248,7 +252,7 @@ class _ObjectState:
     gt: VoxelGrid
     tau: float
     rng: np.random.Generator
-    lattice_cursor: int = 0
+    lattice_cursor: int = field(init=False, default=0)
     observations: list[ViewObservation] = field(init=False, default_factory=list)
     dim: int = field(init=False)
     occ: np.ndarray = field(init=False, repr=False)

@@ -82,9 +82,10 @@ class SilhouetteImage:
 class ViewDistribution:
     """How dataset viewpoints are spread over the view sphere.
 
-    ``aligned`` is the fixed 24-view ring (pitch 60, yaw every 15 degrees);
-    ``hemispherical`` draws pitch uniformly from [0, 90] and ``spherical``
-    from [-90, 90], both with yaw uniform over [-180, 180).
+    ``aligned`` is the fixed 24-view ring (pitch 60, yaw every 15 degrees)
+    and takes no other view count; ``hemispherical`` draws pitch uniformly
+    from [0, 90] and ``spherical`` from [-90, 90], both with yaw uniform over
+    [-180, 180).
     """
 
     kind: str
@@ -95,21 +96,20 @@ class ViewDistribution:
             raise ValueError(f"unknown view distribution kind {self.kind!r}")
         if self.views_per_object < 1:
             raise ValueError(f"views_per_object must be positive, got {self.views_per_object}")
+        if self.kind == "aligned" and self.views_per_object != ALIGNED_VIEW_COUNT:
+            raise ValueError(
+                f"aligned distribution is a fixed {ALIGNED_VIEW_COUNT}-view pattern, "
+                f"got views_per_object={self.views_per_object}"
+            )
 
 
 def sample_dataset_viewpoints(dist: ViewDistribution, rng: np.random.Generator) -> list[Viewpoint]:
     """Draw one object's worth of dataset viewpoints.
 
-    The aligned pattern is fixed and consumes no randomness; it only supports
-    exactly 24 views per object. Random patterns draw yaw then pitch for each
-    view in order.
+    The aligned pattern is fixed and consumes no randomness. Random patterns
+    draw yaw then pitch for each view in order.
     """
     if dist.kind == "aligned":
-        if dist.views_per_object != ALIGNED_VIEW_COUNT:
-            raise ValueError(
-                f"aligned distribution is a fixed {ALIGNED_VIEW_COUNT}-view pattern, "
-                f"got views_per_object={dist.views_per_object}"
-            )
         return [
             Viewpoint(yaw=-180.0 + k * ALIGNED_YAW_STEP_DEG, pitch=ALIGNED_PITCH_DEG)
             for k in range(ALIGNED_VIEW_COUNT)

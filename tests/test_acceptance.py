@@ -236,7 +236,8 @@ def test_criterion_06_selection_effectiveness():
     if not mean_vs_random >= 0.0:
         failed.append(
             f"mean error-guided minus random delta {mean_vs_random:+.6f} is below 0; "
-            "demos/measure_selection_gap.py measures the cause (README, ROADMAP item 1)"
+            "demos/measure_selection_gap.py measures the cause (README; ROADMAP, "
+            "'Add a `carve-guided` selection policy')"
         )
     if not elapsed < 300.0:
         failed.append(f"took {elapsed:.1f}s, over the 300s budget")

@@ -146,6 +146,11 @@ class TestSelect:
         assert main(["select", "--pred", pred, "--gt", gt, "--n", "100"]) == 2
         assert "voxsel select:" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_clean_failure(self, grid_pair, capsys):
+        pred, gt = grid_pair
+        assert main(["select", "--pred", pred, "--gt", gt, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "voxsel select: --seed must be nonnegative, got -1\n"
+
 
 class TestCarve:
     def test_axis_views_recover_a_box(self, tmp_path):
@@ -299,6 +304,8 @@ class TestLoop:
              "unknown corpus keys: ['kindz']"),
             ({"loop": {"initial_distribution": {"views_per_object": 24}}, "corpus": {"count": 2}},
              "initial_distribution field 'kind' is required"),
+            ({"loop": {"seed": -1}, "corpus": {"count": 2}}, "seed must be nonnegative, got -1"),
+            ({"loop": {"dim": 16}, "corpus": {"count": 2, "seed": -1}}, "corpus seed must be nonnegative, got -1"),
         ],
     )
     def test_malformed_config_field_fails_cleanly(self, tmp_path, capsys, command, spec, message):

@@ -192,16 +192,29 @@ class TestLattice:
     def test_cached_per_interval(self):
         assert discretize_viewpoints(30) is discretize_viewpoints(30)
 
+    def test_determined_by_its_interval(self):
+        lat, cached = ViewpointLattice(30), discretize_viewpoints(30)
+        assert lat == cached and hash(lat) == hash(cached)
+        assert lat.interval_deg == 30.0 and lat.centers == cached.centers
+
+    def test_derived_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            ViewpointLattice(30.0, 3, 1, ())
+
     @pytest.mark.parametrize("bad", [0, -30, 50, 75, 7, 360.5])
     def test_non_divisors_rejected(self, bad):
         with pytest.raises(ValueError):
             discretize_viewpoints(bad)
+        with pytest.raises(ValueError):
+            ViewpointLattice(bad)
 
     @pytest.mark.parametrize("fine", [0.5, 0.01, 2**-10])
     def test_sub_degree_intervals_rejected_before_building(self, fine):
         # 0.5 divides 360 and 180; 0.01 would build 648,000,000 centers.
         with pytest.raises(ValueError, match="at least 1 degree"):
             discretize_viewpoints(fine)
+        with pytest.raises(ValueError, match="at least 1 degree"):
+            ViewpointLattice(fine)
 
     def test_yaw_index_varies_fastest(self):
         lat = discretize_viewpoints(30)

@@ -157,6 +157,9 @@ class TestLoopConfig:
              "initial_distribution field 'views_per_object' must be an integer"),
             ({"initial_distribution": {"kind": "aligned", "n": 3}}, "unknown initial_distribution keys: ['n']"),
             ({"initial_distribution": {"views_per_object": 24}}, "initial_distribution field 'kind' is required"),
+            ({"initial_distribution": {"kind": "aligned", "views_per_object": 5}},
+             "aligned distribution is a fixed 24-view pattern, got views_per_object=5"),
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
         ],
     )
     def test_fields_of_the_wrong_type_rejected(self, payload, message):
