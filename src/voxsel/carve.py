@@ -22,13 +22,12 @@ ids of the voxels still kept only, so a voxel an earlier view dropped is
 never mapped under a later one.
 
 The loop renders and carves views of its own ground truth in one pass,
-``_render_and_carve``, which maps each voxel kept or occupied once under the
-view's pose and reads both pixel rules from that one map. One pass serves
-every object seen from the same pose: the loop carves each object's first
-initial view, cut from the full cube, for all objects sharing that pose in
-one call, so the pose maps the cube once rather than once per object.
-:func:`carve` and the one pass AND a view into a mask by one step, a plain
-AND when the view mapped the whole cube and a gather-and-AND otherwise.
+``_render_and_carve``: it maps each voxel kept or occupied once under the
+view's pose, then renders and carves through the steps
+:func:`~voxsel.synthesis.render_silhouette` and :func:`carve` use. One pass
+serves every object seen from the same pose: the loop carves each object's
+first initial view, cut from the full cube, for all objects sharing that pose
+in one call, so the pose maps the cube once, not once per object.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .geometry import Viewpoint, _pixel_rule, _pose_pixel_codes, pixel_ids
 from .grid import VoxelGrid
-from .synthesis import SilhouetteImage
+from .synthesis import SilhouetteImage, _silhouette
 
 __all__ = ["ViewObservation", "carve", "project_voxel"]
 
@@ -97,16 +96,15 @@ def carve(
     elif keep.dtype != np.bool_ or keep.shape != (dim**3,):
         raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
     for obs in observations:
-        # Only the voxels still kept are mapped.
-        alive = np.flatnonzero(keep)
-        image = np.append(obs.silhouette.pixels.reshape(-1), False)  # the last entry takes off voxels
-        _carve_into(keep, alive, image[pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive)])
+        alive = np.flatnonzero(keep)  # only the voxels still kept are mapped
+        _carve_into(keep, alive, obs.silhouette, pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive))
     return VoxelGrid(keep.reshape((dim, dim, dim)))
 
 
-def _carve_into(keep: np.ndarray, alive: np.ndarray, kept: np.ndarray) -> None:
-    """AND ``kept``, one entry per voxel of ``alive``, into ``keep``: a plain AND when ``alive`` is the whole cube."""
-    if alive.size == keep.size:
+def _carve_into(keep: np.ndarray, alive: np.ndarray, silhouette: SilhouetteImage, pixels: np.ndarray) -> None:
+    """AND ``silhouette``, read at the image-rule ids ``pixels`` of the voxels ``alive``, into ``keep`` in place."""
+    kept = np.append(silhouette.pixels.reshape(-1), False)[pixels]  # the off id reads False
+    if alive.size == keep.size:  # a plain AND over the whole cube
         np.logical_and(keep, kept, out=keep)
     else:
         keep[alive] &= kept
@@ -117,8 +115,10 @@ def _render_and_carve(
 ) -> list[SilhouetteImage]:
     """``render_silhouette`` of each flat occupancy mask in ``occs`` from ``v``, carved into its ``keeps`` entry in place.
 
-    Maps each voxel of the union of every ``keep | occ`` once: an occupied
-    voxel outside its hull still sets its pixel, as it does in
+    Maps each voxel of the union of every ``keep | occ`` once, renders each
+    silhouette through ``render_silhouette``'s step and carves it through
+    :func:`carve`'s; the silhouettes returned are the ones carved with. An
+    occupied voxel outside its hull still sets its pixel, as it does in
     ``render_silhouette``. Each object's silhouette and carve equal those of
     a call with that object alone.
     """
@@ -128,13 +128,8 @@ def _render_and_carve(
         union |= occ
     alive = np.flatnonzero(union)
     codes = _pose_pixel_codes(dim, v, alive)
-    images = []
-    for occ in occs:
-        image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
-        image[_pixel_rule(codes[occ[alive]], dim, clip_depth=True)] = True
-        image[-1] = False
-        images.append(image)
+    silhouettes = [_silhouette(dim, _pixel_rule(codes[occ[alive]], dim, clip_depth=True)) for occ in occs]
     pixels = _pixel_rule(codes, dim, clip_depth=False)
-    for keep, image in zip(keeps, images):
-        _carve_into(keep, alive, image[pixels])
-    return [SilhouetteImage(image[:-1].reshape(dim, dim)) for image in images]
+    for keep, silhouette in zip(keeps, silhouettes):
+        _carve_into(keep, alive, silhouette, pixels)
+    return silhouettes

@@ -57,6 +57,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _number(text: str) -> int | float:
+    """``text`` as an int when it is written as one, else as a float, so ``--interval 30`` still prints 30."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+
+
 def _cmd_select(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="score lattice viewpoints against reconstruction error")
     p.add_argument("--pred", required=True, help="predicted grid (.vxg)")
     p.add_argument("--gt", required=True, help="ground-truth grid (.vxg)")
-    p.add_argument("--interval", type=int, default=30, help="lattice interval in degrees")
+    p.add_argument("--interval", type=_number, default=30, help="lattice interval in degrees")
     p.add_argument("--n", type=int, default=3, help="number of viewpoints to select")
     p.add_argument("--seed", type=int, default=0, help="seed for Gaussian sampling")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")

@@ -149,6 +149,8 @@ class LoopConfig:
             raise ValueError(f"unknown selection policy {self.selection_policy!r}, expected one of {POLICIES}")
         if self.pool_mode not in POOL_MODES:
             raise ValueError(f"unknown pool mode {self.pool_mode!r}, expected one of {POOL_MODES}")
+        if self.pool_capacity < 1:
+            raise ValueError(f"pool_capacity must be positive, got {self.pool_capacity}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         n_centers = len(discretize_viewpoints(self.interval_deg).centers)  # validates the interval

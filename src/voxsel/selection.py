@@ -279,7 +279,7 @@ def sample_around(centers: Sequence[Viewpoint], interval_deg: float, rng: np.ran
 def select_and_sample(
     pred: VoxelGrid,
     gt: VoxelGrid,
-    interval_deg: int,
+    interval_deg: float,
     n: int,
     rng: np.random.Generator,
 ) -> list[Viewpoint]:

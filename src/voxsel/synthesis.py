@@ -2,15 +2,15 @@
 
 The renderer stands in for a real multi-view image pipeline: a view of an
 object is the binary silhouette of its ground-truth occupancy seen from a
-viewpoint. Silhouettes are produced by the pixel-id kernel that carving shares
-(:func:`~voxsel.geometry.pixel_ids`). Carving against them is exactly
-conservative for the ground-truth voxels whose rotated cell stays inside the
-cube, which every voxel within :func:`safe_radius` of the center does: a
-voxel whose cell leaves the cube along x is missing from the silhouette
-(rendering uses the cube rule) but still looked up by carving (the image
-rule), so it is carved away unless another voxel sets that pixel. Synthetic
-test shapes are generated inside that safe ball (the inscribed ball with one
-voxel of margin), so no rotation ever clips them.
+viewpoint. One step sets every silhouette from the ids of the pixel-id kernel
+carving shares (:func:`~voxsel.geometry.pixel_ids`), here and in the loop's
+one-pass render and carve. Carving against them is exactly conservative for
+the ground-truth voxels whose rotated cell stays inside the cube, which every
+voxel within :func:`safe_radius` of the center does: a voxel whose cell leaves
+the cube along x is missing from the silhouette (rendering uses the cube rule)
+but still looked up by carving (the image rule), so it is carved away unless
+another voxel sets that pixel. Synthetic test shapes lie inside that safe ball
+(the inscribed ball with one voxel of margin), so no rotation ever clips them.
 """
 
 from __future__ import annotations
@@ -131,12 +131,17 @@ def render_silhouette(gt: VoxelGrid, v: Viewpoint, tau: float = DEFAULT_THRESHOL
     are mapped. This is exactly the nonzero mask of
     ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
     """
-    occupied = gt.values >= _check_tau(tau)
+    tau = _check_tau(tau)
     if not gt.is_cubic:
-        raise ValueError(f"rotation requires a cubic grid, got dims {gt.dims}")
+        raise ValueError(f"rendering requires a cubic grid, got dims {gt.dims}")
     dim = gt.dims[0]
+    return _silhouette(dim, pixel_ids(dim, v, voxels=np.flatnonzero(gt.values >= tau)))
+
+
+def _silhouette(dim: int, pixels: np.ndarray) -> SilhouetteImage:
+    """The (dim, dim) silhouette with the image pixel ids ``pixels`` set; the off id ``dim * dim`` sets nothing."""
     image = np.zeros(dim * dim + 1, dtype=bool)  # the last entry takes off voxels
-    image[pixel_ids(dim, v, voxels=np.flatnonzero(occupied))] = True
+    image[pixels] = True
     return SilhouetteImage(image[:-1].reshape(dim, dim))
 
 

@@ -104,6 +104,13 @@ class TestRender:
         assert read_sil(lo).pixels.sum() == 1
         assert read_sil(hi).pixels.sum() == 0
 
+    def test_non_cubic_grid_fails_cleanly(self, tmp_path, capsys):
+        grid_path = write_grid(tmp_path / "flat.vxg", VoxelGrid.zeros((4, 4, 8)))
+        code = main(["render", "--grid", grid_path, "--yaw", "0", "--pitch", "0", "--out", str(tmp_path / "o.sil")])
+        assert code == 2
+        assert capsys.readouterr().err == "voxsel render: rendering requires a cubic grid, got dims (4, 4, 8)\n"
+        assert not (tmp_path / "o.sil").exists()
+
 
 class TestSelect:
     @pytest.fixture()
@@ -150,6 +157,26 @@ class TestSelect:
         pred, gt = grid_pair
         assert main(["select", "--pred", pred, "--gt", gt, "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "voxsel select: --seed must be nonnegative, got -1\n"
+
+    def test_fractional_interval(self, grid_pair, capsys):
+        pred, gt = grid_pair
+        assert main(["select", "--pred", pred, "--gt", gt, "--interval", "22.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["interval_deg"] == 22.5
+        assert len(payload["scores"]) == 16 * 8
+
+    def test_non_divisor_interval_is_a_clean_failure(self, grid_pair, capsys):
+        pred, gt = grid_pair
+        assert main(["select", "--pred", pred, "--gt", gt, "--interval", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("voxsel select: interval must divide both 360 and 180") and err.count("\n") == 1
+
+    def test_non_numeric_interval_exits_via_argparse(self, grid_pair, capsys):
+        pred, gt = grid_pair
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--pred", pred, "--gt", gt, "--interval", "x"])
+        assert exc.value.code == 2
+        assert "argument --interval: invalid number: 'x'" in capsys.readouterr().err
 
 
 class TestCarve:
@@ -306,6 +333,7 @@ class TestLoop:
              "initial_distribution field 'kind' is required"),
             ({"loop": {"seed": -1}, "corpus": {"count": 2}}, "seed must be nonnegative, got -1"),
             ({"loop": {"dim": 16}, "corpus": {"count": 2, "seed": -1}}, "corpus seed must be nonnegative, got -1"),
+            ({"loop": {"pool_capacity": 0}, "corpus": {"count": 2}}, "pool_capacity must be positive, got 0"),
         ],
     )
     def test_malformed_config_field_fails_cleanly(self, tmp_path, capsys, command, spec, message):

@@ -111,6 +111,8 @@ class TestLoopConfig:
             {"selection_policy": "greedy"},
             {"pool_mode": "sometimes"},
             {"interval_deg": 50},
+            {"pool_capacity": 0},
+            {"pool_capacity": -1},
         ],
     )
     def test_invalid_values_rejected(self, kw):

@@ -78,6 +78,10 @@ class TestRenderSilhouette:
         sil = render_silhouette(VoxelGrid(vals), Viewpoint(0.0, 0.0), tau=0.2)
         assert sil.count == 1
 
+    def test_rejects_non_cubic(self):
+        with pytest.raises(ValueError, match=r"rendering requires a cubic grid, got dims \(4, 4, 8\)"):
+            render_silhouette(VoxelGrid.zeros((4, 4, 8)), Viewpoint(0.0, 0.0))
+
     @given(st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
     def test_equals_nonzero_mask_of_first_hit_projection(self, seed):
