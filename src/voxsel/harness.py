@@ -225,14 +225,12 @@ def make_corpus(
         raise ValueError(f"corpus seed must be nonnegative, got {seed}")
     if len(kinds) == 0:
         raise ValueError(f"corpus kinds must name at least one shape kind, got {kinds!r}")
-    for kind in kinds:
-        if kind not in SHAPE_KINDS:
-            raise ValueError(f"unknown shape kind {kind!r}")
+    specs = [ShapeSpec(kind) for kind in kinds]
     corpus = []
     for i in range(count):
-        kind = kinds[i % len(kinds)]
-        gt = generate_shape(ShapeSpec(kind), dim, _stream(seed, _TAG_SHAPE, i))
-        corpus.append(SceneObject(name=f"{kind}-{i:03d}", category=kind, gt=gt))
+        spec = specs[i % len(specs)]
+        gt = generate_shape(spec, dim, _stream(seed, _TAG_SHAPE, i))
+        corpus.append(SceneObject(name=f"{spec.kind}-{i:03d}", category=spec.kind, gt=gt))
     return corpus
 
 

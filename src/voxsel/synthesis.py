@@ -11,11 +11,16 @@ the cube along x is missing from the silhouette (rendering uses the cube rule)
 but still looked up by carving (the image rule), so it is carved away unless
 another voxel sets that pixel. Synthetic test shapes lie inside that safe ball
 (the inscribed ball with one voxel of margin), so no rotation ever clips them.
+Every shape is a union of two primitives, each built by one rule: a box from
+its center and half-extents, and a ball; random boxes and balls take their
+offset from the center from one placement rule.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -201,7 +206,8 @@ MAX_OCCUPANCY = 0.60
 class ShapeSpec:
     """Descriptor for one synthetic shape.
 
-    ``size`` (box) and ``radius`` (sphere) pin the primitive exactly and
+    ``size`` (box only, a tuple of three positive ints) and ``radius``
+    (sphere only, a positive finite number) pin the primitive exactly and
     center it; left unset, the generator randomizes extent and placement.
     """
 
@@ -212,6 +218,19 @@ class ShapeSpec:
     def __post_init__(self) -> None:
         if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}, expected one of {SHAPE_KINDS}")
+        if self.size is not None:
+            if self.kind != "box":
+                raise ValueError(f"size applies only to a box, got kind {self.kind!r}")
+            size = self.size if isinstance(self.size, tuple) else ()
+            positive_ints = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in size)
+            if len(size) != 3 or not positive_ints:
+                raise ValueError(f"box size must be a tuple of three positive ints, got {self.size!r}")
+        if self.radius is not None:
+            if self.kind != "sphere":
+                raise ValueError(f"radius applies only to a sphere, got kind {self.kind!r}")
+            r = self.radius
+            if not (isinstance(r, numbers.Real) and not isinstance(r, bool) and math.isfinite(r) and r > 0):
+                raise ValueError(f"sphere radius must be a positive finite number, got {r!r}")
 
 
 def safe_radius(dim: int) -> float:
@@ -229,114 +248,91 @@ def _ball_mask(dim: int, center: np.ndarray, radius: float) -> np.ndarray:
     return dist2 <= radius * radius
 
 
-def _box_mask(dim: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # lo/hi are inclusive integer index bounds per axis.
+def _box(dim: int, center: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    # The voxels within ``ext`` of ``center`` (centered coordinates) on every axis.
+    half = (dim - 1) / 2.0
+    lo = np.maximum(np.ceil(half + center - ext).astype(int), 0)
+    hi = np.minimum(np.floor(half + center + ext).astype(int), dim - 1)
     mask = np.zeros((dim, dim, dim), dtype=bool)
     mask[lo[0] : hi[0] + 1, lo[1] : hi[1] + 1, lo[2] : hi[2] + 1] = True
     return mask
 
 
-def _random_box_bounds(dim: int, rng: np.random.Generator, max_half: float) -> tuple[np.ndarray, np.ndarray]:
+def _place(rng: np.random.Generator, slack: float) -> np.ndarray:
+    # A random offset from the grid center, at most ``slack`` long.
+    offset = rng.uniform(-1.0, 1.0, size=3)
+    offset *= slack / max(np.linalg.norm(offset), 1e-12) * rng.uniform(0.0, 1.0)
+    return offset
+
+
+def _random_box(dim: int, rng: np.random.Generator, max_half: float) -> np.ndarray:
     # A box is safe when its farthest corner stays inside the safe ball.
-    half = (dim - 1) / 2.0
     budget = safe_radius(dim)
-    extents = rng.uniform(dim / 8.0, max_half, size=3)
+    extents = np.maximum(rng.uniform(dim / 8.0, max_half, size=3), 1.5)
     scale = budget / np.linalg.norm(extents)
     if scale < 1.0:
         extents = extents * scale
-    slack = budget - np.linalg.norm(extents)
-    offset = rng.uniform(-1.0, 1.0, size=3)
-    offset *= slack / max(np.linalg.norm(offset), 1e-12) * rng.uniform(0.0, 1.0)
-    lo = np.ceil(half + offset - extents).astype(int)
-    hi = np.floor(half + offset + extents).astype(int)
-    return np.maximum(lo, 0), np.minimum(hi, dim - 1)
+    return _box(dim, _place(rng, budget - np.linalg.norm(extents)), extents)
 
 
-def _centered_exact_box(dim: int, size: tuple[int, int, int]) -> np.ndarray:
-    if any(s < 1 or s > dim for s in size):
-        raise ValueError(f"box size {size} does not fit dim {dim}")
-    lo = np.array([(dim - s) // 2 for s in size])
-    hi = lo + np.array(size) - 1
-    return _box_mask(dim, lo, hi)
+def _random_ball(dim: int, rng: np.random.Generator, min_radius: float, max_radius: float) -> np.ndarray:
+    radius = rng.uniform(min_radius, max_radius)
+    return _ball_mask(dim, _place(rng, safe_radius(dim) - radius), radius)
 
 
 def _arm(dim: int, axis: int, center: np.ndarray, half_len: float, half_thick: float) -> np.ndarray:
-    half = (dim - 1) / 2.0
     ext = np.full(3, half_thick)
     ext[axis] = half_len
-    lo = np.maximum(np.ceil(half + center - ext).astype(int), 0)
-    hi = np.minimum(np.floor(half + center + ext).astype(int), dim - 1)
-    return _box_mask(dim, lo, hi)
+    return _box(dim, center, ext)
 
 
 def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> VoxelGrid:
     """Generate one binary shape grid, deterministic given the generator state.
 
-    All occupancy lies inside the safe ball (:func:`safe_radius`), and the
-    occupied fraction always lands in [1%, 60%] of the grid.
+    Every shape is the union of boxes and balls clipped to the safe ball
+    (:func:`safe_radius`), and the occupied fraction always lands in
+    [1%, 60%] of the grid. Floors keep the smallest dims from rounding a
+    shape to a sliver and bind only below dim 12: random box half-extents
+    are at least 1.5 voxels, arm half-thicknesses (``ell``, ``cross``) at
+    least 1, and ``ell``'s arm half-lengths at least 2 and 1.5.
     """
     if dim < MIN_SHAPE_DIM:
         raise ValueError(f"shape dim must be at least {MIN_SHAPE_DIM}, got {dim}")
     budget = safe_radius(dim)
 
-    if spec.kind == "box":
-        if spec.size is not None:
-            mask = _centered_exact_box(dim, spec.size)
-        else:
-            lo, hi = _random_box_bounds(dim, rng, max_half=dim / 4.0)
-            mask = _box_mask(dim, lo, hi)
+    if spec.size is not None:  # an exact box, its low corner at (dim - size) // 2
+        size = np.array(spec.size)
+        if np.any(size > dim):
+            raise ValueError(f"box size {spec.size} does not fit dim {dim}")
+        ext = (size - 1) / 2.0
+        parts = [_box(dim, (dim - size) // 2 + ext - (dim - 1) / 2.0, ext)]
+    elif spec.radius is not None:  # an exact sphere
+        parts = [_ball_mask(dim, np.zeros(3), float(spec.radius))]
+    elif spec.kind == "box":
+        parts = [_random_box(dim, rng, dim / 4.0)]
+    elif spec.kind == "union-of-boxes":
+        parts = [_random_box(dim, rng, dim / 5.0) for _ in range(int(rng.integers(3, 6)))]
     elif spec.kind == "sphere":
-        if spec.radius is not None:
-            radius = float(spec.radius)
-            center = np.zeros(3)
-        else:
-            radius = rng.uniform(dim / 6.0, dim / 3.5)
-            center = rng.uniform(-1.0, 1.0, size=3)
-            slack = budget - radius
-            center *= slack / max(np.linalg.norm(center), 1e-12) * rng.uniform(0.0, 1.0)
-        mask = _ball_mask(dim, center, radius)
+        parts = [_random_ball(dim, rng, dim / 6.0, dim / 3.5)]
+    elif spec.kind == "random-blob":
+        parts = [_random_ball(dim, rng, dim / 10.0, dim / 5.0) for _ in range(int(rng.integers(4, 9)))]
     elif spec.kind == "ell":
         # Two orthogonal arms joined at a shared end: deliberately asymmetric.
         # Lengths scale with the safe ball so the ranges stay valid down to
         # the minimum dim.
         axes = rng.permutation(3)[:2]
-        # Floors keep the smallest dims from rounding an arm to a sliver;
-        # they only bind below dim 12.
         thick = max(rng.uniform(dim / 12.0, dim / 8.0), 1.0)
         long_a = max(rng.uniform(budget * 0.55, budget * 0.62), 2.0)
         long_b = max(rng.uniform(budget * 0.44, budget * 0.50), 1.5)
-        joint = np.zeros(3)
-        joint[axes[0]] = -long_a + thick
-        arm_a = _arm(dim, int(axes[0]), np.zeros(3), long_a, thick)
-        arm_b_center = joint.copy()
-        arm_b_center[axes[1]] = long_b - thick
-        arm_b = _arm(dim, int(axes[1]), arm_b_center, long_b, thick)
-        mask = arm_a | arm_b
-    elif spec.kind == "cross":
-        thick = rng.uniform(dim / 12.0, dim / 9.0)
-        mask = np.zeros((dim, dim, dim), dtype=bool)
-        for axis in range(3):
-            half_len = rng.uniform(dim / 4.0, np.sqrt(budget**2 - 2 * thick**2))
-            mask |= _arm(dim, axis, np.zeros(3), half_len, thick)
-    elif spec.kind == "union-of-boxes":
-        count = int(rng.integers(3, 6))
-        mask = np.zeros((dim, dim, dim), dtype=bool)
-        for _ in range(count):
-            lo, hi = _random_box_bounds(dim, rng, max_half=dim / 5.0)
-            mask |= _box_mask(dim, lo, hi)
-    elif spec.kind == "random-blob":
-        count = int(rng.integers(4, 9))
-        mask = np.zeros((dim, dim, dim), dtype=bool)
-        for _ in range(count):
-            radius = rng.uniform(dim / 10.0, dim / 5.0)
-            center = rng.uniform(-1.0, 1.0, size=3)
-            slack = budget - radius
-            center *= slack / max(np.linalg.norm(center), 1e-12) * rng.uniform(0.0, 1.0)
-            mask |= _ball_mask(dim, center, radius)
-    else:  # pragma: no cover - guarded by ShapeSpec
-        raise ValueError(f"unknown shape kind {spec.kind!r}")
+        b_center = np.zeros(3)
+        b_center[axes] = thick - long_a, long_b - thick
+        parts = [_arm(dim, axes[0], np.zeros(3), long_a, thick), _arm(dim, axes[1], b_center, long_b, thick)]
+    else:  # cross
+        thick = max(rng.uniform(dim / 12.0, dim / 9.0), 1.0)
+        max_len = np.sqrt(budget**2 - 2 * thick**2)
+        parts = [_arm(dim, axis, np.zeros(3), rng.uniform(dim / 4.0, max_len), thick) for axis in range(3)]
 
-    mask &= _ball_mask(dim, np.zeros(3), budget)
+    mask = np.logical_or.reduce(parts) & _ball_mask(dim, np.zeros(3), budget)
     fraction = mask.sum() / mask.size
     if not (MIN_OCCUPANCY <= fraction <= MAX_OCCUPANCY):
         raise ValueError(f"shape occupancy {fraction:.3%} outside [1%, 60%] for {spec}")

@@ -81,6 +81,11 @@ class TestGenShapes:
             assert isinstance(loaded, OccupancySet)
             assert np.array_equal(loaded.bits, obj.gt.values > 0.5)
 
+    def test_small_dim_corpus_succeeds(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert main(["gen-shapes", "--count", "12", "--dim", "11", "--seed", "255", "--out", str(out)]) == 0
+        assert len(json.loads((out / "manifest.json").read_text())) == 12
+
 
 class TestRender:
     def test_matches_the_library_call(self, tmp_path):

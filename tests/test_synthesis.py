@@ -1,5 +1,7 @@
 """Silhouette rendering, view distributions, and synthetic shape generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from voxsel.carve import project_voxel
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid
 from voxsel.grid import VoxelGrid, threshold_grid
+from voxsel.harness import make_corpus
 from voxsel.selection import project_first_hit
 from voxsel.synthesis import (
     ALIGNED_VIEW_COUNT,
@@ -177,6 +180,45 @@ class TestGenerateShape:
         r = np.sqrt((coords**2).sum(axis=0))
         assert np.all(r[g.values > 0] <= safe_radius(dim) + 1e-9)
 
+    @pytest.mark.parametrize(
+        "kind, dim, seed",
+        [("cross", 11, 156), ("cross", 11, 604), ("cross", 11, 743), ("cross", 11, 753), ("box", 10, 532), ("box", 10, 743)],
+    )
+    def test_small_dim_floors_keep_occupancy_in_bounds(self, kind, dim, seed):
+        # Without the box and cross floors these land at 0.977% (cross) and
+        # 0.800% (box) and are rejected.
+        g = generate_shape(ShapeSpec(kind), dim, rng_of(seed))
+        assert 0.01 <= g.values.sum() / g.values.size <= 0.60
+
+    def test_small_dim_corpus_generates(self):
+        corpus = make_corpus(12, dim=11, seed=255)
+        assert [o.category for o in corpus] == list(SHAPE_KINDS) * 2
+
+    def test_exact_box_low_corner(self):
+        g = generate_shape(ShapeSpec("box", size=(5, 8, 11)), 31, rng_of(0))
+        occupied = np.argwhere(g.values > 0)
+        assert occupied.min(axis=0).tolist() == [13, 11, 10]
+        assert occupied.max(axis=0).tolist() == [17, 18, 20]
+        assert len(occupied) == 5 * 8 * 11
+
+    def test_shapes_are_pinned_byte_for_byte(self):
+        # Every kind at dims 12-64 and the exact primitives, byte for byte:
+        # reports and benchmark digests start from these shapes.
+        digest = hashlib.sha256()
+        for dim in (12, 16, 31, 32, 64):
+            for kind in SHAPE_KINDS:
+                for seed in range(10):
+                    digest.update(generate_shape(ShapeSpec(kind), dim, rng_of(seed)).values.tobytes())
+        for spec, dim in [
+            (ShapeSpec("box", size=(8, 8, 8)), 32),
+            (ShapeSpec("box", size=(5, 8, 11)), 31),
+            (ShapeSpec("box", size=(7, 4, 9)), 16),
+            (ShapeSpec("sphere", radius=10.0), 32),
+            (ShapeSpec("sphere", radius=4.5), 16),
+        ]:
+            digest.update(generate_shape(spec, dim, rng_of(0)).values.tobytes())
+        assert digest.hexdigest() == "5ae9b4e1321abcf9f85afeba9df2bb5a7d20135613a21629dca1b958fc47dda0"
+
     def test_rotation_never_clips_generated_shapes(self):
         g = generate_shape(ShapeSpec("cross"), 16, rng_of(9))
         n = np.count_nonzero(g.values)
@@ -193,6 +235,22 @@ class TestGenerateShape:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ShapeSpec("torus")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "box", "size": (2.5, 4, 4)}, "box size must be a tuple of three positive ints"),
+            ({"kind": "box", "size": (4, 4)}, "box size must be a tuple of three positive ints"),
+            ({"kind": "box", "size": (4, 0, 4)}, "box size must be a tuple of three positive ints"),
+            ({"kind": "sphere", "radius": -8.0}, "sphere radius must be a positive finite number"),
+            ({"kind": "sphere", "radius": float("nan")}, "sphere radius must be a positive finite number"),
+            ({"kind": "sphere", "size": (4, 4, 4)}, "size applies only to a box, got kind 'sphere'"),
+            ({"kind": "box", "radius": 3.0}, "radius applies only to a sphere, got kind 'box'"),
+        ],
+    )
+    def test_unusable_fields_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ShapeSpec(**kwargs)
 
     def test_oversized_exact_box_rejected(self):
         with pytest.raises(ValueError):
