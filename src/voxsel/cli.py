@@ -162,14 +162,11 @@ def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]
         return _load_corpus_dir(Path(corpus_spec["dir"])), config
     if "count" not in corpus_spec:
         raise ValueError("corpus field 'count' is required")
-    kinds = corpus_spec.get("kinds", list(SHAPE_KINDS))
-    if not kinds or not all(isinstance(k, str) for k in kinds):
-        raise ValueError(f"corpus field 'kinds' must be a non-empty list of shape kinds, got {kinds!r}")
     corpus = make_corpus(
         count=corpus_spec["count"],
         dim=corpus_spec.get("dim", config.dim),
         seed=corpus_spec.get("seed", config.seed),
-        kinds=tuple(kinds),
+        kinds=tuple(corpus_spec.get("kinds", SHAPE_KINDS)),
     )
     return corpus, config
 

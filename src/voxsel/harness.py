@@ -39,8 +39,10 @@ leak randomness across objects.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence, get_type_hints
+import time
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -223,6 +225,8 @@ def make_corpus(
         raise ValueError(f"corpus count must be positive, got {count}")
     if seed < 0:
         raise ValueError(f"corpus seed must be nonnegative, got {seed}")
+    if isinstance(kinds, (str, bytes)) or not isinstance(kinds, Sequence):
+        raise ValueError(f"corpus kinds must be a sequence of shape kinds, got {kinds!r}")
     if len(kinds) == 0:
         raise ValueError(f"corpus kinds must name at least one shape kind, got {kinds!r}")
     specs = [ShapeSpec(kind) for kind in kinds]
@@ -378,15 +382,13 @@ def run_loop(
 ) -> RunReport:
     """Run the reconstruction loop over a corpus and return its report.
 
-    Per iteration, ``max(1, round(update_fraction * len(corpus)))`` of the
-    not-yet-converged objects are re-observed (all of them if fewer remain);
-    then every object is re-evaluated. Iteration 0 in the report is the
-    evaluation of the initial view sets before any update. Pool writes happen
-    in a serial phase after all of an iteration's updates, so objects within
-    one iteration see the previous iteration's pool.
+    Each of iterations 0..``config.iterations`` re-observes
+    ``max(1, round(update_fraction * len(corpus)))`` of the not-yet-converged
+    objects (all of them if fewer remain; none in iteration 0, which so
+    evaluates the initial view sets), then evaluates every object. Pool
+    writes happen in a serial phase after all of an iteration's updates, so
+    objects within one iteration see the previous iteration's pool.
     """
-    import time
-
     started = time.perf_counter()
     if len(corpus) == 0:
         raise ValueError("corpus must contain at least one object")
@@ -397,29 +399,19 @@ def run_loop(
         if obj.gt.dims != (config.dim,) * 3:
             raise ValueError(f"object {obj.name!r} dims {obj.gt.dims} do not match config dim {config.dim}")
 
-    if pool is None:
-        pool = ViewpointPool(capacity=config.pool_capacity)
-    if provider is None:
-        provider = GroundTruthSilhouettes(config.tau)
+    pool = ViewpointPool(capacity=config.pool_capacity) if pool is None else pool
+    provider = GroundTruthSilhouettes(config.tau) if provider is None else provider
 
-    dist = config.initial_distribution
     states: list[_ObjectState] = []
     initials: list[list[Viewpoint]] = []
     object_records: list[dict] = []
     for i, obj in enumerate(corpus):
-        candidates = sample_dataset_viewpoints(dist, _stream(config.seed, _TAG_INIT, i))
-        stride_idx = [k * len(candidates) // config.initial_views for k in range(config.initial_views)]
-        initial = [candidates[k] for k in stride_idx]
+        candidates = sample_dataset_viewpoints(config.initial_distribution, _stream(config.seed, _TAG_INIT, i))
+        initial = [candidates[k * len(candidates) // config.initial_views] for k in range(config.initial_views)]
         states.append(_ObjectState(obj.gt, config.tau, _stream(config.seed, _TAG_SELECT, i)))
         initials.append(initial)
-        object_records.append(
-            {
-                "name": obj.name,
-                "category": obj.category,
-                "initial_views": [viewpoint_to_dict(v) for v in initial],
-                "iterations": [],
-            }
-        )
+        views = [viewpoint_to_dict(v) for v in initial]
+        object_records.append({"name": obj.name, "category": obj.category, "initial_views": views, "iterations": []})
 
     # A first initial view is carved out of the full cube, so the objects seen
     # from the same first pose share one pass that maps the cube once.
@@ -434,51 +426,40 @@ def run_loop(
     for obj, state, initial in zip(corpus, states, initials):
         state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial[first:]])
 
-    def evaluate_all(iteration: int, updates: dict[int, dict]) -> None:
-        for i in range(len(corpus)):
-            score_iou, score_f, excess = _evaluate(states[i])
-            update = updates.get(i)
-            object_records[i]["iterations"].append(
-                {
-                    "iteration": iteration,
-                    "updated": update is not None,
-                    "selected": [viewpoint_to_dict(v) for v in (update["added"] if update else [])],
-                    "pool_fallback": bool(update["pool_fallback"]) if update else False,
-                    "view_count": len(states[i].observations),
-                    "iou": score_iou,
-                    "f_score": score_f,
-                    "excess_voxels": excess,
-                    "converged": states[i].converged,
-                    "loss": None,
-                }
-            )
-
-    evaluate_all(0, {})
-
-    n_objects = len(corpus)
-    for iteration in range(1, config.iterations + 1):
-        eligible = [i for i in range(n_objects) if not states[i].converged]
+    for iteration in range(config.iterations + 1):
+        eligible = [i for i in range(len(corpus)) if iteration > 0 and not states[i].converged]
         updates: dict[int, dict] = {}
         if eligible:
-            quota = min(max(1, round(config.update_fraction * n_objects)), len(eligible))
-            subset_rng = _stream(config.seed, _TAG_SUBSET, iteration)
-            picks = subset_rng.choice(len(eligible), size=quota, replace=False)
+            quota = min(max(1, round(config.update_fraction * len(corpus))), len(eligible))
+            picks = _stream(config.seed, _TAG_SUBSET, iteration).choice(len(eligible), size=quota, replace=False)
             for i in sorted(eligible[int(p)] for p in picks):
                 updates[i] = run_object_iteration(corpus[i], states[i], config, pool, provider)
             for i, rec in updates.items():
                 if rec["pool_record"]:
                     record(pool, corpus[i].category, rec["pool_record"])
-        evaluate_all(iteration, updates)
+        for i, state in enumerate(states):
+            score_iou, score_f, excess = _evaluate(state)
+            update = updates.get(i, {"added": [], "pool_fallback": False})
+            object_records[i]["iterations"].append(
+                {
+                    "iteration": iteration,
+                    "updated": i in updates,
+                    "selected": [viewpoint_to_dict(v) for v in update["added"]],
+                    "pool_fallback": update["pool_fallback"],
+                    "view_count": len(state.observations),
+                    "iou": score_iou,
+                    "f_score": score_f,
+                    "excess_voxels": excess,
+                    "converged": state.converged,
+                    "loss": None,
+                }
+            )
 
     mean_iou, mean_f = (
         [float(np.mean([rec["iterations"][t][key] for rec in object_records])) for t in range(config.iterations + 1)]
         for key in ("iou", "f_score")
     )
-    aggregates = {
-        "mean_iou": mean_iou,
-        "mean_f_score": mean_f,
-        "converged_objects": sum(1 for s in states if s.converged),
-    }
+    aggregates = {"mean_iou": mean_iou, "mean_f_score": mean_f, "converged_objects": sum(s.converged for s in states)}
     return RunReport(
         schema_version=REPORT_SCHEMA_VERSION,
         config=config_to_dict(config),
@@ -495,13 +476,7 @@ def report_json(report: RunReport) -> str:
     Wall-clock time is deliberately excluded so identical (corpus, config)
     runs produce byte-identical files.
     """
-    payload = {
-        "schema_version": report.schema_version,
-        "config": report.config,
-        "seed": report.seed,
-        "objects": report.objects,
-        "aggregates": report.aggregates,
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "wall_clock_s"}
     return canonical_json(payload) + "\n"
 
 

@@ -208,7 +208,8 @@ class ShapeSpec:
 
     ``size`` (box only, a tuple of three positive ints) and ``radius``
     (sphere only, a positive finite number) pin the primitive exactly and
-    center it; left unset, the generator randomizes extent and placement.
+    center it, and :func:`generate_shape` rejects one that leaves the safe
+    ball; left unset, the generator randomizes extent and placement.
     """
 
     kind: str
@@ -289,8 +290,9 @@ def _arm(dim: int, axis: int, center: np.ndarray, half_len: float, half_thick: f
 def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> VoxelGrid:
     """Generate one binary shape grid, deterministic given the generator state.
 
-    Every shape is the union of boxes and balls clipped to the safe ball
-    (:func:`safe_radius`), and the occupied fraction always lands in
+    Every random shape is the union of boxes and balls clipped to the safe
+    ball (:func:`safe_radius`); an exact box or sphere that leaves the safe
+    ball raises ``ValueError``. The occupied fraction always lands in
     [1%, 60%] of the grid. Floors keep the smallest dims from rounding a
     shape to a sliver and bind only below dim 12: random box half-extents
     are at least 1.5 voxels, arm half-thicknesses (``ell``, ``cross``) at
@@ -299,11 +301,10 @@ def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> Voxel
     if dim < MIN_SHAPE_DIM:
         raise ValueError(f"shape dim must be at least {MIN_SHAPE_DIM}, got {dim}")
     budget = safe_radius(dim)
+    safe = _ball_mask(dim, np.zeros(3), budget)
 
     if spec.size is not None:  # an exact box, its low corner at (dim - size) // 2
         size = np.array(spec.size)
-        if np.any(size > dim):
-            raise ValueError(f"box size {spec.size} does not fit dim {dim}")
         ext = (size - 1) / 2.0
         parts = [_box(dim, (dim - size) // 2 + ext - (dim - 1) / 2.0, ext)]
     elif spec.radius is not None:  # an exact sphere
@@ -332,7 +333,9 @@ def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> Voxel
         max_len = np.sqrt(budget**2 - 2 * thick**2)
         parts = [_arm(dim, axis, np.zeros(3), rng.uniform(dim / 4.0, max_len), thick) for axis in range(3)]
 
-    mask = np.logical_or.reduce(parts) & _ball_mask(dim, np.zeros(3), budget)
+    if (spec.size is not None or spec.radius is not None) and np.any(parts[0] & ~safe):
+        raise ValueError(f"{spec} does not fit the safe ball of dim {dim} (radius {budget})")
+    mask = np.logical_or.reduce(parts) & safe
     fraction = mask.sum() / mask.size
     if not (MIN_OCCUPANCY <= fraction <= MAX_OCCUPANCY):
         raise ValueError(f"shape occupancy {fraction:.3%} outside [1%, 60%] for {spec}")

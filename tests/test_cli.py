@@ -339,6 +339,8 @@ class TestLoop:
             ({"loop": {"seed": -1}, "corpus": {"count": 2}}, "seed must be nonnegative, got -1"),
             ({"loop": {"dim": 16}, "corpus": {"count": 2, "seed": -1}}, "corpus seed must be nonnegative, got -1"),
             ({"loop": {"pool_capacity": 0}, "corpus": {"count": 2}}, "pool_capacity must be positive, got 0"),
+            ({"loop": {"dim": 16}, "corpus": {"count": 2, "kinds": []}}, "corpus kinds must name at least one shape kind"),
+            ({"loop": {"dim": 16}, "corpus": {"count": 2, "kinds": [5]}}, "unknown shape kind 5"),
         ],
     )
     def test_malformed_config_field_fails_cleanly(self, tmp_path, capsys, command, spec, message):

@@ -1,5 +1,6 @@
 """Reconstruction loop driver, corpus generation, and policy comparison."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -18,6 +19,7 @@ from voxsel.harness import (
     POLICIES,
     POOL_MODES,
     REPORT_SCHEMA_VERSION,
+    RunReport,
     SceneObject,
     compare_policies,
     comparison_json,
@@ -82,6 +84,10 @@ class TestMakeCorpus:
             make_corpus(2, kinds=["pyramid"])
         with pytest.raises(ValueError, match="kinds"):
             make_corpus(2, dim=8, kinds=())
+        with pytest.raises(ValueError, match="corpus kinds must be a sequence of shape kinds, got 'box'"):
+            make_corpus(2, dim=8, kinds="box")
+        with pytest.raises(ValueError, match="corpus kinds must be a sequence of shape kinds, got None"):
+            make_corpus(2, dim=8, kinds=None)
 
 
 class TestLoopConfig:
@@ -178,6 +184,7 @@ class TestRunLoopStructure:
             assert first["iteration"] == 0
             assert first["updated"] is False
             assert first["selected"] == []
+            assert first["pool_fallback"] is False
             assert first["view_count"] == 3
 
     def test_initial_views_are_strided_over_the_aligned_ring(self):
@@ -582,6 +589,7 @@ class TestReports:
         assert payload["schema_version"] == REPORT_SCHEMA_VERSION == "v1"
         assert "wall_clock_s" not in text
         assert list(payload) == sorted(payload)
+        assert set(payload) == {f.name for f in dataclasses.fields(RunReport)} - {"wall_clock_s"}
         assert payload["config"] == config_to_dict(small_config(iterations=0))
 
     def test_different_seeds_change_the_report(self):

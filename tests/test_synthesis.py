@@ -256,6 +256,16 @@ class TestGenerateShape:
         with pytest.raises(ValueError):
             generate_shape(ShapeSpec("box", size=(40, 8, 8)), 32, rng_of(0))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ShapeSpec("sphere", radius=100.0), ShapeSpec("box", size=(32, 32, 32)), ShapeSpec("box", size=(20, 20, 20))],
+    )
+    def test_exact_shape_leaving_the_safe_ball_rejected(self, spec):
+        # Clipped to the safe ball, the first two would be the whole ball and
+        # the third would lose 184 of its 8,000 voxels.
+        with pytest.raises(ValueError, match="does not fit the safe ball of dim 32"):
+            generate_shape(spec, 32, rng_of(0))
+
 
 class TestProviders:
     def test_ground_truth_provider_matches_renderer(self):
