@@ -20,14 +20,11 @@ from .geometry import (
     rotation_matrix,
     sample_gaussian_view,
     view_direction,
-    viewpoint_from_direction,
 )
 from .grid import (
     DEFAULT_THRESHOLD,
     OccupancySet,
     VoxelGrid,
-    bce_loss,
-    dice_loss,
     error_grid,
     f_score,
     iou,
@@ -43,7 +40,7 @@ from .harness import (
     run_loop,
 )
 from .io import FormatError, read_sil, read_vxg, write_sil, write_vxg
-from .pool import EmptyCategoryError, ViewpointPool, load_pool, record, sample_by_category, save_pool
+from .pool import EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import (
     ErrorProjectionMap,
     ViewScore,
@@ -87,16 +84,13 @@ __all__ = [
     "ViewpointLattice",
     "ViewpointPool",
     "VoxelGrid",
-    "bce_loss",
     "carve",
     "compare_policies",
-    "dice_loss",
     "discretize_viewpoints",
     "error_grid",
     "f_score",
     "generate_shape",
     "iou",
-    "load_pool",
     "make_corpus",
     "pixel_ids",
     "project_first_hit",
@@ -113,14 +107,12 @@ __all__ = [
     "sample_by_category",
     "sample_dataset_viewpoints",
     "sample_gaussian_view",
-    "save_pool",
     "score_all",
     "score_view",
     "select_and_sample",
     "select_top_n",
     "threshold_grid",
     "view_direction",
-    "viewpoint_from_direction",
     "write_sil",
     "write_vxg",
 ]

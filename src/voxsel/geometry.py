@@ -80,7 +80,6 @@ __all__ = [
     "cell_keys",
     "lattice_cell_keys",
     "view_direction",
-    "viewpoint_from_direction",
     "sample_gaussian_view",
     "wrap_yaw",
     "clamp_pitch",
@@ -139,30 +138,6 @@ def view_direction(v: Viewpoint) -> np.ndarray:
     return -rotation_matrix(v)[0, :].copy()
 
 
-def viewpoint_from_direction(direction: np.ndarray) -> Viewpoint:
-    """Inverse of :func:`view_direction`, up to yaw at the gimbal poles.
-
-    ``direction`` need not be normalized. For directions along +-y (where
-    pitch is unconstrained) pitch 0 is returned.
-    """
-    d = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(d))
-    if d.shape != (3,) or norm == 0.0 or not np.all(np.isfinite(d)):
-        raise ValueError(f"direction must be a nonzero finite 3-vector, got {direction!r}")
-    rx, ry_, rz = (-d / norm).tolist()
-    planar = math.hypot(rx, rz)
-    if planar == 0.0:
-        return Viewpoint(yaw=math.degrees(math.atan2(-ry_, 0.0)), pitch=0.0)
-    if rx >= 0.0:
-        yaw = math.atan2(-ry_, planar)
-        pitch = math.atan2(rz, rx)
-    else:
-        # Mirror branch: cos(yaw) < 0 keeps pitch inside [-90, 90].
-        yaw = math.atan2(-ry_, -planar)
-        pitch = math.atan2(-rz, -rx)
-    return Viewpoint(yaw=math.degrees(yaw), pitch=math.degrees(pitch))
-
-
 @dataclass(frozen=True)
 class ViewpointLattice:
     """Regular grid of viewpoint interval centers covering the view sphere.
@@ -203,16 +178,6 @@ class ViewpointLattice:
         if not (0 <= yaw_index < self.n_yaw and 0 <= pitch_index < self.n_pitch):
             raise IndexError(f"lattice index ({yaw_index}, {pitch_index}) out of range")
         return self.centers[pitch_index * self.n_yaw + yaw_index]
-
-    def cell_of(self, v: Viewpoint) -> tuple[int, int]:
-        """Indices of the unique interval cell containing ``v``.
-
-        Yaw cells are half-open; the last pitch cell is closed at +90 so the
-        cells partition the full (yaw, pitch) rectangle.
-        """
-        i = int((v.yaw + 180.0) // self.interval_deg)
-        j = int((v.pitch + 90.0) // self.interval_deg)
-        return (min(i, self.n_yaw - 1), min(j, self.n_pitch - 1))
 
 
 @lru_cache(maxsize=8)

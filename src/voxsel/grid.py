@@ -21,18 +21,10 @@ __all__ = [
     "error_grid",
     "iou",
     "f_score",
-    "bce_loss",
-    "dice_loss",
 ]
 
 # Occupancy decision boundary used throughout when none is given explicitly.
 DEFAULT_THRESHOLD = 0.4
-
-# Clamp bound for log arguments in the cross-entropy loss.
-BCE_EPS = 1e-7
-
-# Additive smoothing term in the Dice loss denominator and numerator.
-DICE_SMOOTHING = 1e-6
 
 
 def _validated_values(values: np.ndarray) -> np.ndarray:
@@ -185,27 +177,3 @@ def f_score(pred: OccupancySet, gt: OccupancySet) -> float:
     """
     _check_same_dims(pred, gt)
     return _count_scores(pred.count, gt.count, int(np.count_nonzero(pred.bits & gt.bits)))[1]
-
-
-def bce_loss(pred: VoxelGrid, gt: VoxelGrid) -> float:
-    """Mean binary cross-entropy between predicted values and targets.
-
-    Predictions are clamped to [BCE_EPS, 1 - BCE_EPS] before taking logs, so
-    the result is always finite.
-    """
-    _check_same_dims(pred, gt)
-    p = np.clip(pred.values, BCE_EPS, 1.0 - BCE_EPS)
-    g = gt.values
-    per_voxel = -(g * np.log(p) + (1.0 - g) * np.log1p(-p))
-    return float(per_voxel.mean())
-
-
-def dice_loss(pred: VoxelGrid, gt: VoxelGrid) -> float:
-    """Soft Dice loss ``1 - (2*sum(p*g) + s) / (sum(p) + sum(g) + s)``."""
-    _check_same_dims(pred, gt)
-    p = pred.values
-    g = gt.values
-    s = DICE_SMOOTHING
-    overlap = 2.0 * float((p * g).sum()) + s
-    total = float(p.sum()) + float(g.sum()) + s
-    return 1.0 - overlap / total

@@ -3,19 +3,16 @@
 Viewpoints chosen for an object are recorded under the object's category so
 later rounds can reuse views that proved informative for similar shapes.
 Each category keeps a bounded FIFO of recent entries; sampling draws
-uniformly with replacement. The pool serializes to canonical JSON mapping
-category name to a list of ``{"yaw": ..., "pitch": ...}`` objects.
+uniformly with replacement.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Viewpoint
-from .io import canonical_json, viewpoint_from_dict, viewpoint_to_dict
 
 __all__ = [
     "DEFAULT_POOL_CAPACITY",
@@ -23,8 +20,6 @@ __all__ = [
     "ViewpointPool",
     "record",
     "sample_by_category",
-    "save_pool",
-    "load_pool",
 ]
 
 DEFAULT_POOL_CAPACITY = 1024
@@ -80,22 +75,3 @@ def sample_by_category(
         raise EmptyCategoryError(f"no pooled viewpoints for category {category!r}")
     picks = rng.integers(0, len(bucket), size=count)
     return [bucket[int(i)] for i in picks]
-
-
-def save_pool(pool: ViewpointPool) -> bytes:
-    """Serialize to canonical UTF-8 JSON with sorted category keys."""
-    payload = {category: [viewpoint_to_dict(v) for v in bucket] for category, bucket in pool.entries.items()}
-    return canonical_json(payload).encode("utf-8")
-
-
-def load_pool(data: bytes, capacity: int = DEFAULT_POOL_CAPACITY) -> ViewpointPool:
-    """Parse pool JSON; malformed input raises with position information."""
-    payload = json.loads(data.decode("utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"pool JSON must be an object, got {type(payload).__name__}")
-    pool = ViewpointPool(capacity=capacity)
-    for category, items in payload.items():
-        if not isinstance(items, list):
-            raise ValueError(f"category {category!r} must map to a list")
-        record(pool, category, [viewpoint_from_dict(item) for item in items])
-    return pool

@@ -88,6 +88,11 @@ class TestCarveBasics:
         with pytest.raises(ValueError):
             carve([ViewObservation(Viewpoint(0.0, 0.0), sil)], 16)
 
+    def test_non_positive_dim_rejected(self):
+        sil = SilhouetteImage(np.zeros((1, 1), dtype=bool))
+        with pytest.raises(ValueError, match="dim must be positive, got 0"):
+            carve([ViewObservation(Viewpoint(0.0, 0.0), sil)], 0)
+
     def test_output_is_binary(self):
         gt = centered_cube()
         out = carve(observe(gt, [Viewpoint(30.0, 45.0)]), 16)

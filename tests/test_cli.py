@@ -341,6 +341,7 @@ class TestLoop:
             ({"loop": {"pool_capacity": 0}, "corpus": {"count": 2}}, "pool_capacity must be positive, got 0"),
             ({"loop": {"dim": 16}, "corpus": {"count": 2, "kinds": []}}, "corpus kinds must name at least one shape kind"),
             ({"loop": {"dim": 16}, "corpus": {"count": 2, "kinds": [5]}}, "unknown shape kind 5"),
+            ({"loop": {"dim": 16}, "corpus": {"dim": 16}}, "corpus field 'count' is required"),
         ],
     )
     def test_malformed_config_field_fails_cleanly(self, tmp_path, capsys, command, spec, message):

@@ -1,20 +1,15 @@
 """Voxel grid container, thresholding, error grids, and metrics."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxsel.grid import (
-    BCE_EPS,
     DEFAULT_THRESHOLD,
     OccupancySet,
     VoxelGrid,
-    bce_loss,
-    dice_loss,
     error_grid,
     f_score,
     iou,
@@ -41,6 +36,10 @@ class TestVoxelGrid:
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
             VoxelGrid(np.zeros((4, 4)))
+
+    def test_rejects_an_empty_axis(self):
+        with pytest.raises(ValueError, match="dims must be positive"):
+            VoxelGrid(np.zeros((4, 0, 4)))
 
     def test_rejects_out_of_range_values(self):
         bad = np.zeros((2, 2, 2))
@@ -104,6 +103,11 @@ class TestOccupancySet:
         with pytest.raises(ValueError):
             OccupancySet(np.zeros((2, 2, 2), dtype=np.float64))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 0, 4)])
+    def test_rejects_non_3d_or_an_empty_axis(self, shape):
+        with pytest.raises(ValueError, match="3-D with positive dims"):
+            OccupancySet(np.zeros(shape, dtype=bool))
+
     def test_count(self):
         bits = np.zeros((3, 3, 3), dtype=bool)
         bits[0, 1, 2] = True
@@ -123,6 +127,10 @@ class TestOccupancySet:
         s = occ_of(bits)
         back = OccupancySet.from_flat(s.dims, s.to_flat())
         assert np.array_equal(back.bits, s.bits)
+
+    def test_from_flat_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 8 flat bits"):
+            OccupancySet.from_flat((2, 2, 2), np.zeros(7, dtype=bool))
 
 
 class TestThreshold:
@@ -271,61 +279,3 @@ class TestMetrics:
             iou(a, b)
         with pytest.raises(ValueError):
             f_score(a, b)
-
-
-class TestBceLoss:
-    def test_perfect_binary_prediction_near_zero(self):
-        g = occ_of(np.eye(3, dtype=bool)[None].repeat(3, axis=0)).to_grid()
-        assert bce_loss(g, g) <= 2 * BCE_EPS * abs(math.log(BCE_EPS))
-
-    def test_uniform_half_is_log_two(self):
-        pred = grid_of(np.full((3, 3, 3), 0.5))
-        for fill in (0.0, 1.0):
-            gt = grid_of(np.full((3, 3, 3), fill))
-            assert bce_loss(pred, gt) == pytest.approx(math.log(2.0))
-
-    def test_single_voxel_analytic(self):
-        pred = grid_of(np.full((1, 1, 1), 0.9))
-        gt = grid_of(np.ones((1, 1, 1)))
-        assert bce_loss(pred, gt) == pytest.approx(-math.log(0.9))
-
-    def test_moving_toward_target_decreases_loss(self):
-        gt = grid_of(np.ones((2, 2, 2)))
-        far = grid_of(np.full((2, 2, 2), 0.3))
-        near = grid_of(np.full((2, 2, 2), 0.8))
-        assert bce_loss(near, gt) < bce_loss(far, gt)
-
-    @given(value_grids)
-    def test_nonnegative_and_finite(self, vals):
-        g = VoxelGrid(vals)
-        gt = VoxelGrid((vals >= 0.5).astype(np.float64))
-        loss = bce_loss(g, gt)
-        assert loss >= 0.0
-        assert math.isfinite(loss)
-
-
-class TestDiceLoss:
-    def test_perfect_binary_prediction_near_zero(self):
-        bits = np.zeros((3, 3, 3), dtype=bool)
-        bits[1, :, :] = True
-        g = occ_of(bits).to_grid()
-        assert dice_loss(g, g) == pytest.approx(0.0, abs=1e-6)
-
-    def test_disjoint_binary_sets_near_one(self):
-        a = np.zeros((2, 2, 2))
-        b = np.zeros((2, 2, 2))
-        a[0, 0, 0] = 1.0
-        b[1, 1, 1] = 1.0
-        assert dice_loss(grid_of(a), grid_of(b)) == pytest.approx(1.0, abs=1e-5)
-
-    def test_uniform_half_analytic(self):
-        # 1 - (2*0.25*D^3 + s)/(D^3 + s) with D=4
-        p = grid_of(np.full((4, 4, 4), 0.5))
-        assert dice_loss(p, p) == pytest.approx(0.5, abs=1e-6)
-
-    @given(value_grids)
-    def test_range(self, vals):
-        g = VoxelGrid(vals)
-        h = VoxelGrid(1.0 - vals)
-        loss = dice_loss(g, h)
-        assert -1e-9 <= loss <= 1.0 + 1e-9

@@ -90,6 +90,17 @@ class TestMakeCorpus:
             make_corpus(2, dim=8, kinds=None)
 
 
+class TestSceneObject:
+    @pytest.mark.parametrize("name, category", [("", "box"), ("box-000", "")])
+    def test_rejects_an_empty_name_or_category(self, name, category):
+        with pytest.raises(ValueError, match="non-empty name and category"):
+            SceneObject(name=name, category=category, gt=VoxelGrid.zeros((4, 4, 4)))
+
+    def test_rejects_a_non_cubic_ground_truth(self):
+        with pytest.raises(ValueError, match=r"must be cubic, got dims \(4, 4, 5\)"):
+            SceneObject(name="box-000", category="box", gt=VoxelGrid.zeros((4, 4, 5)))
+
+
 class TestLoopConfig:
     def test_default_configuration(self):
         cfg = LoopConfig()

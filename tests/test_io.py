@@ -24,7 +24,6 @@ from voxsel.io import (
     write_sil,
     write_vxg,
 )
-from voxsel.pool import load_pool
 from voxsel.synthesis import SilhouetteImage
 
 
@@ -89,6 +88,10 @@ class TestVxgFormat:
         path = tmp_path / "grid.vxg"
         write_vxg(path, g)
         assert np.array_equal(read_vxg(path).values, g.values)
+
+    def test_only_grids_and_occupancy_sets_serialize(self):
+        with pytest.raises(TypeError, match="expected VoxelGrid or OccupancySet, got ndarray"):
+            vxg_bytes(np.zeros((2, 2, 2)))
 
     def test_bad_magic_rejected_with_position(self):
         data = b"VOXELS00" + vxg_bytes(VoxelGrid.zeros((2, 2, 2)))[8:]
@@ -218,6 +221,8 @@ class TestViewpointJson:
             {"yaw": 30, "pitch": False},
             {"yaw": [30], "pitch": 0},
             {"yaw": {"deg": 30}, "pitch": 0},
+            1,
+            [30, 0],
         ],
     )
     def test_non_numeric_angles_rejected(self, obj):
@@ -233,7 +238,3 @@ class TestViewpointJson:
         obj[key] = 10**400  # what json.loads makes of a 1 followed by 400 zeros
         with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
             viewpoint_from_dict(obj)
-
-    def test_pool_with_a_string_angle_does_not_load(self):
-        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
-            load_pool(b'{"ell": [{"yaw": "45", "pitch": false}]}')

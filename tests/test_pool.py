@@ -1,37 +1,20 @@
-"""Per-category viewpoint pool: recording, sampling, serialization."""
-
-import json
+"""Per-category viewpoint pool: recording and sampling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from voxsel.geometry import Viewpoint
 from voxsel.pool import (
     DEFAULT_POOL_CAPACITY,
     EmptyCategoryError,
     ViewpointPool,
-    load_pool,
     record,
     sample_by_category,
-    save_pool,
 )
 
 
 def vp(k):
     return Viewpoint(yaw=-165.0 + 30.0 * k, pitch=-75.0 + 15.0 * (k % 10))
-
-
-viewpoint_lists = st.lists(
-    st.builds(
-        Viewpoint,
-        st.floats(-180.0, 179.99, allow_nan=False),
-        st.floats(-90.0, 90.0, allow_nan=False),
-    ),
-    min_size=0,
-    max_size=8,
-)
 
 
 class TestRecord:
@@ -119,56 +102,3 @@ class TestSample:
         record(pool, "chair", [vp(0)])
         with pytest.raises(ValueError):
             sample_by_category(pool, "chair", -1, np.random.default_rng(0))
-
-
-class TestSerialization:
-    def test_empty_pool_is_empty_object(self):
-        assert save_pool(ViewpointPool()) == b"{}"
-
-    def test_canonical_json_sorted_categories(self):
-        pool = ViewpointPool()
-        record(pool, "table", [vp(1)])
-        record(pool, "chair", [vp(0), vp(2)])
-        payload = json.loads(save_pool(pool).decode("utf-8"))
-        assert list(payload) == ["chair", "table"]
-        assert payload["chair"] == [
-            {"yaw": vp(0).yaw, "pitch": vp(0).pitch},
-            {"yaw": vp(2).yaw, "pitch": vp(2).pitch},
-        ]
-
-    @given(st.dictionaries(st.sampled_from(["chair", "table", "lamp"]), viewpoint_lists, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_identity(self, buckets):
-        pool = ViewpointPool()
-        for category, views in buckets.items():
-            if views:
-                record(pool, category, views)
-        back = load_pool(save_pool(pool))
-        assert back.entries == pool.entries
-
-    def test_malformed_json_reports_position(self):
-        with pytest.raises(json.JSONDecodeError) as err:
-            load_pool(b'{"chair": [}')
-        assert err.value.pos >= 0
-
-    def test_non_object_root_rejected(self):
-        with pytest.raises(ValueError, match="object"):
-            load_pool(b"[1, 2]")
-
-    def test_non_list_category_rejected(self):
-        with pytest.raises(ValueError, match="list"):
-            load_pool(b'{"chair": 3}')
-
-    @pytest.mark.parametrize(
-        "data",
-        [b'{"a": [1]}', b'{"a": [{"yaw": null, "pitch": 0}]}', b'{"a": [{"pitch": 0}]}'],
-    )
-    def test_malformed_viewpoint_entry_rejected(self, data):
-        with pytest.raises(ValueError, match="numeric 'yaw' and 'pitch'"):
-            load_pool(data)
-
-    def test_loaded_pool_respects_capacity(self):
-        pool = ViewpointPool()
-        record(pool, "chair", [vp(k) for k in range(6)])
-        back = load_pool(save_pool(pool), capacity=4)
-        assert back.size("chair") == 4

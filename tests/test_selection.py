@@ -230,6 +230,10 @@ class TestScoreAll:
         scores = score_all(VoxelGrid.zeros((8, 8, 8)), LATTICE_30)
         assert [s.score for s in scores] == [0.0] * 72
 
+    def test_rejects_non_cubic(self):
+        with pytest.raises(ValueError, match=r"cubic grid, got dims \(4, 4, 5\)"):
+            score_all(VoxelGrid.zeros((4, 4, 5)), LATTICE_30)
+
     def test_spherical_shell_scores_nearly_uniform(self):
         dim = 32
         c = (dim - 1) / 2.0

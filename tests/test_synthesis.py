@@ -38,6 +38,11 @@ class TestSilhouetteImage:
         with pytest.raises(ValueError):
             SilhouetteImage(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(4, 4, 1), (4, 0)])
+    def test_rejects_non_2d_or_an_empty_axis(self, shape):
+        with pytest.raises(ValueError, match="2-D with positive dims"):
+            SilhouetteImage(np.zeros(shape, dtype=bool))
+
     def test_count_and_flat_layout(self):
         px = np.zeros((2, 3), dtype=bool)
         px[1, 2] = True
@@ -128,6 +133,10 @@ class TestViewDistributions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ViewDistribution("ring")
+
+    def test_non_positive_view_count_rejected(self):
+        with pytest.raises(ValueError, match="views_per_object must be positive, got 0"):
+            ViewDistribution("spherical", 0)
 
     @given(st.integers(0, 100))
     def test_hemispherical_pitch_range(self, seed):
@@ -251,6 +260,11 @@ class TestGenerateShape:
     def test_unusable_fields_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ShapeSpec(**kwargs)
+
+    def test_exact_box_below_the_occupancy_floor_rejected(self):
+        # 8 of 32,768 voxels is 0.024%, under the 1% floor.
+        with pytest.raises(ValueError, match=r"occupancy 0.024% outside \[1%, 60%\]"):
+            generate_shape(ShapeSpec("box", size=(2, 2, 2)), 32, rng_of(0))
 
     def test_oversized_exact_box_rejected(self):
         with pytest.raises(ValueError):
