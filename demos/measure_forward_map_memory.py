@@ -4,9 +4,12 @@ Runs one seed-0 error-guided loop per ``--dim`` on the benchmark's corpus
 (ell and cross shapes; 20 objects at dim 32, 4 at dim 64, 2 at dim 128;
 3 iterations of 3 views, every object updated) and then prints:
 
-- the 30-degree lattice table: voxels mapped (rows held), row capacity and
-  bytes, and the bytes of its per-voxel slot index (at dim 128 the table
-  would pass ``MAX_LATTICE_TABLE_BYTES``, so scoring keeps none);
+- the 30-degree lattice table the loop fills: its columns, voxels mapped
+  (rows held), row capacity and bytes, and the bytes of its per-voxel slot
+  index. The loop scores binary masks, and at these even dims a binary
+  score reads only the base half of the lattice (36 columns), so that is
+  the table it fills. At dim 128 a table of every center would pass
+  ``MAX_LATTICE_TABLE_BYTES``, so scoring keeps none;
 - ``ru_maxrss``, the process's peak RSS so far. Dims run in the order given
   in one process, so a later dim's figure is the peak over all runs so far.
 
@@ -31,7 +34,7 @@ OBJECTS = {32: 20, 64: 4, 128: 2}
 
 def describe(store):
     return (
-        f"{store.used - 1:>9,} voxels, capacity {len(store.rows) - 1:>9,} rows, "
+        f"{store.rows.shape[1]} columns, {store.used - 1:>9,} voxels, capacity {len(store.rows) - 1:>9,} rows, "
         f"rows {store.rows.nbytes / 2**20:7.2f} MiB, slot {store.slot.nbytes / 2**20:5.2f} MiB"
     )
 
@@ -46,9 +49,9 @@ def main():
         config = LoopConfig(dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, seed=0)
         run_loop(corpus, config)
         print(f"dim {dim}, {len(corpus)} objects, {dim**3:,} voxels")
-        store = geometry._lattice_cell_keys(dim, discretize_viewpoints(30))
+        store = geometry._lattice_cell_keys(dim, discretize_viewpoints(30), half=True)
         if store.used == 1:
-            print("  30-degree table  no rows: past MAX_LATTICE_TABLE_BYTES, scoring streamed one center at a time")
+            print("  30-degree table  no rows: past MAX_LATTICE_TABLE_BYTES, scoring streamed center by center")
         else:
             print(f"  30-degree table  {describe(store)}")
         print(f"  ru_maxrss so far {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")

@@ -42,7 +42,7 @@ from .io import (
     write_vxg,
 )
 from .selection import sample_around, score_all, select_top_n
-from .synthesis import SHAPE_KINDS, ShapeSpec, generate_shape, render_silhouette
+from .synthesis import SHAPE_KINDS, render_silhouette
 
 
 def _load_grid(path: str | Path) -> VoxelGrid:

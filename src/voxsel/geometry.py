@@ -46,9 +46,11 @@ its voxels, one matmul row each. A pose's pixel ids come as one int32 code
 per voxel from which either pixel rule is read, so a caller that needs both
 for one pose (the loop renders a view and carves it in one pass,
 :mod:`voxsel.carve`) maps each voxel once. The lattice table is the one
-cache, ``_ForwardMap``: a row of cell keys under every center per voxel it
+kind of cache, ``_ForwardMap``: a row of cell keys under every center per voxel it
 has mapped, kept in fill order, and an int32 slot per voxel naming its row,
-so its rows grow with the voxels mapped rather than with ``dim**3``. It is
+so its rows grow with the voxels mapped rather than with ``dim**3``.
+Binary scoring at even dims keeps a second one over ``_base_half`` of the
+centers, as their antipodes map each voxel to the mirrored cell. Each is
 filled on demand: a lookup sends exactly the voxels it does not hold yet
 through the fill, every center side by side, and maps nothing else. A row
 of that matmul depends only on its voxel and pose on the tested BLAS (a
@@ -409,9 +411,19 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
     return _fill(np.empty((len(voxels), 1), dtype=np.int32), dim, rotation_matrix(v).T, voxels, _cell_keys_of)[:, 0]
 
 
+def _base_half(lattice: ViewpointLattice) -> list[Viewpoint]:
+    """The centers of yaw index below ``n_yaw // 2``, in lattice order; the ``k``-th other center is the ``k``-th's antipode."""
+    half = lattice.n_yaw // 2
+    return [c for j in range(lattice.n_pitch) for c in lattice.centers[j * lattice.n_yaw : j * lattice.n_yaw + half]]
+
+
 @lru_cache(maxsize=2)
-def _lattice_cell_keys(dim: int, lattice: ViewpointLattice) -> _ForwardMap:
-    return _ForwardMap(dim, _stacked_rotations(lattice.centers))
+def _lattice_cell_keys(dim: int, lattice: ViewpointLattice, half: bool = False) -> _ForwardMap:
+    """The lattice table: keys under every center, or with ``half`` under :func:`_base_half` only.
+
+    ``lru_cache`` keys a keyword apart from a default, so ``half`` is passed only as ``half=True``.
+    """
+    return _ForwardMap(dim, _stacked_rotations(_base_half(lattice) if half else lattice.centers))
 
 
 def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -> np.ndarray:

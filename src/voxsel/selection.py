@@ -27,9 +27,11 @@ none: the 16,200 cells of a 2-degree lattice at dim 32 would need a 2.1 GB
 table. When every hot voxel is 1.0 a view's score is the number of distinct
 pixels they project to: the gathered keys become ray ids ``view * (dim *
 dim + 1) + pixel`` in place and are scattered into one bool array in
-bounded chunks. Otherwise ``np.minimum.at`` picks each ray's nearest cell
-and ``np.maximum.at`` the largest value deposited there. Each view's total
-is one row of a single axis reduction. The dense :func:`score_view` path
+bounded chunks. At an even dim that counts the base half of the lattice
+only: an antipode (yaw + 180) sees the mirror image, so the same count.
+Otherwise ``np.minimum.at`` picks each ray's nearest cell and
+``np.maximum.at`` the largest value deposited there. Each view's total is
+one row of a single axis reduction. The dense :func:`score_view` path
 (``rotate_grid`` then :func:`project_first_hit`) stays as public API and as
 the reference both reductions are tested against; no scoring path calls it.
 """
@@ -44,6 +46,8 @@ import numpy as np
 from .geometry import (
     ViewpointLattice,
     Viewpoint,
+    _base_half,
+    _lattice_cell_keys,
     cell_keys,
     discretize_viewpoints,
     lattice_cell_keys,
@@ -74,9 +78,9 @@ FIRST_HIT_EPS = 1e-9
 # Largest int32 cell-key table the scoring kernel keeps; a finer lattice's
 # key rows are computed one center at a time, so its memory does not grow
 # with the number of cells. The table holds the keys of the voxels scored
-# (a seed-0 loop's 30-degree table: 0.7 MB at dim 32, 5 MB at dim 64), but
-# the budget counts every voxel's (9 MB and 75 MB), so it bounds a table
-# mapped whole.
+# (a seed-0 loop's 30-degree half table: 0.5 MiB at dim 32, 3.4 MiB at dim
+# 64), but the budget counts every voxel's under every center (9 MB and
+# 75 MB), so it bounds a table mapped whole, half or full.
 MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 
 
@@ -178,8 +182,12 @@ def _lattice_totals(dim: int, error: np.ndarray, lattice: ViewpointLattice) -> n
     ``error`` is a bool mask (the loop's mismatch ``keep != bits``, every
     first hit 1) or float values, whose voxels above ``FIRST_HIT_EPS`` are
     the hot ones. Their keys come from the lattice's cached table, or one
-    center at a time when that table would exceed
-    :data:`MAX_LATTICE_TABLE_BYTES`.
+    center at a time when a table of every center would exceed
+    :data:`MAX_LATTICE_TABLE_BYTES`. A binary error at an even dim is
+    scored over the base half only (``geometry._base_half``, from the half
+    table): an antipode (yaw + 180) sends each voxel to its base center's
+    cell mirrored in x and y, so it hits as many pixels and takes that
+    total. At odd dims some .5 ties round apart, so every center is scored.
     """
     if error.dtype == np.bool_:
         hot, vals = np.flatnonzero(error), None
@@ -188,10 +196,14 @@ def _lattice_totals(dim: int, error: np.ndarray, lattice: ViewpointLattice) -> n
         vals = error[hot]
         if np.all(vals == 1.0):
             vals = None
+    half = vals is None and dim % 2 == 0
     if len(lattice.centers) * error.size * 4 <= MAX_LATTICE_TABLE_BYTES:
-        return _first_hit_totals(dim, lattice_cell_keys(dim, lattice, hot), vals)
-    rows = (cell_keys(dim, c, hot)[:, np.newaxis] for c in lattice.centers)
-    return np.concatenate([_first_hit_totals(dim, keys, vals) for keys in rows])
+        keys = _lattice_cell_keys(dim, lattice, half=True).lookup(hot) if half else lattice_cell_keys(dim, lattice, hot)
+        totals = _first_hit_totals(dim, keys, vals)
+    else:
+        rows = (cell_keys(dim, c, hot)[:, np.newaxis] for c in (_base_half(lattice) if half else lattice.centers))
+        totals = np.concatenate([_first_hit_totals(dim, keys, vals) for keys in rows])
+    return np.tile(totals.reshape(lattice.n_pitch, -1), 2).ravel() if half else totals
 
 
 def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
@@ -204,9 +216,10 @@ def _first_hit_totals(dim: int, keys: np.ndarray, vals: np.ndarray | None) -> np
     above it exactly when one of its deposits is, so the caller passes only
     theirs. With ``vals`` None every hot voxel is 1.0, every first hit is 1
     and a view's total is the number of its pixels they reach, marked in one
-    bool array: the keys become ray ids in place. Otherwise each (view,
-    pixel) ray's first hit is its smallest cell key, and its pixel reads the
-    largest value deposited there. Either way this is the image
+    bool array: the keys become ray ids in place. Mirrored keys give the same
+    count, unlike a soft total, which reads the nearest surface. Otherwise
+    each (view, pixel) ray's first hit is its smallest cell key, and its
+    pixel reads the largest value deposited there. Either way this is the image
     :func:`project_first_hit` makes of :func:`rotate_grid`, summed the same
     way, one view per row.
     """

@@ -392,6 +392,34 @@ class TestLatticeCellKeys:
         assert mapped.total() == 0
         assert geometry._lattice_cell_keys.cache_info().maxsize == 2
 
+    @pytest.mark.parametrize(
+        "dim, interval", [(8, 15), (8, 22.5), (8, 30), (8, 45), (8, 90), (16, 30), (16, 45), (32, 30), (32, 45)]
+    )
+    def test_at_even_dims_an_antipode_maps_every_voxel_to_its_centers_cell_mirrored(self, dim, interval):
+        # Antipodes (yaw + 180) reverse the rotated x and y and keep z, so at
+        # even dims a binary score needs only the base half of the lattice.
+        lattice, every = discretize_viewpoints(interval), np.arange(dim**3)
+        base, half = geometry._base_half(lattice), lattice.n_yaw // 2
+        assert len(base) == len(lattice.centers) // 2
+        for k, center in enumerate(base):
+            assert center == lattice.center_at(k % half, k // half)
+            antipode = lattice.center_at(k % half + half, k // half)
+            assert antipode == Viewpoint(center.yaw + 180.0, center.pitch)
+            keys = cell_keys(dim, center, every)
+            ray, x = np.divmod(keys, dim)
+            y, z = np.divmod(ray, dim)
+            mirrored = np.where(keys < dim**3, ((dim - 1 - y) * dim + z) * dim + (dim - 1 - x), keys)
+            assert np.array_equal(cell_keys(dim, antipode, every), mirrored)
+
+    @pytest.mark.parametrize("dim, interval", [(8, 45), (32, 30)])
+    def test_the_half_table_holds_the_base_half_columns(self, dim, interval):
+        lattice, every = discretize_viewpoints(interval), np.arange(dim**3)
+        geometry._lattice_cell_keys.cache_clear()
+        table = geometry._lattice_cell_keys(dim, lattice, half=True).lookup(every)
+        assert table.shape == (dim**3, len(lattice.centers) // 2)
+        for k, center in enumerate(geometry._base_half(lattice)):
+            assert np.array_equal(table[:, k], dense_cell_keys(dim, center))
+
 
 class TestMappingWork:
     """What each forward-map call maps, and what the lattice table keeps."""
@@ -488,8 +516,10 @@ class TestMappingWork:
         first = [score_all(error, lattice) for error in errors]
         hot = np.logical_or.reduce([error.values.reshape(-1) > FIRST_HIT_EPS for error in errors])
         assert [score_all(error, lattice) for error in errors] == first
+        # The grids are binary and dim is even: only the base half is mapped.
+        base = geometry._base_half(lattice)
         for c in lattice.centers:
-            assert np.array_equal(mapped.of(dim, c) > 0, hot)
+            assert np.array_equal(mapped.of(dim, c), hot if c in base else np.zeros(dim**3))
         assert mapped.most() == 1
 
     def test_objects_sharing_a_pose_are_rendered_and_carved_as_if_alone(self, monkeypatch):

@@ -611,26 +611,29 @@ class TestReports:
 
 class TestBoundedMemory:
     def test_the_loop_lattice_table_holds_only_the_voxels_scored(self, monkeypatch):
-        # The seed-0 C6 error-guided loop at dim 32: the 30-degree table keeps
-        # one row of 72 keys per distinct voxel score_all asked for, in at
-        # most twice their bytes, however large the cube.
+        # The seed-0 C6 error-guided loop at dim 32 scores binary masks at an
+        # even dim, so it fills the half table: one row of the 36 base-half
+        # keys per distinct voxel it scored, in at most twice their bytes,
+        # however large the cube, and no full table.
         dim = 32
         asked = np.zeros(dim**3, dtype=bool)
-        recorded = selection.lattice_cell_keys
 
-        def recording(dim, lattice, voxels):
-            asked[voxels] = True
-            return recorded(dim, lattice, voxels)
+        def recording(dim, error, lattice):
+            asked[error > selection.FIRST_HIT_EPS] = True
+            return selection._lattice_totals(dim, error, lattice)
 
-        monkeypatch.setattr(selection, "lattice_cell_keys", recording)
+        monkeypatch.setattr(harness, "_lattice_totals", recording)
         geometry._lattice_cell_keys.cache_clear()
         corpus = make_corpus(20, dim=dim, seed=0, kinds=("ell", "cross"))
         run_loop(corpus, LoopConfig(dim=dim, iterations=3, views_per_round=3, update_fraction=1.0, seed=0))
-        table = geometry._lattice_cell_keys(dim, discretize_viewpoints(30))
+        assert geometry._lattice_cell_keys.cache_info().currsize == 1
+        table = geometry._lattice_cell_keys(dim, discretize_viewpoints(30), half=True)
         distinct = int(asked.sum())
         assert 0 < distinct < dim**3 // 4
-        assert np.count_nonzero(table.slot) == table.used - 1 == distinct
-        assert table.rows.nbytes <= 2 * distinct * 72 * 4
+        assert table.rows.shape[1] == 36
+        assert np.array_equal(table.slot > 0, asked)
+        assert table.used - 1 == distinct
+        assert table.rows.nbytes <= 2 * distinct * 36 * 4
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid, view_direction
 from voxsel import geometry, selection
-from voxsel.grid import VoxelGrid, error_grid
+from voxsel.grid import VoxelGrid
 from voxsel.selection import (
     FIRST_HIT_EPS,
     ErrorProjectionMap,
@@ -310,6 +310,24 @@ class TestScoreAll:
         for c in lattice.centers:
             assert np.array_equal(mapped.of(13, c), hot)
 
+    def test_at_even_dims_binary_grids_use_the_half_table_and_soft_grids_the_full_one(self, monkeypatch):
+        geometry._lattice_cell_keys.cache_clear()
+        lattice = discretize_viewpoints(45)
+        mapped = MappedEntries(monkeypatch)
+        binary, soft = random_binary_grid(12, 1), random_soft_grid(12, 2)
+        score_all(binary, lattice)
+        score_all(soft, lattice)
+        hot_binary, hot_soft = binary.values.reshape(-1) > 0, soft.values.reshape(-1) > FIRST_HIT_EPS
+        half = geometry._lattice_cell_keys(12, lattice, half=True)
+        full = geometry._lattice_cell_keys(12, lattice)
+        assert geometry._lattice_cell_keys.cache_info().currsize == 2
+        assert half.rows.shape[1] == 16 and full.rows.shape[1] == 32
+        assert np.array_equal(half.slot > 0, hot_binary) and np.array_equal(full.slot > 0, hot_soft)
+        # A base center maps the hot voxels of both grids, once per table; an antipode only the soft grid's.
+        base = geometry._base_half(lattice)
+        for c in lattice.centers:
+            assert np.array_equal(mapped.of(12, c), hot_soft.astype(int) + hot_binary * (c in base))
+
     def test_soft_grid_matches_score_view(self):
         error = random_soft_grid(9, 4, p=0.5)
         expected = [score_view(error, c, LATTICE_30.lattice_index(k)) for k, c in enumerate(LATTICE_30.centers)]
@@ -376,10 +394,41 @@ class TestLatticeTotals:
         assert totals.tolist() == expected
         assert kind != "all-false mask" or not totals.any()
 
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_odd_dims_score_antipodes_on_their_own(self, monkeypatch, streamed):
+        # At odd dims some antipodes round to cells that are not the mirror
+        # of their center's, and this mask's totals differ at three antipodal
+        # pairs: copying the base half's totals would get them wrong.
+        dim = 31
+        mask = np.random.default_rng(0).random(dim**3) < 0.02
+        grid = VoxelGrid(mask.reshape(dim, dim, dim).astype(np.float64))
+        expected = np.array([score_view(grid, c).score for c in LATTICE_30.centers])
+        by_pitch = expected.reshape(6, 12)
+        assert np.count_nonzero(by_pitch[:, :6] != by_pitch[:, 6:]) == 3
+        if streamed:
+            monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 0)
+        assert selection._lattice_totals(dim, mask, LATTICE_30).tolist() == expected.tolist()
+
+    def test_a_streamed_even_dim_mask_maps_only_the_base_half(self, monkeypatch):
+        dim = 12
+        mask = np.random.default_rng(3).random(dim**3) < 0.3
+        grid = VoxelGrid(mask.reshape(dim, dim, dim).astype(np.float64))
+        expected = [score_view(grid, c).score for c in LATTICE_30.centers]
+        monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * dim**3 * 4 - 1)
+        # Any use of either table would raise.
+        for name in ("lattice_cell_keys", "_lattice_cell_keys"):
+            monkeypatch.setattr(selection, name, None)
+        mapped = MappedEntries(monkeypatch)
+        assert selection._lattice_totals(dim, mask, LATTICE_30).tolist() == expected
+        base = geometry._base_half(LATTICE_30)
+        for c in LATTICE_30.centers:
+            assert np.array_equal(mapped.of(dim, c), mask if c in base else np.zeros(dim**3))
+
     def test_a_warm_binary_call_allocates_under_six_bytes_per_entry(self):
         # The lookup's fresh keys become ray ids in place (4 bytes per hot
-        # voxel and center) and are scattered in bounded intp chunks; a whole
-        # ray-id copy, or an intp cast of all of them, would add 4 or 8.
+        # voxel and center scored, the 36 of the base half at this even dim)
+        # and are scattered in bounded intp chunks; a whole ray-id copy, or an
+        # intp cast of all of them, would add 4 or 8.
         dim = 64
         mask = np.random.default_rng(0).random(dim**3) < 0.05
         selection._lattice_totals(dim, mask, LATTICE_30)  # the table now holds these voxels
@@ -390,7 +439,7 @@ class TestLatticeTotals:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak / (np.count_nonzero(mask) * 72) < 6.0
+        assert peak / (np.count_nonzero(mask) * 36) < 6.0
 
 
 class TestRanking:

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from voxsel.carve import project_voxel
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid
-from voxsel.grid import VoxelGrid, threshold_grid
+from voxsel.grid import VoxelGrid
 from voxsel.harness import make_corpus
 from voxsel.selection import project_first_hit
 from voxsel.synthesis import (
-    ALIGNED_VIEW_COUNT,
     GroundTruthSilhouettes,
     NoisySilhouettes,
     SHAPE_KINDS,
