@@ -10,7 +10,7 @@ import numpy as np
 
 from voxsel.carve import ViewObservation, carve
 from voxsel.grid import iou, threshold_grid
-from voxsel.synthesis import GroundTruthSilhouettes, ShapeSpec, ViewDistribution, generate_shape, sample_dataset_viewpoints
+from voxsel.synthesis import ShapeSpec, ViewDistribution, generate_shape, render_silhouette, sample_dataset_viewpoints
 
 
 def main():
@@ -19,13 +19,12 @@ def main():
     gt_occ = threshold_grid(gt)
     print(f"ground truth: sphere of radius 10 in a {dim}^3 grid, {int(gt.values.sum())} voxels")
 
-    provider = GroundTruthSilhouettes(0.4)
     views = sample_dataset_viewpoints(ViewDistribution("spherical", 12), np.random.default_rng(7))
 
     observations = []
     print(f"{'views':>5} {'hull voxels':>12} {'excess':>7} {'IoU':>7}")
     for v in views:
-        observations.append(ViewObservation(viewpoint=v, silhouette=provider.render(gt, v)))
+        observations.append(ViewObservation(viewpoint=v, silhouette=render_silhouette(gt, v, 0.4)))
         hull = carve(observations, dim)
         hull_occ = threshold_grid(hull)
         excess = int(hull.values.sum() - gt.values.sum())

@@ -13,17 +13,16 @@ from voxsel.carve import ViewObservation, carve
 from voxsel.geometry import discretize_viewpoints, view_direction
 from voxsel.grid import error_grid
 from voxsel.selection import score_all, select_and_sample, select_top_n
-from voxsel.synthesis import GroundTruthSilhouettes, ShapeSpec, generate_shape
+from voxsel.synthesis import ShapeSpec, generate_shape, render_silhouette
 
 
 def main():
     dim = 32
     gt = generate_shape(ShapeSpec("ell"), dim, np.random.default_rng(4))
-    provider = GroundTruthSilhouettes(0.4)
 
     lattice = discretize_viewpoints(30)
     seed_views = [lattice.centers[0], lattice.centers[41]]
-    observations = [ViewObservation(viewpoint=v, silhouette=provider.render(gt, v)) for v in seed_views]
+    observations = [ViewObservation(viewpoint=v, silhouette=render_silhouette(gt, v, 0.4)) for v in seed_views]
     pred = carve(observations, dim)
     err = error_grid(pred, gt)
     print(f"two-view hull of an L-shape: {int(err.values.sum())} voxels of error")

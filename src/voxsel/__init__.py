@@ -52,8 +52,6 @@ from .selection import (
     select_top_n,
 )
 from .synthesis import (
-    GroundTruthSilhouettes,
-    NoisySilhouettes,
     ShapeSpec,
     SilhouetteImage,
     ViewDistribution,
@@ -69,9 +67,7 @@ __all__ = [
     "EmptyCategoryError",
     "ErrorProjectionMap",
     "FormatError",
-    "GroundTruthSilhouettes",
     "LoopConfig",
-    "NoisySilhouettes",
     "OccupancySet",
     "RunReport",
     "SceneObject",

@@ -14,12 +14,11 @@ Each object's state (``_ObjectState``) is built once from its ground truth
 and the loop's tau, which it thresholds once: ``occ`` is the flat bool
 ``gt >= tau`` and, for a 0/1 ground truth, ``bits`` the flat ``gt == 1``.
 Its visual hull is one flat bool keep mask, the AND of its observations'
-one-view carves, each carved once. Under the default provider
-(``GroundTruthSilhouettes`` at the loop's tau) the loop renders and carves
-views itself, in one pass from ``occ``: each object's first initial view,
-cut from the full cube, in one pass for all objects sharing that pose, and
-every new view in one pass per object. The other initial views, and every
-view of another provider, are rendered by the provider and carved by
+one-view carves, each carved once. Every view is the exact silhouette of
+``occ``. The loop renders and carves in one pass from ``occ`` each object's
+first initial view, cut from the full cube, in one pass for all objects
+sharing that pose, and every new view in one pass per object. The other
+initial views are rendered by ``render_silhouette`` and carved by
 ``carve(new, dim, keep=...)``. Because the AND is order-independent and
 idempotent, the mask always equals ``carve`` of all the observations. An
 object has converged when its keep mask equals its bits, which the state
@@ -54,11 +53,10 @@ from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, reco
 from .selection import _lattice_totals, _top_centers, sample_around
 from .synthesis import (
     SHAPE_KINDS,
-    GroundTruthSilhouettes,
     ShapeSpec,
     ViewDistribution,
-    ViewProvider,
     generate_shape,
+    render_silhouette,
     sample_dataset_viewpoints,
 )
 
@@ -247,10 +245,9 @@ class _ObjectState:
     else None (a soft ground truth). ``keep`` is the flat bool mask of the
     ``dim**3`` voxels every observation keeps; with no observations it is
     the full cube. A state starts with no observations: :meth:`observe`
-    carves rendered views into ``keep`` once and appends them, and under the
-    default provider the loop renders and carves views in one pass
-    (:func:`_observe_in_one_pass`), each first initial view in one pass
-    shared by every object seen from that pose.
+    carves rendered views into ``keep`` once and appends them, and
+    :func:`_observe_in_one_pass` renders and carves views in one pass, each
+    first initial view in one pass shared by every object seen from that pose.
     """
 
     gt: VoxelGrid
@@ -284,11 +281,6 @@ class _ObjectState:
         self.observations.extend(new)
 
 
-def _renders_in_one_pass(provider: ViewProvider, tau: float) -> bool:
-    """Whether the loop renders and carves ``provider``'s views itself: only the default provider at the loop's tau."""
-    return provider == GroundTruthSilhouettes(tau)
-
-
 def _observe_in_one_pass(states: Sequence[_ObjectState], v: Viewpoint) -> None:
     """Render ``v`` of each state's ``occ``, carve it into its ``keep`` and append it, in one pass for all of them."""
     silhouettes = _render_and_carve([s.occ for s in states], states[0].dim, v, [s.keep for s in states])
@@ -301,11 +293,11 @@ def run_object_iteration(
     state: _ObjectState,
     config: LoopConfig,
     pool: ViewpointPool,
-    provider: ViewProvider,
 ) -> dict:
     """Select and append new views for one object; returns the update record.
 
-    The record carries the viewpoints added, the freshly selected subset that
+    Each new view is rendered from ``state.occ`` and carved in one pass. The
+    record carries the viewpoints added, the freshly selected subset that
     should enter the pool (empty under baseline policies), and whether an
     empty pool forced a fallback to fresh selection. A converged object (zero
     reconstruction error) is left untouched.
@@ -342,12 +334,8 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    if _renders_in_one_pass(provider, config.tau):
-        # The loop's own renderer: each view is rendered and carved in one pass.
-        for v in added:
-            _observe_in_one_pass([state], v)
-    else:
-        state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in added])
+    for v in added:
+        _observe_in_one_pass([state], v)
     pool_record = fresh if config.selection_policy == "error-guided" else []
     return {"added": added, "pool_record": pool_record, "pool_fallback": fallback, "converged": False}
 
@@ -378,16 +366,16 @@ def run_loop(
     corpus: Sequence[SceneObject],
     config: LoopConfig,
     pool: ViewpointPool | None = None,
-    provider: ViewProvider | None = None,
 ) -> RunReport:
     """Run the reconstruction loop over a corpus and return its report.
 
     Each of iterations 0..``config.iterations`` re-observes
     ``max(1, round(update_fraction * len(corpus)))`` of the not-yet-converged
     objects (all of them if fewer remain; none in iteration 0, which so
-    evaluates the initial view sets), then evaluates every object. Pool
-    writes happen in a serial phase after all of an iteration's updates, so
-    objects within one iteration see the previous iteration's pool.
+    evaluates the initial view sets), then evaluates every object. Views are
+    exact silhouettes of the ground truth at ``config.tau``. Pool writes
+    happen in a serial phase after all of an iteration's updates, so objects
+    within one iteration see the previous iteration's pool.
     """
     started = time.perf_counter()
     if len(corpus) == 0:
@@ -400,7 +388,6 @@ def run_loop(
             raise ValueError(f"object {obj.name!r} dims {obj.gt.dims} do not match config dim {config.dim}")
 
     pool = ViewpointPool(capacity=config.pool_capacity) if pool is None else pool
-    provider = GroundTruthSilhouettes(config.tau) if provider is None else provider
 
     states: list[_ObjectState] = []
     initials: list[list[Viewpoint]] = []
@@ -415,16 +402,13 @@ def run_loop(
 
     # A first initial view is carved out of the full cube, so the objects seen
     # from the same first pose share one pass that maps the cube once.
-    first = 0
-    if _renders_in_one_pass(provider, config.tau):
-        first = 1
-        sharing: dict[Viewpoint, list[_ObjectState]] = {}
-        for state, initial in zip(states, initials):
-            sharing.setdefault(initial[0], []).append(state)
-        for v, group in sharing.items():
-            _observe_in_one_pass(group, v)
+    sharing: dict[Viewpoint, list[_ObjectState]] = {}
+    for state, initial in zip(states, initials):
+        sharing.setdefault(initial[0], []).append(state)
+    for v, group in sharing.items():
+        _observe_in_one_pass(group, v)
     for obj, state, initial in zip(corpus, states, initials):
-        state.observe([ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in initial[first:]])
+        state.observe([ViewObservation(v, render_silhouette(obj.gt, v, config.tau)) for v in initial[1:]])
 
     for iteration in range(config.iterations + 1):
         eligible = [i for i in range(len(corpus)) if iteration > 0 and not states[i].converged]
@@ -433,7 +417,7 @@ def run_loop(
             quota = min(max(1, round(config.update_fraction * len(corpus))), len(eligible))
             picks = _stream(config.seed, _TAG_SUBSET, iteration).choice(len(eligible), size=quota, replace=False)
             for i in sorted(eligible[int(p)] for p in picks):
-                updates[i] = run_object_iteration(corpus[i], states[i], config, pool, provider)
+                updates[i] = run_object_iteration(corpus[i], states[i], config, pool)
             for i, rec in updates.items():
                 if rec["pool_record"]:
                     record(pool, corpus[i].category, rec["pool_record"])

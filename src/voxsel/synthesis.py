@@ -18,11 +18,10 @@ offset from the center from one placement rule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Protocol
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +35,6 @@ __all__ = [
     "ALIGNED_VIEW_COUNT",
     "sample_dataset_viewpoints",
     "render_silhouette",
-    "ViewProvider",
-    "GroundTruthSilhouettes",
-    "NoisySilhouettes",
     "SHAPE_KINDS",
     "ShapeSpec",
     "generate_shape",
@@ -150,51 +146,6 @@ def _silhouette(dim: int, pixels: np.ndarray) -> SilhouetteImage:
     return SilhouetteImage(image[:-1].reshape(dim, dim))
 
 
-class ViewProvider(Protocol):
-    """Source of silhouette observations for a ground-truth object."""
-
-    def render(self, gt: VoxelGrid, v: Viewpoint) -> SilhouetteImage: ...
-
-
-@dataclass(frozen=True)
-class GroundTruthSilhouettes:
-    """Noise-free provider: exact silhouettes of the ground truth."""
-
-    tau: float = DEFAULT_THRESHOLD
-
-    def render(self, gt: VoxelGrid, v: Viewpoint) -> SilhouetteImage:
-        return render_silhouette(gt, v, self.tau)
-
-
-@dataclass(frozen=True)
-class NoisySilhouettes:
-    """Wrapper that flips each silhouette pixel with a fixed probability.
-
-    Flips are deterministic for a given (grid, viewpoint, seed) triple, so a
-    noisy provider still renders reproducibly. The default probability 0
-    passes the base silhouette through unchanged.
-    """
-
-    base: GroundTruthSilhouettes
-    flip_prob: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise ValueError(f"flip probability must lie in [0, 1], got {self.flip_prob}")
-
-    def render(self, gt: VoxelGrid, v: Viewpoint) -> SilhouetteImage:
-        sil = self.base.render(gt, v)
-        if self.flip_prob == 0.0:
-            return sil
-        digest = hashlib.blake2b(digest_size=8)
-        digest.update(np.float32(gt.to_flat()).tobytes())
-        digest.update(np.float64([v.yaw, v.pitch, self.seed]).tobytes())
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest.digest(), "little")))
-        flips = rng.random(sil.pixels.shape) < self.flip_prob
-        return SilhouetteImage(sil.pixels ^ flips)
-
-
 SHAPE_KINDS = ("box", "sphere", "ell", "cross", "union-of-boxes", "random-blob")
 
 MIN_SHAPE_DIM = 8
@@ -249,6 +200,14 @@ def _ball_mask(dim: int, center: np.ndarray, radius: float) -> np.ndarray:
     return dist2 <= radius * radius
 
 
+@lru_cache(maxsize=8)
+def _safe_ball(dim: int) -> np.ndarray:
+    # The read-only mask of the safe ball, built once per dim.
+    safe = _ball_mask(dim, np.zeros(3), safe_radius(dim))
+    safe.flags.writeable = False
+    return safe
+
+
 def _box(dim: int, center: np.ndarray, ext: np.ndarray) -> np.ndarray:
     # The voxels within ``ext`` of ``center`` (centered coordinates) on every axis.
     half = (dim - 1) / 2.0
@@ -301,7 +260,7 @@ def generate_shape(spec: ShapeSpec, dim: int, rng: np.random.Generator) -> Voxel
     if dim < MIN_SHAPE_DIM:
         raise ValueError(f"shape dim must be at least {MIN_SHAPE_DIM}, got {dim}")
     budget = safe_radius(dim)
-    safe = _ball_mask(dim, np.zeros(3), budget)
+    safe = _safe_ball(dim)
 
     if spec.size is not None:  # an exact box, its low corner at (dim - size) // 2
         size = np.array(spec.size)

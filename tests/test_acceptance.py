@@ -26,9 +26,9 @@ from voxsel.harness import LoopConfig, compare_policies, make_corpus, run_loop
 from voxsel.io import FormatError, parse_sil, parse_vxg, read_vxg, sil_bytes, viewpoint_from_dict, vxg_bytes, write_vxg
 from voxsel.selection import project_first_hit, score_all, select_and_sample, select_top_n
 from voxsel.synthesis import (
-    GroundTruthSilhouettes,
     SilhouetteImage,
     ViewDistribution,
+    render_silhouette,
     sample_dataset_viewpoints,
 )
 
@@ -56,21 +56,18 @@ def _loop_config(**kw):
 def _observation_stages(report, corpus, tau=DEFAULT_THRESHOLD):
     """Rebuild each object's cumulative observation list per iteration.
 
-    The ground-truth provider is deterministic, so re-rendering the recorded
-    viewpoints reproduces exactly the view sets the run carved from.
+    Rendering is deterministic, so re-rendering the recorded viewpoints
+    reproduces exactly the view sets the run carved from.
     """
-    provider = GroundTruthSilhouettes(tau)
     stages = []
     for rec, obj in zip(report.objects, corpus):
-        obs = [
-            ViewObservation(viewpoint=viewpoint_from_dict(d), silhouette=provider.render(obj.gt, viewpoint_from_dict(d)))
-            for d in rec["initial_views"]
-        ]
+        views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
+        obs = [ViewObservation(viewpoint=v, silhouette=render_silhouette(obj.gt, v, tau)) for v in views]
         per_iter = [list(obs)]
         for it in rec["iterations"][1:]:
             for d in it["selected"]:
                 v = viewpoint_from_dict(d)
-                obs.append(ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)))
+                obs.append(ViewObservation(viewpoint=v, silhouette=render_silhouette(obj.gt, v, tau)))
             per_iter.append(list(obs))
         stages.append(per_iter)
     return stages

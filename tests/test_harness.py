@@ -34,12 +34,11 @@ from voxsel.harness import _ObjectState
 from voxsel.io import viewpoint_from_dict
 from voxsel.pool import ViewpointPool, record
 from voxsel.synthesis import (
-    GroundTruthSilhouettes,
-    NoisySilhouettes,
     ShapeSpec,
     SilhouetteImage,
     ViewDistribution,
     generate_shape,
+    render_silhouette,
 )
 
 from .mapping_counts import MappedEntries
@@ -253,18 +252,17 @@ class TestRunLoopStructure:
     def test_iteration_on_converged_object_adds_nothing(self):
         # A centered box is exactly the intersection of its three axis-view
         # extrusions, so these observations leave zero reconstruction error.
-        from voxsel.harness import GroundTruthSilhouettes, ViewObservation, _ObjectState
+        from voxsel.harness import ViewObservation, _ObjectState
 
         dim = 16
         vals = np.zeros((dim, dim, dim))
         vals[5:11, 5:11, 5:11] = 1.0
         obj = SceneObject(name="box", category="box", gt=VoxelGrid(vals))
-        provider = GroundTruthSilhouettes(0.4)
         views = [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0), Viewpoint(0.0, 90.0)]
-        obs = [ViewObservation(viewpoint=v, silhouette=provider.render(obj.gt, v)) for v in views]
+        obs = [ViewObservation(viewpoint=v, silhouette=render_silhouette(obj.gt, v, 0.4)) for v in views]
         state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
         state.observe(obs)
-        rec = run_object_iteration(obj, state, small_config(), ViewpointPool(), provider)
+        rec = run_object_iteration(obj, state, small_config(), ViewpointPool())
         assert rec == {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
         assert state.converged
         assert len(state.observations) == 3
@@ -305,16 +303,22 @@ def recorded_states(monkeypatch):
 class TestRunningHull:
     """The per-object keep mask always equals carving all of the object's observations."""
 
-    def drive(self, config, provider, initial_views, rounds=3):
+    def drive(self, config, initial_views, rounds=3, flip_prob=0.0):
+        # ``flip_prob`` flips each initial silhouette pixel with that
+        # probability, so the views disagree with the ground truth.
         pool = ViewpointPool(capacity=config.pool_capacity)
+        flips = np.random.default_rng(4)
         # Two objects per category, so the second of each can draw pooled views.
         for obj in make_corpus(4, dim=config.dim, seed=5, kinds=["ell", "cross"]):
-            obs = [ViewObservation(v, provider.render(obj.gt, v)) for v in initial_views]
+            obs = []
+            for v in initial_views:
+                pixels = render_silhouette(obj.gt, v, config.tau).pixels
+                obs.append(ViewObservation(v, SilhouetteImage(pixels ^ (flips.random(pixels.shape) < flip_prob))))
             state = _ObjectState(obj.gt, config.tau, np.random.default_rng(1))
             state.observe(obs)
             assert_hull_is_carve(state, config.dim)
             for _ in range(rounds):
-                rec = run_object_iteration(obj, state, config, pool, provider)
+                rec = run_object_iteration(obj, state, config, pool)
                 assert_hull_is_carve(state, config.dim)
                 if rec["pool_record"]:
                     record(pool, obj.category, rec["pool_record"])
@@ -323,24 +327,23 @@ class TestRunningHull:
     @pytest.mark.parametrize("pool_mode", POOL_MODES)
     def test_after_every_iteration(self, policy, pool_mode):
         config = small_config(selection_policy=policy, pool_mode=pool_mode)
-        self.drive(config, GroundTruthSilhouettes(config.tau), [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0)])
+        self.drive(config, [Viewpoint(0.0, 0.0), Viewpoint(-90.0, 0.0)])
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_with_noisy_silhouettes(self, policy):
         config = small_config(selection_policy=policy)
-        provider = NoisySilhouettes(GroundTruthSilhouettes(config.tau), flip_prob=0.05, seed=4)
-        self.drive(config, provider, [Viewpoint(30.0, 20.0)])
+        self.drive(config, [Viewpoint(30.0, 20.0)], flip_prob=0.05)
 
     def test_with_repeated_views(self):
         # The fixed-lattice sweep starts at the lattice's first centers, which
         # are the initial views here, so every view of round one is a repeat.
         config = small_config(selection_policy="fixed-lattice")
         initial = list(discretize_viewpoints(config.interval_deg).centers[: config.views_per_round])
-        self.drive(config, GroundTruthSilhouettes(config.tau), initial, rounds=1)
+        self.drive(config, initial, rounds=1)
 
     def test_repeating_an_observation_changes_nothing(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
-        obs = ViewObservation(Viewpoint(40.0, 10.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(40.0, 10.0)))
+        obs = ViewObservation(Viewpoint(40.0, 10.0), render_silhouette(obj.gt, Viewpoint(40.0, 10.0), 0.4))
         state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
         state.observe([obs])
         before = state.keep.copy()
@@ -352,41 +355,15 @@ class TestRunningHull:
     def test_rejects_a_silhouette_of_another_dim(self):
         obj = make_corpus(1, dim=16, seed=2)[0]
         state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
-        state.observe([ViewObservation(Viewpoint(0.0, 0.0), GroundTruthSilhouettes(0.4).render(obj.gt, Viewpoint(0.0, 0.0)))])
+        state.observe([ViewObservation(Viewpoint(0.0, 0.0), render_silhouette(obj.gt, Viewpoint(0.0, 0.0), 0.4))])
         before = state.keep.copy()
         with pytest.raises(ValueError, match="do not match grid dim 16"):
             state.observe([ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))])
         assert len(state.observations) == 1 and np.array_equal(state.keep, before)
 
-    def test_a_provider_subclass_renders_its_own_silhouettes(self, monkeypatch):
-        # At the loop's tau but with other silhouettes: only the default
-        # provider itself may be rendered and carved in one pass, in the
-        # initial views as in the new ones.
-        class ErodedSilhouettes(GroundTruthSilhouettes):
-            def render(self, gt, v):
-                pixels = super().render(gt, v).pixels
-                return SilhouetteImage(pixels & np.roll(pixels, 1, axis=0))
-
-        def one_pass(*args):
-            raise AssertionError("a provider subclass was rendered and carved in one pass")
-
-        monkeypatch.setattr(harness, "_render_and_carve", one_pass)
-        states = recorded_states(monkeypatch)
-        config = small_config()
-        provider = ErodedSilhouettes(config.tau)
-        corpus = make_corpus(3, dim=config.dim, seed=5, kinds=["ell"])
-        rep = run_loop(corpus, config, provider=provider)
-        for obj, rec, state in zip(corpus, rep.objects, states):
-            views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
-            views += [viewpoint_from_dict(d) for it in rec["iterations"] for d in it["selected"]]
-            assert len(views) == config.initial_views + config.iterations * config.views_per_round
-            assert [obs.viewpoint for obs in state.observations] == views
-            expected = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], config.dim)
-            assert np.array_equal(state.keep, expected.values.reshape(-1) > 0)
-
     def test_run_loop_carves_each_observation_once(self, monkeypatch):
-        # The default provider's first initial views and new views are carved
-        # by the one-pass render and carve, the other initial views by carve;
+        # First initial views and new views are carved by the one-pass
+        # render and carve, the other initial views by carve;
         # between them, every observation once.
         by_carve, by_one_pass = [], []
         render_and_carve = harness._render_and_carve
@@ -414,6 +391,26 @@ class TestRunningHull:
         for state in states:
             assert_hull_is_carve(state, config.dim)
 
+    @pytest.mark.parametrize("tau, soft", [(0.4, False), (0.6, True), (0.2, True)])
+    def test_run_loop_observes_the_exact_silhouette_of_every_view(self, monkeypatch, tau, soft):
+        # The first initial views and the new views come from the one-pass
+        # render and carve, the other initial views from render_silhouette:
+        # both give the exact silhouette of the ground truth at the loop's tau.
+        states = recorded_states(monkeypatch)
+        config = small_config(tau=tau, iterations=3)
+        corpus = make_corpus(3, dim=config.dim, seed=5, kinds=["ell", "cross"])
+        if soft:
+            corpus = [soft_object(obj, k) for k, obj in enumerate(corpus)]
+        rep = run_loop(corpus, config)
+        for obj, rec, state in zip(corpus, rep.objects, states):
+            views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
+            views += [viewpoint_from_dict(d) for it in rec["iterations"] for d in it["selected"]]
+            assert len(views) == config.initial_views + config.iterations * config.views_per_round
+            assert [obs.viewpoint for obs in state.observations] == views
+            for obs in state.observations:
+                assert np.array_equal(obs.silhouette.pixels, render_silhouette(obj.gt, obs.viewpoint, tau).pixels)
+            assert_hull_is_carve(state, config.dim)
+
 
 
 def soft_object(obj, seed):
@@ -433,13 +430,12 @@ class TestLoopMetrics:
         if soft:
             corpus = [soft_object(obj, k) for k, obj in enumerate(corpus)]
         rep = run_loop(corpus, small_config(tau=tau, iterations=3))
-        provider = GroundTruthSilhouettes(tau)
         for rec, obj in zip(rep.objects, corpus):
             views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
             gt_occ = threshold_grid(obj.gt, tau)
             for it in rec["iterations"]:
                 views += [viewpoint_from_dict(d) for d in it["selected"]]
-                hull = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], 16)
+                hull = carve([ViewObservation(v, render_silhouette(obj.gt, v, tau)) for v in views], 16)
                 pred_occ = threshold_grid(hull, tau)
                 assert it["view_count"] == len(views)
                 assert it["iou"] == iou(pred_occ, gt_occ)
@@ -504,12 +500,11 @@ class TestLoopWork:
                       if obj["iterations"][t]["selected"]]
         assert len(scored) == len(selections) > 0
         # Each scored grid is |hull - gt| of the hull before that selection's views.
-        provider = GroundTruthSilhouettes(0.4)
         for error, (k, t) in zip(scored, selections):
             obj, rec = corpus[k], rep.objects[k]
             views = [viewpoint_from_dict(d) for d in rec["initial_views"]]
             views += [viewpoint_from_dict(d) for it in rec["iterations"][:t] for d in it["selected"]]
-            hull = carve([ViewObservation(v, provider.render(obj.gt, v)) for v in views], 16)
+            hull = carve([ViewObservation(v, render_silhouette(obj.gt, v, 0.4)) for v in views], 16)
             assert np.array_equal(error, np.abs(hull.values - obj.gt.values))
 
 
@@ -697,15 +692,9 @@ def pinned_corpus(kind):
         grids = [rng.random((16,) * 3) < p for p in (0.02, 0.3)] + [np.pad(np.ones((14,) * 3), 1)]
         return [SceneObject(f"corner-{k}", "box", VoxelGrid(g)) for k, g in enumerate(grids)]
     corpus = make_corpus(4, dim=16, seed=3) + [empty_object()]
-    soft = kind in ("soft", "soft-rendered-at-0.6")
-    return [soft_object(obj, k) for k, obj in enumerate(corpus)] if soft else corpus
+    return [soft_object(obj, k) for k, obj in enumerate(corpus)] if kind == "soft" else corpus
 
 
-# Providers other than the loop's default; every other kind runs with the default.
-PINNED_PROVIDERS = {
-    "noisy": NoisySilhouettes(GroundTruthSilhouettes(0.4), 0.05, seed=2),
-    "soft-rendered-at-0.6": GroundTruthSilhouettes(0.6),
-}
 # Initial views other than the loop's default, over the default corpus.
 PINNED_CONFIGS = {
     "hemispherical": {"initial_distribution": ViewDistribution("hemispherical")},
@@ -717,15 +706,14 @@ class TestPinnedReports:
     """Dim-16 reports over every ground-truth case the loop's masks distinguish, pinned to recorded bytes.
 
     Binary ground truth at tau 0 (every voxel occupied) and 1, soft ground
-    truth (never converges) at tau 0.4 and 0, and a corpus whose objects
-    converge during the run: under random views two boxes converge besides
-    the empty object. The last rows pin both sides of the loop's provider
-    branch: noisy silhouettes, soft ground truth rendered at 0.6 and
-    evaluated at 0.4, and the default provider over grids with voxels past
-    ``safe_radius``, which the hulls lose in part. The two last rows pin how
-    first initial views are grouped by pose: hemispherical initial views,
-    where every object's first pose is its own, and a single initial view,
-    where the default loop never calls ``carve``.
+    truth (never converges) at tau 0.4 and 0, and at 0.6, where only part of
+    each shape is occupied, under both the error-guided and the random
+    policy, and a corpus whose objects converge during the run: under random
+    views two boxes converge besides the empty object. Grids with voxels past ``safe_radius`` pin what the
+    hulls lose of them. The two last rows pin how first initial views are
+    grouped by pose: hemispherical initial views, where every object's first
+    pose is its own, and a single initial view, where the loop never calls
+    ``carve``.
     """
 
     @pytest.mark.parametrize(
@@ -735,10 +723,10 @@ class TestPinnedReports:
             ("binary", 1.0, "error-guided", 1, "771d15a6e83940b3846e581d3029937c2f9df9d8715f27ce96012d44a4e39c76"),
             ("soft", 0.4, "error-guided", 0, "b44084ea0a6e581db6517360d353cea7a171229106f8eaa2e5949c9c4d09384f"),
             ("soft", 0.0, "error-guided", 0, "21b701765ee30eb78e83492acf929ea48521a32ec1bd6a8ef2b8c3589209faea"),
+            ("soft", 0.6, "error-guided", 0, "e2e3594ddecee6e63e6a7ccb9906cd0a330c5b3208396c7bb805ccb11df9dd7f"),
+            ("soft", 0.6, "random", 0, "6c9bc51de5f7126ba68713f049f91e71d7d447a7213f662c1fec7e40e7160420"),
             ("converging", 0.4, "random", 3, "d809cf115230862e82005e6fec58963046622e8a324bcf982ae0d7ca3f4c1bc4"),
             ("converging", 0.4, "error-guided", 1, "46673869e78d44bbf6cfdd02c0f009c560c224dd8822fbecd9af1c2748bacf62"),
-            ("noisy", 0.4, "error-guided", 1, "9eecd78e18f8d5cc92dd04c7d0f908a4fe1cde94ed8931b38921f19085c4d370"),
-            ("soft-rendered-at-0.6", 0.4, "error-guided", 0, "f5ab4c392fa41a48357d317762abdde37278f633b695478088c917ef85e42f9d"),
             ("past-safe-radius", 0.4, "error-guided", 0, "8b0ebebc79ecacb40d72f533e8bc47a0668c084e6d569e67e64d95473ef1be4d"),
             ("past-safe-radius", 0.4, "random", 0, "b18ed4a6e8a62398b38c363b05ae6285064f4abfd47c62e73e319cf352530fa7"),
             ("hemispherical", 0.4, "error-guided", 1, "e433ee8f487cec4d201a78a869e6223984cbe69fcb57a1cf14c46ae1c9a9ca78"),
@@ -750,7 +738,7 @@ class TestPinnedReports:
             dim=16, iterations=4, update_fraction=1.0, tau=tau, selection_policy=policy, seed=0,
             **PINNED_CONFIGS.get(kind, {}),
         )
-        report = run_loop(pinned_corpus(kind), config, provider=PINNED_PROVIDERS.get(kind))
+        report = run_loop(pinned_corpus(kind), config)
         assert report.aggregates["converged_objects"] == converged
         assert hashlib.sha256(report_json(report).encode("utf-8")).hexdigest() == sha256
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxsel import synthesis
 from voxsel.carve import project_voxel
 from voxsel.geometry import Viewpoint, discretize_viewpoints, rotate_grid
 from voxsel.grid import VoxelGrid
 from voxsel.harness import make_corpus
 from voxsel.selection import project_first_hit
 from voxsel.synthesis import (
-    GroundTruthSilhouettes,
-    NoisySilhouettes,
     SHAPE_KINDS,
     ShapeSpec,
     SilhouetteImage,
@@ -198,6 +197,28 @@ class TestGenerateShape:
         g = generate_shape(ShapeSpec(kind), dim, rng_of(seed))
         assert 0.01 <= g.values.sum() / g.values.size <= 0.60
 
+    @pytest.mark.parametrize("dim", [8, 9, 32])
+    def test_safe_ball_is_cached_read_only_per_dim(self, dim):
+        safe = synthesis._safe_ball(dim)
+        assert synthesis._safe_ball(dim) is safe
+        assert not safe.flags.writeable
+        assert np.array_equal(safe, synthesis._ball_mask(dim, np.zeros(3), safe_radius(dim)))
+
+    def test_a_corpus_builds_the_safe_ball_once(self, monkeypatch):
+        # Every shape of one dim is checked against the same safe ball.
+        built = []
+        ball_mask = synthesis._ball_mask
+
+        def counting_ball_mask(dim, center, radius):
+            if radius == safe_radius(dim) and not np.any(center):
+                built.append(dim)
+            return ball_mask(dim, center, radius)
+
+        monkeypatch.setattr(synthesis, "_ball_mask", counting_ball_mask)
+        synthesis._safe_ball.cache_clear()
+        make_corpus(12, dim=12, seed=3)
+        assert built == [12]
+
     def test_small_dim_corpus_generates(self):
         corpus = make_corpus(12, dim=11, seed=255)
         assert [o.category for o in corpus] == list(SHAPE_KINDS) * 2
@@ -278,47 +299,3 @@ class TestGenerateShape:
         # the third would lose 184 of its 8,000 voxels.
         with pytest.raises(ValueError, match="does not fit the safe ball of dim 32"):
             generate_shape(spec, 32, rng_of(0))
-
-
-class TestProviders:
-    def test_ground_truth_provider_matches_renderer(self):
-        gt = generate_shape(ShapeSpec("ell"), 16, rng_of(2))
-        v = Viewpoint(25.0, -40.0)
-        assert np.array_equal(
-            GroundTruthSilhouettes().render(gt, v).pixels,
-            render_silhouette(gt, v).pixels,
-        )
-
-    def test_noisy_provider_is_deterministic(self):
-        gt = generate_shape(ShapeSpec("sphere", radius=10.0), 32, rng_of(1))
-        provider = NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=0.05, seed=11)
-        v = Viewpoint(30.0, 45.0)
-        a = provider.render(gt, v)
-        b = provider.render(gt, v)
-        assert np.array_equal(a.pixels, b.pixels)
-
-    def test_noisy_provider_flip_rate_frozen(self):
-        gt = generate_shape(ShapeSpec("sphere", radius=10.0), 32, rng_of(1))
-        clean = GroundTruthSilhouettes().render(gt, Viewpoint(30.0, 45.0))
-        noisy = NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=0.05, seed=11).render(
-            gt, Viewpoint(30.0, 45.0)
-        )
-        assert int(np.count_nonzero(noisy.pixels != clean.pixels)) == 53
-
-    def test_zero_probability_passes_through(self):
-        gt = generate_shape(ShapeSpec("box"), 16, rng_of(4))
-        v = Viewpoint(-60.0, 10.0)
-        clean = GroundTruthSilhouettes().render(gt, v)
-        wrapped = NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=0.0, seed=1).render(gt, v)
-        assert np.array_equal(wrapped.pixels, clean.pixels)
-
-    def test_seed_changes_the_flips(self):
-        gt = generate_shape(ShapeSpec("sphere", radius=10.0), 32, rng_of(1))
-        v = Viewpoint(30.0, 45.0)
-        a = NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=0.05, seed=11).render(gt, v)
-        b = NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=0.05, seed=12).render(gt, v)
-        assert not np.array_equal(a.pixels, b.pixels)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            NoisySilhouettes(GroundTruthSilhouettes(), flip_prob=1.5)
