@@ -15,12 +15,14 @@ inside every error-guided selection:
 It then reruns the guided loop with antipodes suppressed (a cell is skipped
 when its antipode is already picked) and prints both policies' mean IoU
 delta against random, the quantity criterion 6 asserts to be >= 0. The loop
-scores its mismatch mask ``keep != gt`` into one total per lattice cell with
-the private ``selection._lattice_totals`` and takes the best-ranked cells with
+scores the ids of its mismatch voxels, where the hull and the ground truth
+differ, into one total per lattice cell with the private
+``selection._lattice_totals`` and takes the best-ranked cells with
 ``selection._top_centers``; the variant is installed by wrapping the
 harness's ``run_object_iteration`` (to see the object's ground truth),
-``_lattice_totals`` (to see the error grid) and ``_top_centers`` (to pick)
-for the duration of the run. The library itself is unchanged.
+``_lattice_totals`` (to see the error, rebuilt as a grid) and
+``_top_centers`` (to pick) for the duration of the run. The library itself
+is unchanged.
 
 Run: python3 demos/measure_selection_gap.py   (about a minute)
 """
@@ -71,10 +73,12 @@ def guided_selection(stats, suppress):
         seen["gt"] = obj.gt
         return originals["run_object_iteration"](obj, *args)
 
-    def score(dim, error, scored_lattice):
+    def score(dim, hot, vals, scored_lattice):
         assert scored_lattice == lattice
+        error = np.zeros(dim**3)
+        error[hot] = 1.0 if vals is None else vals
         seen["error"] = VoxelGrid(error.reshape(dim, dim, dim))
-        return originals["_lattice_totals"](dim, error, scored_lattice)
+        return originals["_lattice_totals"](dim, hot, vals, scored_lattice)
 
     def top(totals, scored_lattice, n):
         assert scored_lattice == lattice

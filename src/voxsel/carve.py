@@ -22,12 +22,14 @@ ids of the voxels still kept only, so a voxel an earlier view dropped is
 never mapped under a later one.
 
 The loop renders and carves views of its own ground truth in one pass,
-``_render_and_carve``: it maps each voxel kept or occupied once under the
-view's pose, then renders and carves through the steps
-:func:`~voxsel.synthesis.render_silhouette` and :func:`carve` use. One pass
-serves every object seen from the same pose: the loop carves each object's
-first initial view, cut from the full cube, for all objects sharing that pose
-in one call, so the pose maps the cube once, not once per object.
+``_render_and_carve``: it maps a list of voxel ids once under the view's
+pose, the hull's ids first, then renders and carves through the steps
+:func:`~voxsel.synthesis.render_silhouette` and :func:`carve` use, and
+returns which hull voxels each silhouette keeps. One pass serves every
+object that maps the same ids: the loop carves each object's first initial
+view, cut from the full cube, for all objects sharing that pose in one call,
+so the pose maps the cube once, not once per object, and each new view maps
+one object's hull plus its occupied voxels outside it.
 """
 
 from __future__ import annotations
@@ -97,39 +99,32 @@ def carve(
         raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
     for obs in observations:
         alive = np.flatnonzero(keep)  # only the voxels still kept are mapped
-        _carve_into(keep, alive, obs.silhouette, pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive))
+        kept = _kept(obs.silhouette, pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive))
+        if alive.size == keep.size:  # a plain AND over the whole cube
+            np.logical_and(keep, kept, out=keep)
+        else:
+            keep[alive] = kept
     return VoxelGrid(keep.reshape((dim, dim, dim)))
 
 
-def _carve_into(keep: np.ndarray, alive: np.ndarray, silhouette: SilhouetteImage, pixels: np.ndarray) -> None:
-    """AND ``silhouette``, read at the image-rule ids ``pixels`` of the voxels ``alive``, into ``keep`` in place."""
-    kept = np.append(silhouette.pixels.reshape(-1), False)[pixels]  # the off id reads False
-    if alive.size == keep.size:  # a plain AND over the whole cube
-        np.logical_and(keep, kept, out=keep)
-    else:
-        keep[alive] &= kept
+def _kept(silhouette: SilhouetteImage, pixels: np.ndarray) -> np.ndarray:
+    """Whether ``silhouette`` keeps each voxel, read at its image-rule id in ``pixels``; the off id reads False."""
+    return np.append(silhouette.pixels.reshape(-1), False)[pixels]
 
 
 def _render_and_carve(
-    occs: Sequence[np.ndarray], dim: int, v: Viewpoint, keeps: Sequence[np.ndarray]
-) -> list[SilhouetteImage]:
-    """``render_silhouette`` of each flat occupancy mask in ``occs`` from ``v``, carved into its ``keeps`` entry in place.
+    dim: int, v: Viewpoint, voxels: np.ndarray, occupied: Sequence[np.ndarray], n_hull: int
+) -> list[tuple[SilhouetteImage, np.ndarray]]:
+    """Per bool array of ``occupied``, the ``render_silhouette`` from ``v`` of the flagged ``voxels`` and what it keeps.
 
-    Maps each voxel of the union of every ``keep | occ`` once, renders each
-    silhouette through ``render_silhouette``'s step and carves it through
-    :func:`carve`'s; the silhouettes returned are the ones carved with. An
-    occupied voxel outside its hull still sets its pixel, as it does in
-    ``render_silhouette``. Each object's silhouette and carve equal those of
-    a call with that object alone.
+    ``voxels`` are flat ids, a hull's ``n_hull`` ids first, each mapped once
+    under ``v``; each ``occupied`` entry flags the occupied ones among them,
+    hull or not, which set their pixels as in ``render_silhouette``. Each
+    silhouette is rendered through ``render_silhouette``'s step and carved
+    through :func:`carve`'s: the bool array returned with it says which of
+    ``voxels[:n_hull]`` it keeps, so the carved hull is their compress.
     """
-    union = keeps[0] | occs[0]
-    for keep, occ in zip(keeps[1:], occs[1:]):
-        union |= keep
-        union |= occ
-    alive = np.flatnonzero(union)
-    codes = _pose_pixel_codes(dim, v, alive)
-    silhouettes = [_silhouette(dim, _pixel_rule(codes[occ[alive]], dim, clip_depth=True)) for occ in occs]
-    pixels = _pixel_rule(codes, dim, clip_depth=False)
-    for keep, silhouette in zip(keeps, silhouettes):
-        _carve_into(keep, alive, silhouette, pixels)
-    return silhouettes
+    codes = _pose_pixel_codes(dim, v, voxels)
+    silhouettes = [_silhouette(dim, _pixel_rule(codes[occ], dim, clip_depth=True)) for occ in occupied]
+    pixels = _pixel_rule(codes[:n_hull], dim, clip_depth=False)
+    return [(silhouette, _kept(silhouette, pixels)) for silhouette in silhouettes]

@@ -100,9 +100,9 @@ def _cmd_render(args: argparse.Namespace) -> None:
 
 
 def _cmd_gen_shapes(args: argparse.Namespace) -> None:
+    corpus = make_corpus(args.count, dim=args.dim, seed=args.seed)  # validates before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = make_corpus(args.count, dim=args.dim, seed=args.seed)
     manifest = []
     for obj in corpus:
         filename = f"{obj.name}.vxg"

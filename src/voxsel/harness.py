@@ -13,22 +13,24 @@ same report bytes.
 Each object's state (``_ObjectState``) is built once from its ground truth
 and the loop's tau, which it thresholds once: ``occ`` is the flat bool
 ``gt >= tau`` and, for a 0/1 ground truth, ``bits`` the flat ``gt == 1``.
-Its visual hull is one flat bool keep mask, the AND of its observations'
-one-view carves, each carved once. Every view is the exact silhouette of
-``occ``. The loop renders and carves in one pass from ``occ`` each object's
-first initial view, cut from the full cube, in one pass for all objects
-sharing that pose, and every new view in one pass per object. The other
-initial views are rendered by ``render_silhouette`` and carved by
-``carve(new, dim, keep=...)``. Because the AND is order-independent and
-idempotent, the mask always equals ``carve`` of all the observations. An
-object has converged when its keep mask equals its bits, which the state
-decides in one place; a converged object is not re-observed. Evaluation
-computes IoU, F-score and excess voxels from counts of the mask, ``occ``
-and their AND. Error-guided selection passes the mismatch mask
-``keep != bits`` straight to the scoring kernel of :mod:`voxsel.selection`
-and takes the best-ranked lattice centers from its totals, building no grid
-and no per-center scores; a soft ground truth is scored on ``|keep - gt|``
-and never converges.
+Its visual hull is the sorted ids of the voxels its observations keep, the
+AND of their one-view carves, each carved once; beside it lie the ids of the
+occupied voxels outside the hull, none unless a view carves one away. Every
+view is the exact silhouette of ``occ``. The loop renders and carves in one
+pass each object's first initial view, cut from the full cube, in one pass
+for all objects sharing that pose, and every new view in one pass per object
+that maps the hull plus its outside list. The other initial views are
+rendered from the occupied ids and carved by ``carve(new, dim, keep=...)``
+on the hull's mask. Because the AND is order-independent and idempotent, the
+hull always equals ``carve`` of all the observations. An object has
+converged when its hull equals its bits, which the state decides in one
+place; a converged object is not re-observed. Evaluation computes IoU,
+F-score and excess voxels from the lengths of the id lists. Error-guided
+selection passes the ids of the mismatch voxels, the hull's off ``bits``
+and the ``bits`` outside the hull, straight to the scoring kernel of
+:mod:`voxsel.selection` and takes the best-ranked lattice centers from its
+totals, building no grid and no per-center scores; a soft ground truth is
+scored on ``|keep - gt|`` over the cube and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -41,24 +43,18 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from typing import get_type_hints
 
 import numpy as np
 
 from .carve import ViewObservation, _render_and_carve, carve
-from .geometry import Viewpoint, discretize_viewpoints
+from .geometry import Viewpoint, discretize_viewpoints, pixel_ids
 from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, threshold_grid
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
-from .selection import _lattice_totals, _top_centers, sample_around
-from .synthesis import (
-    SHAPE_KINDS,
-    ShapeSpec,
-    ViewDistribution,
-    generate_shape,
-    render_silhouette,
-    sample_dataset_viewpoints,
-)
+from .selection import _hot_voxels, _lattice_totals, _top_centers, sample_around
+from .synthesis import SHAPE_KINDS, ShapeSpec, ViewDistribution, _silhouette, generate_shape, sample_dataset_viewpoints
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -236,18 +232,29 @@ def make_corpus(
     return corpus
 
 
+@lru_cache(maxsize=1)
+def _cube_ids(dim: int) -> np.ndarray:
+    """The read-only flat ids of the whole ``dim**3`` cube, every state's hull before its first view."""
+    ids = np.arange(dim**3)
+    ids.flags.writeable = False
+    return ids
+
+
 @dataclass
 class _ObjectState:
     """One object's ground truth, views and running hull.
 
     The constructor thresholds ``gt`` at ``tau`` once: ``occ`` is the flat
-    bool ``gt >= tau`` and ``bits`` the flat ``gt == 1`` when ``gt`` is 0/1,
-    else None (a soft ground truth). ``keep`` is the flat bool mask of the
-    ``dim**3`` voxels every observation keeps; with no observations it is
-    the full cube. A state starts with no observations: :meth:`observe`
-    carves rendered views into ``keep`` once and appends them, and
-    :func:`_observe_in_one_pass` renders and carves views in one pass, each
-    first initial view in one pass shared by every object seen from that pose.
+    bool ``gt >= tau``, ``occ_ids`` its ids, and ``bits`` the flat ``gt ==
+    1`` when ``gt`` is 0/1, else None (a soft ground truth). ``hull`` holds
+    the sorted flat ids of the voxels every observation keeps; with no
+    observations it is the full cube. ``outside`` holds the occupied voxels
+    outside the hull, none unless a view carves away an occupied voxel (one
+    past the safe radius, or any at tau 0). A state starts with no
+    observations: :meth:`observe` carves rendered views into the hull once
+    and appends them, and :func:`_observe_in_one_pass` renders and carves
+    views in one pass, each first initial view in one pass shared by every
+    object seen from that pose.
     """
 
     gt: VoxelGrid
@@ -257,34 +264,58 @@ class _ObjectState:
     observations: list[ViewObservation] = field(init=False, default_factory=list)
     dim: int = field(init=False)
     occ: np.ndarray = field(init=False, repr=False)
+    occ_ids: np.ndarray = field(init=False, repr=False)
     bits: np.ndarray | None = field(init=False, repr=False)
-    keep: np.ndarray = field(init=False, repr=False)
+    n_bits: int = field(init=False, repr=False)
+    hull: np.ndarray = field(init=False, repr=False)
+    outside: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.dim = self.gt.dims[0]
         flat = self.gt.values.reshape(-1)
         self.occ = threshold_grid(self.gt, self.tau).bits.reshape(-1)
+        self.occ_ids = np.flatnonzero(self.occ)
         bits = self.occ if self.tau > 0 else flat == 1.0
         self.bits = bits if np.array_equal(flat, bits) else None
-        self.keep = np.ones(self.dim**3, dtype=bool)
+        self.n_bits = int(np.count_nonzero(bits))
+        self.hull, self.outside = _cube_ids(self.dim), self.occ_ids[:0]
 
     @property
     def converged(self) -> bool:
         """Zero reconstruction error: the hull equals a 0/1 ground truth (a soft one never converges)."""
-        return self.bits is not None and np.array_equal(self.keep, self.bits)
+        return self.bits is not None and self.hull.size == self.n_bits and bool(self.bits[self.hull].all())
+
+    @property
+    def keep(self) -> np.ndarray:
+        """The hull as a flat bool mask of the ``dim**3`` voxels."""
+        keep = np.zeros(self.dim**3, dtype=bool)
+        keep[self.hull] = True
+        return keep
 
     def observe(self, new: Sequence[ViewObservation]) -> None:
-        """Append observations and AND them into ``keep`` with one ``carve`` call."""
+        """Append observations and AND them into the hull with one ``carve`` call on its mask."""
         if not new:
             return
-        carve(new, self.dim, keep=self.keep)
+        keep = self.keep
+        carve(new, self.dim, keep=keep)
+        self.hull, self.outside = np.flatnonzero(keep), self.occ_ids[~keep[self.occ_ids]]
         self.observations.extend(new)
 
 
 def _observe_in_one_pass(states: Sequence[_ObjectState], v: Viewpoint) -> None:
-    """Render ``v`` of each state's ``occ``, carve it into its ``keep`` and append it, in one pass for all of them."""
-    silhouettes = _render_and_carve([s.occ for s in states], states[0].dim, v, [s.keep for s in states])
-    for state, silhouette in zip(states, silhouettes):
+    """Render ``v`` of each state's ``occ``, carve it into its hull and append it, in one pass for all of them.
+
+    Every state holds the same hull and outside list, as all do before their
+    first view, so the pass maps those ids once.
+    """
+    first = states[0]
+    voxels = np.concatenate((first.hull, first.outside)) if first.outside.size else first.hull
+    occupied = [state.occ if voxels.size == state.occ.size else state.occ[voxels] for state in states]
+    passes = _render_and_carve(first.dim, v, voxels, occupied, first.hull.size)
+    for state, occ, (silhouette, kept) in zip(states, occupied, passes):
+        lost = occ[: kept.size] & ~kept  # occupied hull voxels this view carves away
+        state.outside = np.sort(np.concatenate((state.outside, state.hull[lost])))
+        state.hull = state.hull[kept]
         state.observations.append(ViewObservation(v, silhouette))
 
 
@@ -321,9 +352,13 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
-            error = np.abs(state.keep - obj.gt.values.ravel()) if state.bits is None else state.keep != state.bits
+            if state.bits is None:  # soft: |hull - gt| over the cube
+                hot, vals = _hot_voxels(np.abs(state.keep - obj.gt.values.ravel()))
+            else:  # the hull voxels off bits, then the bits voxels outside the hull
+                hot = np.concatenate((state.hull[~state.bits[state.hull]], state.outside[state.bits[state.outside]]))
+                vals = None
             lattice = discretize_viewpoints(config.interval_deg)
-            top = _top_centers(_lattice_totals(state.dim, error, lattice), lattice, n_fresh)
+            top = _top_centers(_lattice_totals(state.dim, hot, vals, lattice), lattice, n_fresh)
             fresh = sample_around(top, config.interval_deg, state.rng)
     elif config.selection_policy == "random":
         fresh = sample_dataset_viewpoints(ViewDistribution("spherical", n), state.rng)
@@ -353,10 +388,10 @@ class RunReport:
 
 
 def _evaluate(state: _ObjectState) -> tuple[float, float, int]:
-    """IoU, F-score and excess voxels of the hull thresholded at the state's tau, from counts of the masks."""
-    n_gt = np.count_nonzero(state.occ)
-    if state.tau > 0:
-        n_pred, inter = np.count_nonzero(state.keep), np.count_nonzero(state.keep & state.occ)
+    """IoU, F-score and excess voxels of the hull thresholded at the state's tau, from the lengths of its id lists."""
+    n_gt = state.occ_ids.size
+    if state.tau > 0:  # the occupied voxels the hull misses are its outside list
+        n_pred, inter = state.hull.size, n_gt - state.outside.size
     else:  # a 0/1 hull thresholded at 0 is the whole cube
         n_pred, inter = state.occ.size, n_gt
     return (*_count_scores(int(n_pred), int(n_gt), int(inter)), int(n_pred - inter))
@@ -407,8 +442,9 @@ def run_loop(
         sharing.setdefault(initial[0], []).append(state)
     for v, group in sharing.items():
         _observe_in_one_pass(group, v)
-    for obj, state, initial in zip(corpus, states, initials):
-        state.observe([ViewObservation(v, render_silhouette(obj.gt, v, config.tau)) for v in initial[1:]])
+    for state, initial in zip(states, initials):  # rendered from the occupied ids, as render_silhouette does
+        state.observe([ViewObservation(v, _silhouette(config.dim, pixel_ids(config.dim, v, voxels=state.occ_ids)))
+                       for v in initial[1:]])
 
     for iteration in range(config.iterations + 1):
         eligible = [i for i in range(len(corpus)) if iteration > 0 and not states[i].converged]

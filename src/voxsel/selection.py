@@ -7,33 +7,34 @@ the viewpoint that produced it; the highest-scoring lattice centers are the
 views most worth re-observing, and Gaussian jitter around them turns interval
 centers into concrete camera poses.
 
-One private kernel, ``_lattice_totals``, scores every lattice center of a
-flat error array into one float64 totals array: a bool mask (the loop's
-mismatch ``keep != bits``, whose every first hit is 1) or float values.
-:func:`score_all` validates a grid and wraps the kernel's totals into
-:class:`ViewScore` objects; the loop passes its masks to the kernel directly
-and takes the best centers from the totals, so a selection builds no grid
-and no scores. One stable ``np.lexsort`` (``_ranking``) holds the ranking
-rule, descending score, then yaw index, then pitch index, for the loop and
-for :func:`rank_scores` and :func:`select_top_n` alike.
+One private kernel, ``_lattice_totals``, scores every lattice center into
+one float64 totals array from the ids of the hot voxels, those above
+``FIRST_HIT_EPS``, and their values, None when every one is 1.
+:func:`score_all` finds the hot voxels of a grid (``_hot_voxels``) and wraps
+the kernel's totals into :class:`ViewScore` objects; the loop passes the ids
+of its hull's mismatch voxels to the kernel directly and takes the best
+centers from the totals, so a selection builds no grid and no scores. One
+stable ``np.lexsort`` (``_ranking``) holds the ranking rule, descending
+score, then yaw index, then pitch index, for the loop and for
+:func:`rank_scores` and :func:`select_top_n` alike.
 
-The kernel reads the rotated cell keys of the voxels above
-``FIRST_HIT_EPS`` only (:func:`~voxsel.geometry.cell_keys`). It gathers them
-from the lattice's cached table (:func:`~voxsel.geometry.lattice_cell_keys`),
-which computes the keys of a voxel no earlier call asked for, for every
-center at once, the first time it is asked. When that table would exceed
-``MAX_LATTICE_TABLE_BYTES`` it computes them one center at a time and keeps
-none: the 16,200 cells of a 2-degree lattice at dim 32 would need a 2.1 GB
-table. When every hot voxel is 1.0 a view's score is the number of distinct
-pixels they project to: the gathered keys become ray ids ``view * (dim *
-dim + 1) + pixel`` in place and are scattered into one bool array in
-bounded chunks. At an even dim that counts the base half of the lattice
-only: an antipode (yaw + 180) sees the mirror image, so the same count.
-Otherwise ``np.minimum.at`` picks each ray's nearest cell and
-``np.maximum.at`` the largest value deposited there. Each view's total is
-one row of a single axis reduction. The dense :func:`score_view` path
-(``rotate_grid`` then :func:`project_first_hit`) stays as public API and as
-the reference both reductions are tested against; no scoring path calls it.
+The kernel reads the rotated cell keys (:func:`~voxsel.geometry.cell_keys`)
+of the hot voxels only. It gathers them from the lattice's cached table
+(:func:`~voxsel.geometry.lattice_cell_keys`), which computes the keys of a
+voxel no earlier call asked for, for every center at once, the first time it
+is asked. When that table would exceed ``MAX_LATTICE_TABLE_BYTES`` it
+computes them one center at a time and keeps none: the 16,200 cells of a
+2-degree lattice at dim 32 would need a 2.1 GB table. When every hot voxel
+is 1.0 a view's score is the number of distinct pixels they project to: the
+gathered keys become ray ids ``view * (dim * dim + 1) + pixel`` in place and
+are scattered into one bool array in bounded chunks. At an even dim that
+counts the base half of the lattice only: an antipode (yaw + 180) sees the
+mirror image, so the same count. Otherwise ``np.minimum.at`` picks each
+ray's nearest cell and ``np.maximum.at`` the largest value deposited there.
+Each view's total is one row of a single axis reduction. The dense
+:func:`score_view` path (``rotate_grid`` then :func:`project_first_hit`)
+stays as public API and as the reference both reductions are tested against;
+no scoring path calls it.
 """
 
 from __future__ import annotations
@@ -159,12 +160,12 @@ def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     """Score every lattice center, returned in lattice order (yaw fastest).
 
     Equal to :func:`score_view` per center: validates the grid and wraps the
-    totals of ``_lattice_totals`` over its flat values, which reads only the
-    keys of the voxels above ``FIRST_HIT_EPS``.
+    totals of ``_lattice_totals`` over its hot voxels, which reads only their
+    keys.
     """
     if not error.is_cubic:
         raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
-    totals = _lattice_totals(error.dims[0], error.values.reshape(-1), lattice).tolist()
+    totals = _lattice_totals(error.dims[0], *_hot_voxels(error.values.reshape(-1)), lattice).tolist()
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)
@@ -176,28 +177,28 @@ def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
 _SCATTER_CHUNK = 2**16
 
 
-def _lattice_totals(dim: int, error: np.ndarray, lattice: ViewpointLattice) -> np.ndarray:
-    """float64 first-hit totals of every lattice center, in lattice order, of a flat ``dim**3`` error array.
+def _hot_voxels(error: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ids of a flat error array's voxels above ``FIRST_HIT_EPS``, and their values, None when every one is 1.0."""
+    hot = np.flatnonzero(error > FIRST_HIT_EPS)
+    vals = error[hot]
+    return hot, None if np.all(vals == 1.0) else vals
 
-    ``error`` is a bool mask (the loop's mismatch ``keep != bits``, every
-    first hit 1) or float values, whose voxels above ``FIRST_HIT_EPS`` are
-    the hot ones. Their keys come from the lattice's cached table, or one
-    center at a time when a table of every center would exceed
-    :data:`MAX_LATTICE_TABLE_BYTES`. A binary error at an even dim is
+
+def _lattice_totals(dim: int, hot: np.ndarray, vals: np.ndarray | None, lattice: ViewpointLattice) -> np.ndarray:
+    """float64 first-hit totals of every lattice center, in lattice order, of an error held by its hot voxels.
+
+    ``hot`` lists the distinct flat ids of the ``dim**3`` voxels above
+    ``FIRST_HIT_EPS`` and ``vals`` their values, or None when every one is
+    1.0 (the loop's mismatch voxels). Their keys come from the lattice's
+    cached table, or one center at a time when a table of every center would
+    exceed :data:`MAX_LATTICE_TABLE_BYTES`. A binary error at an even dim is
     scored over the base half only (``geometry._base_half``, from the half
     table): an antipode (yaw + 180) sends each voxel to its base center's
     cell mirrored in x and y, so it hits as many pixels and takes that
     total. At odd dims some .5 ties round apart, so every center is scored.
     """
-    if error.dtype == np.bool_:
-        hot, vals = np.flatnonzero(error), None
-    else:
-        hot = np.flatnonzero(error > FIRST_HIT_EPS)
-        vals = error[hot]
-        if np.all(vals == 1.0):
-            vals = None
     half = vals is None and dim % 2 == 0
-    if len(lattice.centers) * error.size * 4 <= MAX_LATTICE_TABLE_BYTES:
+    if len(lattice.centers) * dim**3 * 4 <= MAX_LATTICE_TABLE_BYTES:
         keys = _lattice_cell_keys(dim, lattice, half=True).lookup(hot) if half else lattice_cell_keys(dim, lattice, hot)
         totals = _first_hit_totals(dim, keys, vals)
     else:

@@ -86,6 +86,14 @@ class TestGenShapes:
         assert main(["gen-shapes", "--count", "12", "--dim", "11", "--seed", "255", "--out", str(out)]) == 0
         assert len(json.loads((out / "manifest.json").read_text())) == 12
 
+    @pytest.mark.parametrize("option", [["--count", "0"], ["--dim", "4"], ["--seed", "-1"]])
+    def test_a_rejected_call_creates_no_directory(self, tmp_path, capsys, option):
+        out = tmp_path / "corpus" / "nested"
+        argv = {"--count": "2", "--dim": "16", "--seed": "0"} | {option[0]: option[1]}
+        assert main(["gen-shapes", *(x for kv in argv.items() for x in kv), "--out", str(out)]) == 2
+        assert "voxsel gen-shapes:" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
 
 class TestRender:
     def test_matches_the_library_call(self, tmp_path):

@@ -480,7 +480,7 @@ class TestMappingWork:
                 assert np.array_equal(lookup(voxels), expected)
 
     def test_a_render_carve_round_and_repeated_scoring_map_each_entry_at_most_once(self, monkeypatch):
-        from voxsel.carve import ViewObservation, _render_and_carve, carve
+        from voxsel.carve import ViewObservation, carve
         from voxsel.selection import FIRST_HIT_EPS, score_all
         from voxsel.synthesis import render_silhouette
 
@@ -503,7 +503,7 @@ class TestMappingWork:
         for v, (silhouette, carved) in zip(views, reference):
             alive = keep | occ
             outside_hull += np.count_nonzero(occ & ~keep)
-            [rendered] = _render_and_carve([occ], dim, v, [keep])
+            rendered = render_and_carve_hull(occ, dim, v, keep)
             assert np.array_equal(rendered.pixels, silhouette.pixels)
             assert np.array_equal(keep, carved)
             # One pass maps the voxels still kept and the occupied ones, once each.
@@ -523,10 +523,11 @@ class TestMappingWork:
         assert mapped.most() == 1
 
     def test_objects_sharing_a_pose_are_rendered_and_carved_as_if_alone(self, monkeypatch):
-        # Four objects with different partial hulls seen from one pose, so
-        # the union they share is more than any one of them maps; the last
-        # one is random over the whole cube, so some of its voxels lie past
-        # the safe radius and outside its hull.
+        # Four objects seen from one pose through one list of ids: a hull they
+        # share, then every voxel occupied outside it. The loop shares the
+        # whole cube before any view; a carved hull is shared here too. The
+        # last object is random over the whole cube, so some of its voxels lie
+        # past the safe radius and outside the carved hull.
         from voxsel.carve import ViewObservation, _render_and_carve, carve
         from voxsel.harness import make_corpus
         from voxsel.synthesis import render_silhouette, safe_radius
@@ -535,42 +536,36 @@ class TestMappingWork:
         gts = [obj.gt for obj in make_corpus(3, dim=dim, seed=4)] + [random_grid(dim, 6)]
         radius = np.linalg.norm(np.indices((dim,) * 3).reshape(3, -1).T - (dim - 1) / 2.0, axis=1)
         assert np.any((gts[-1].values.reshape(-1) > 0) & (radius > safe_radius(dim)))
-        earlier = [
-            [Viewpoint(30.0, 10.0), Viewpoint(-70.0, -40.0)],
-            [Viewpoint(30.0, 10.0)],
-            [Viewpoint(-150.0, 45.0)],
-            [Viewpoint(100.0, 5.0)],
-        ]
-        occs, keeps = [], []
-        for gt, views in zip(gts, earlier):
+        occs = [gt.values.reshape(-1) >= 0.4 for gt in gts]
+        union = np.logical_or.reduce(occs)
+        for earlier in ([], [Viewpoint(30.0, 10.0), Viewpoint(-70.0, -40.0)]):
             keep = np.ones(dim**3, dtype=bool)
-            carve([ViewObservation(w, render_silhouette(gt, w)) for w in views], dim, keep=keep)
-            occs.append(gt.values.reshape(-1) >= 0.4)
-            keeps.append(keep)
-        assert len({keep.tobytes() for keep in keeps}) == len(keeps)
-        assert np.any(occs[-1] & ~keeps[-1])
-        union = np.logical_or.reduce([keep | occ for keep, occ in zip(keeps, occs)])
-        assert not np.array_equal(union, keeps[0] | occs[0])
-        # The reference: each object rendered, then carved, on its own.
-        reference = []
-        for gt, keep in zip(gts, keeps):
-            silhouette, carved = render_silhouette(gt, v), keep.copy()
-            carve([ViewObservation(v, silhouette)], dim, keep=carved)
-            reference.append((silhouette, carved))
-        mapped = MappedEntries(monkeypatch)
-        silhouettes = _render_and_carve(occs, dim, v, keeps)
-        for rendered, keep, (silhouette, carved) in zip(silhouettes, keeps, reference):
-            assert np.array_equal(rendered.pixels, silhouette.pixels)
-            assert np.array_equal(keep, carved)
-        # The union of every keep | occ is mapped under the pose, once each.
-        assert np.array_equal(mapped.of(dim, v), union)
+            if earlier:
+                carve([ViewObservation(w, render_silhouette(gts[0], w)) for w in earlier], dim, keep=keep)
+                assert np.any(occs[-1] & ~keep)
+                assert not np.array_equal(keep | union, keep | occs[-1])
+            hull = np.flatnonzero(keep)
+            voxels = np.concatenate((hull, np.flatnonzero(union & ~keep)))
+            # The reference: each object rendered, then carved, on its own.
+            reference = []
+            for gt in gts:
+                silhouette, carved = render_silhouette(gt, v), keep.copy()
+                carve([ViewObservation(v, silhouette)], dim, keep=carved)
+                reference.append((silhouette, carved))
+            mapped = MappedEntries(monkeypatch)
+            passes = _render_and_carve(dim, v, voxels, [occ[voxels] for occ in occs], hull.size)
+            assert len(passes) == len(gts)
+            for (rendered, kept), (silhouette, carved) in zip(passes, reference):
+                assert np.array_equal(rendered.pixels, silhouette.pixels)
+                assert kept.shape == hull.shape
+                assert np.array_equal(hull[kept], np.flatnonzero(carved))
+            # The hull and every voxel occupied outside it are mapped under the pose, once each.
+            assert np.array_equal(mapped.of(dim, v), keep | union)
 
     def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
         # Nothing is kept between calls under one pose, so every call's voxels
         # are missing: pixel_ids under either rule maps exactly the voxels it
         # is given, and a render and carve exactly those of keep | occ, each once.
-        from voxsel.carve import _render_and_carve
-
         dim, v = 16, Viewpoint(33.0, -12.0)
         mapped = MappedEntries(monkeypatch)
         rng = np.random.default_rng(0)
@@ -579,13 +574,27 @@ class TestMappingWork:
             if fill % 3 == 2:
                 keep, occ = rng.random(dim**3) < 0.3, rng.random(dim**3) < 0.1
                 expected += keep | occ
-                _render_and_carve([occ], dim, v, [keep])
+                render_and_carve_hull(occ, dim, v, keep)
             else:
                 voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
                 pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)
                 expected[voxels] += 1
             assert np.array_equal(mapped.of(dim, v), expected)
         assert mapped.most() > 1
+
+
+def render_and_carve_hull(occ, dim, v, keep):
+    """The loop's one pass of a hull held as the flat mask ``keep``, which it carves in place; returns the silhouette.
+
+    The pass maps the hull's ids, then the occupied voxels outside it.
+    """
+    from voxsel.carve import _render_and_carve
+
+    hull = np.flatnonzero(keep)
+    voxels = np.concatenate((hull, np.flatnonzero(occ & ~keep)))
+    [(silhouette, kept)] = _render_and_carve(dim, v, voxels, [occ[voxels]], hull.size)
+    keep[hull[~kept]] = False
+    return silhouette
 
 
 def dense_cell_keys(dim, v):

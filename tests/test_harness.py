@@ -282,9 +282,13 @@ class TestRunLoopStructure:
 
 
 def assert_hull_is_carve(state, dim):
-    expected = carve(state.observations, dim).values
+    # The hull's ids are the carve's, sorted, and the outside list holds
+    # exactly the occupied voxels the carve drops.
+    expected = carve(state.observations, dim).values.reshape(-1) > 0
     assert state.dim == dim
-    assert np.array_equal(state.keep, expected.reshape(-1) > 0)
+    assert np.array_equal(state.hull, np.flatnonzero(expected))
+    assert np.array_equal(state.outside, np.flatnonzero(state.occ & ~expected))
+    assert np.array_equal(state.keep, expected)
 
 
 def recorded_states(monkeypatch):
@@ -301,7 +305,7 @@ def recorded_states(monkeypatch):
 
 
 class TestRunningHull:
-    """The per-object keep mask always equals carving all of the object's observations."""
+    """The per-object hull always equals carving all of the object's observations."""
 
     def drive(self, config, initial_views, rounds=3, flip_prob=0.0):
         # ``flip_prob`` flips each initial silhouette pixel with that
@@ -372,10 +376,10 @@ class TestRunningHull:
             by_carve.extend(obs.silhouette for obs in observations)
             return carve(observations, dim, **kw)
 
-        def counting_render_and_carve(occs, dim, v, keeps):
-            silhouettes = render_and_carve(occs, dim, v, keeps)
-            by_one_pass.extend(silhouettes)
-            return silhouettes
+        def counting_render_and_carve(*args):
+            passes = render_and_carve(*args)
+            by_one_pass.extend(silhouette for silhouette, _ in passes)
+            return passes
 
         monkeypatch.setattr(harness, "carve", counting_carve)
         monkeypatch.setattr(harness, "_render_and_carve", counting_render_and_carve)
@@ -419,6 +423,69 @@ def soft_object(obj, seed):
     bits = obj.gt.values > 0
     values = np.where(bits, rng.uniform(0.5, 1.0, bits.shape), rng.uniform(0.0, 0.3, bits.shape))
     return SceneObject(name=obj.name, category=obj.category, gt=VoxelGrid(values))
+
+
+def corner_object(obj):
+    """``obj`` with ground-truth voxels set at two cube corners, past the safe radius, so views carve them away."""
+    values = obj.gt.values.copy()
+    dim = values.shape[0]
+    values[0, 0, 0] = values[dim - 1, dim - 1, 0] = 1.0
+    return SceneObject(name=obj.name, category=obj.category, gt=VoxelGrid(values))
+
+
+class TestIdHull:
+    """The hull held as sorted voxel ids, beside the occupied voxels outside it."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind, tau", [("corners", 0.4), ("plain", 0.0), ("plain", 1.0), ("soft", 0.4)])
+    def test_the_ids_equal_the_carve_after_every_round(self, monkeypatch, policy, kind, tau):
+        states = recorded_states(monkeypatch)
+        iterate = harness.run_object_iteration
+        outside = []
+
+        def checked(obj, state, config, pool):
+            assert_hull_is_carve(state, config.dim)
+            rec = iterate(obj, state, config, pool)
+            assert_hull_is_carve(state, config.dim)
+            outside.append(state.outside.size)
+            return rec
+
+        monkeypatch.setattr(harness, "run_object_iteration", checked)
+        corpus = make_corpus(4, dim=16, seed=3)
+        if kind == "corners":
+            corpus = [corner_object(obj) for obj in corpus]
+        elif kind == "soft":
+            corpus = [soft_object(obj, k) for k, obj in enumerate(corpus)]
+        run_loop(corpus, small_config(tau=tau, iterations=3, selection_policy=policy))
+        assert len(states) == len(corpus) and outside
+        for state in states:
+            assert_hull_is_carve(state, 16)
+        # Views carve the corner voxels away, and at tau 0 every voxel is occupied;
+        # the generated shapes lie within the safe radius, so no view carves them.
+        assert min(outside) > 0 if kind == "corners" or tau == 0.0 else max(outside) == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_each_selected_view_maps_the_hull_and_the_voxels_outside_it_once(self, monkeypatch, policy):
+        mapped = MappedEntries(monkeypatch)
+        one_pass = harness._observe_in_one_pass
+        outside = []
+
+        def counted(states, v):
+            if not states[0].observations:  # a first initial view, cut from the whole cube
+                return one_pass(states, v)
+            [state] = states
+            expected = np.zeros(16**3, dtype=bool)
+            expected[state.hull] = expected[state.outside] = True
+            assert np.count_nonzero(expected) == state.hull.size + state.outside.size
+            outside.append(state.outside.size)
+            mapped.counts.clear()
+            one_pass(states, v)
+            assert np.array_equal(mapped.of(16, v), expected)
+
+        monkeypatch.setattr(harness, "_observe_in_one_pass", counted)
+        corpus = [corner_object(obj) for obj in make_corpus(4, dim=16, seed=3)]
+        run_loop(corpus, small_config(iterations=3, selection_policy=policy))
+        assert len(outside) == 4 * 3 * 3 and min(outside) > 0
 
 
 class TestLoopMetrics:
@@ -489,9 +556,13 @@ class TestLoopWork:
     def test_each_error_guided_selection_scores_one_error_grid(self, monkeypatch, pool_mode):
         scored = []
 
-        def recording(dim, error, lattice):
-            scored.append(error.reshape(dim, dim, dim).copy())
-            return selection._lattice_totals(dim, error, lattice)
+        def recording(dim, hot, vals, lattice):
+            # The loop's masks are binary: it passes the ids of its mismatch voxels, each once.
+            assert vals is None and np.unique(hot).size == hot.size
+            error = np.zeros(dim**3)
+            error[hot] = 1.0
+            scored.append(error.reshape(dim, dim, dim))
+            return selection._lattice_totals(dim, hot, vals, lattice)
 
         monkeypatch.setattr(harness, "_lattice_totals", recording)
         corpus = make_corpus(4, dim=16, seed=1)
@@ -613,9 +684,9 @@ class TestBoundedMemory:
         dim = 32
         asked = np.zeros(dim**3, dtype=bool)
 
-        def recording(dim, error, lattice):
-            asked[error > selection.FIRST_HIT_EPS] = True
-            return selection._lattice_totals(dim, error, lattice)
+        def recording(dim, hot, vals, lattice):
+            asked[hot] = True
+            return selection._lattice_totals(dim, hot, vals, lattice)
 
         monkeypatch.setattr(harness, "_lattice_totals", recording)
         geometry._lattice_cell_keys.cache_clear()

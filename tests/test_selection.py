@@ -374,7 +374,7 @@ class TestScoreAll:
 
 
 class TestLatticeTotals:
-    """The private kernel the loop scores its mismatch masks with, which ``score_all`` wraps."""
+    """The private kernel the loop scores its mismatch voxels with, which ``score_all`` wraps."""
 
     @pytest.mark.parametrize("streamed", [False, True])
     @pytest.mark.parametrize("kind", ["bool mask", "0/1 floats", "soft", "all-false mask"])
@@ -385,11 +385,14 @@ class TestLatticeTotals:
             grid = VoxelGrid.zeros((dim, dim, dim))
         expected = [s.score for s in score_all(grid, LATTICE_30)]
         flat = grid.values.reshape(-1)
-        error = flat > 0 if kind.endswith("mask") else flat
+        # A mask's hot voxels are its ids, as the loop passes them; grids go through score_all's step.
+        hot, vals = (np.flatnonzero(flat > 0), None) if kind.endswith("mask") else selection._hot_voxels(flat)
+        assert np.array_equal(hot, np.flatnonzero(flat > selection.FIRST_HIT_EPS))
+        assert (vals is None) == (kind != "soft")
         if streamed:  # below the table: every center's key row is computed on its own
             monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 72 * dim**3 * 4 - 1)
             monkeypatch.setattr(selection, "lattice_cell_keys", None)
-        totals = selection._lattice_totals(dim, error, LATTICE_30)
+        totals = selection._lattice_totals(dim, hot, vals, LATTICE_30)
         assert totals.dtype == np.float64 and totals.shape == (72,)
         assert totals.tolist() == expected
         assert kind != "all-false mask" or not totals.any()
@@ -407,7 +410,7 @@ class TestLatticeTotals:
         assert np.count_nonzero(by_pitch[:, :6] != by_pitch[:, 6:]) == 3
         if streamed:
             monkeypatch.setattr(selection, "MAX_LATTICE_TABLE_BYTES", 0)
-        assert selection._lattice_totals(dim, mask, LATTICE_30).tolist() == expected.tolist()
+        assert selection._lattice_totals(dim, np.flatnonzero(mask), None, LATTICE_30).tolist() == expected.tolist()
 
     def test_a_streamed_even_dim_mask_maps_only_the_base_half(self, monkeypatch):
         dim = 12
@@ -419,7 +422,7 @@ class TestLatticeTotals:
         for name in ("lattice_cell_keys", "_lattice_cell_keys"):
             monkeypatch.setattr(selection, name, None)
         mapped = MappedEntries(monkeypatch)
-        assert selection._lattice_totals(dim, mask, LATTICE_30).tolist() == expected
+        assert selection._lattice_totals(dim, np.flatnonzero(mask), None, LATTICE_30).tolist() == expected
         base = geometry._base_half(LATTICE_30)
         for c in LATTICE_30.centers:
             assert np.array_equal(mapped.of(dim, c), mask if c in base else np.zeros(dim**3))
@@ -430,16 +433,16 @@ class TestLatticeTotals:
         # and are scattered in bounded intp chunks; a whole ray-id copy, or an
         # intp cast of all of them, would add 4 or 8.
         dim = 64
-        mask = np.random.default_rng(0).random(dim**3) < 0.05
-        selection._lattice_totals(dim, mask, LATTICE_30)  # the table now holds these voxels
+        hot = np.flatnonzero(np.random.default_rng(0).random(dim**3) < 0.05)
+        selection._lattice_totals(dim, hot, None, LATTICE_30)  # the table now holds these voxels
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            selection._lattice_totals(dim, mask, LATTICE_30)
+            selection._lattice_totals(dim, hot, None, LATTICE_30)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak / (np.count_nonzero(mask) * 36) < 6.0
+        assert peak / (hot.size * 36) < 6.0
 
 
 class TestRanking:
