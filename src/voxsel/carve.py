@@ -22,14 +22,16 @@ ids of the voxels still kept only, so a voxel an earlier view dropped is
 never mapped under a later one.
 
 The loop renders and carves views of its own ground truth in one pass,
-``_render_and_carve``: it maps a list of voxel ids once under the view's
-pose, the hull's ids first, then renders and carves through the steps
+``_render_and_carve``: it maps a list of voxel ids once under each pose of
+a round of views, the hull's ids first, all poses in one product, then
+renders and carves through the steps
 :func:`~voxsel.synthesis.render_silhouette` and :func:`carve` use, and
-returns which hull voxels each silhouette keeps. One pass serves every
-object that maps the same ids: the loop carves each object's first initial
-view, cut from the full cube, for all objects sharing that pose in one call,
-so the pose maps the cube once, not once per object, and each new view maps
-one object's hull plus its occupied voxels outside it.
+returns the silhouettes with the hull voxels all of them keep. One pass
+serves every object that maps the same ids: the loop carves each object's
+first initial view, cut from the full cube, for all objects sharing that
+pose in one call, so the pose maps the cube once, not once per object, and
+each object's round of new views (up to 12 a pass) maps its hull plus its
+occupied voxels outside it once per view.
 """
 
 from __future__ import annotations
@@ -109,22 +111,24 @@ def carve(
 
 def _kept(silhouette: SilhouetteImage, pixels: np.ndarray) -> np.ndarray:
     """Whether ``silhouette`` keeps each voxel, read at its image-rule id in ``pixels``; the off id reads False."""
-    return np.append(silhouette.pixels.reshape(-1), False)[pixels]
+    return np.take(np.append(silhouette.pixels.reshape(-1), False), pixels)  # np.take gathers faster than indexing
 
 
 def _render_and_carve(
-    dim: int, v: Viewpoint, voxels: np.ndarray, occupied: Sequence[np.ndarray], n_hull: int
-) -> list[tuple[SilhouetteImage, np.ndarray]]:
-    """Per bool array of ``occupied``, the ``render_silhouette`` from ``v`` of the flagged ``voxels`` and what it keeps.
+    dim: int, views: Sequence[Viewpoint], voxels: np.ndarray, occupied: Sequence[np.ndarray], n_hull: int
+) -> list[tuple[list[SilhouetteImage], np.ndarray]]:
+    """Per bool array of ``occupied``, the ``render_silhouette`` of the flagged ``voxels`` from each of ``views``.
 
     ``voxels`` are flat ids, a hull's ``n_hull`` ids first, each mapped once
-    under ``v``; each ``occupied`` entry flags the occupied ones among them,
-    hull or not, which set their pixels as in ``render_silhouette``. Each
-    silhouette is rendered through ``render_silhouette``'s step and carved
-    through :func:`carve`'s: the bool array returned with it says which of
-    ``voxels[:n_hull]`` it keeps, so the carved hull is their compress.
+    under every view in one product; each ``occupied`` entry flags the
+    occupied ones among them, hull or not, which set their pixels as in
+    ``render_silhouette``. Each silhouette is rendered through
+    ``render_silhouette``'s step and carved through :func:`carve`'s: the
+    bool array returned with them, the AND of the views' keep masks, says
+    which of ``voxels[:n_hull]`` every view keeps, so the carved hull is
+    their compress.
     """
-    codes = _pose_pixel_codes(dim, v, voxels)
-    silhouettes = [_silhouette(dim, _pixel_rule(codes[occ], dim, clip_depth=True)) for occ in occupied]
-    pixels = _pixel_rule(codes[:n_hull], dim, clip_depth=False)
-    return [(silhouette, _kept(silhouette, pixels)) for silhouette in silhouettes]
+    codes = _pose_pixel_codes(dim, views, voxels)
+    silhouettes = [[_silhouette(dim, _pixel_rule(row[occ], dim, clip_depth=True)) for row in codes] for occ in occupied]
+    pixels = _pixel_rule(codes[:, :n_hull], dim, clip_depth=False)
+    return [(images, np.logical_and.reduce([_kept(s, p) for s, p in zip(images, pixels)])) for images in silhouettes]

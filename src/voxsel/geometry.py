@@ -26,7 +26,9 @@ continuous point ``(dim - 1) / 2`` for every grid parity.
 
 Forward maps
 ------------
-Every forward map comes from one rounded matmul (``_rounded_targets``). Its
+Every forward map comes from one rounded matmul (``_rounded_targets``), the
+stacked rotations of one or more poses times the axis-major coordinates of
+the voxels asked for, so every encode runs on contiguous rows. Its
 sparse form, :func:`pixel_ids`, gives each voxel the int32 id ``y * dim + z``
 of the image pixel it lands on, or the sentinel ``dim * dim`` when it lands
 nowhere. It is the kernel that silhouette rendering and carving share, and
@@ -42,20 +44,23 @@ the occupied voxels, carving the voxels still kept, scoring the error
 voxels), and returns their entries as a fresh array in the layout that
 caller reads, filled by one chunked loop over the matmul (``_fill``).
 :func:`pixel_ids` and :func:`cell_keys` keep nothing: a call maps exactly
-its voxels, one matmul row each. A pose's pixel ids come as one int32 code
-per voxel from which either pixel rule is read, so a caller that needs both
-for one pose (the loop renders a view and carves it in one pass,
-:mod:`voxsel.carve`) maps each voxel once. The lattice table is the one
-kind of cache, ``_ForwardMap``: a row of cell keys under every center per voxel it
-has mapped, kept in fill order, and an int32 slot per voxel naming its row,
-so its rows grow with the voxels mapped rather than with ``dim**3``.
-Binary scoring at even dims keeps a second one over ``_base_half`` of the
-centers, as their antipodes map each voxel to the mirrored cell. Each is
-filled on demand: a lookup sends exactly the voxels it does not hold yet
-through the fill, every center side by side, and maps nothing else. A row
-of that matmul depends only on its voxel and pose on the tested BLAS (a
-lone row is multiplied as two, which keeps it off BLAS gemv), so a map
-filled in any order, or in any chunks, equals the full one bit for bit. The
+its voxels, one matmul column each. Pixel ids come as one int32 code per
+voxel and pose from which either pixel rule is read, so a caller that needs
+both (the loop renders and carves a round of views in one pass,
+:mod:`voxsel.carve`) maps each voxel once per pose, in one product. The
+lattice table is the one kind of cache,
+``_ForwardMap``: a row of cell keys under every center per voxel it has
+mapped, kept in fill order and written transposed from the axis-major
+fill, and an int32 slot per voxel naming its row, so its rows grow with the
+voxels mapped rather than with ``dim**3``. Binary scoring at even dims
+keeps a second one over ``_base_half`` of the centers, as their antipodes
+map each voxel to the mirrored cell. Each is filled on demand: a lookup
+sends exactly the voxels it does not hold yet through the fill, every
+center stacked, and maps nothing else. An entry of that matmul depends only
+on its voxel and pose on the tested BLAS at the product widths the fill
+uses (a lone column is multiplied as two, which keeps it off BLAS gemv),
+so a map filled in any order, or in any chunks, equals the full one bit for
+bit; other widths over the same poses can round differently. The
 dense form, :func:`rotated_cells` and :func:`rotate_grid`, stays as public
 API and as the reference the sparse forms are tested against.
 """
@@ -190,12 +195,13 @@ def discretize_viewpoints(interval_deg: float) -> ViewpointLattice:
 
 @lru_cache(maxsize=8)
 def _centered_coords(dim: int) -> np.ndarray:
-    coords = np.indices((dim, dim, dim), dtype=np.float64).reshape(3, -1).T - (dim - 1) / 2.0
+    """Centered coordinates of every voxel, axis-major: a read-only ``(3, dim**3)`` array, row ``a`` the a-th axis."""
+    coords = np.indices((dim, dim, dim), dtype=np.float64).reshape(3, -1) - (dim - 1) / 2.0
     coords.flags.writeable = False
     return coords
 
 
-# Voxel rows times poses per matmul. Its float64 temporaries (384 KiB) are
+# Voxel columns times poses per matmul. Its float64 temporaries (384 KiB) are
 # reused from one chunk to the next; a full pose at dim 32 filled this way
 # took 1.1 ms, and 2.8 ms as one product whose fresh temporaries are faulted
 # in page by page.
@@ -203,84 +209,78 @@ _ENTRIES_PER_PRODUCT = 2**14
 
 
 def _stacked_rotations(poses: Sequence[Viewpoint]) -> np.ndarray:
-    """``rot.T`` of every pose side by side, as a C-contiguous ``(3, 3 * poses)`` array.
+    """``rot`` of every pose stacked, as a C-contiguous ``(3 * poses, 3)`` array; one pose's stack is its ``rot``.
 
-    Its product with the coordinates gives the x of every pose first, then
-    every y, then every z. On OpenBLAS 0.3.31 each entry of that product
-    equals the per-pose product's for every lattice tried, up to 1,152
-    centers. With each pose's three columns kept together instead, products
-    over more than 65 poses differed from it in the last bit in some of
-    their last few columns.
+    Every pose's x row comes first, then every y, then every z, so each axis
+    of a product with the axis-major coordinates is one contiguous block.
     """
-    rots = np.stack([rotation_matrix(v).T for v in poses])
-    return rots.transpose(1, 2, 0).reshape(3, -1)
+    rots = np.stack([rotation_matrix(v) for v in poses])
+    return rots.transpose(1, 0, 2).reshape(-1, 3)
 
 
 def _voxel_coords(dim: int, voxels: np.ndarray) -> np.ndarray:
-    """Centered coordinates of ``voxels``, column-major like the whole array.
-
-    Gathered column by column, a subset keeps that layout, which gathers and
-    multiplies several times faster than a gather of rows.
-    """
-    return np.take(_centered_coords(dim).T, voxels, axis=1).T
+    """Centered coordinates of ``voxels``, axis-major like the whole array: a C-contiguous ``(3, m)`` gather."""
+    return np.take(_centered_coords(dim), voxels, axis=1)
 
 
-def _rotated_centers(dim: int, rot_t: np.ndarray, voxels: np.ndarray) -> np.ndarray:
-    """``coords @ rot_t``: centered voxel coordinates rotated, one row per voxel of ``voxels``.
+def _rotated_centers(dim: int, rot: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    """``rot @ coords``: centered voxel coordinates rotated, one column per voxel of ``voxels``.
 
-    A one-row product runs as two copies of the row. numpy hands a single
-    row to BLAS gemv, and on OpenBLAS 0.3.31 gemv's entries differ from
-    gemm's in the last bit, enough to round .5 ties the other way; products
-    of two or more rows go to gemm and equal the full product.
+    A one-column product runs as two copies of the column. numpy hands a
+    single column to BLAS gemv, and on OpenBLAS 0.3.31 gemv's entries differ
+    from gemm's in the last bit, enough to round .5 ties the other way;
+    products of two or more columns go to gemm and equal the full product.
     """
     if len(voxels) != 1:
-        return _voxel_coords(dim, voxels) @ rot_t
-    return (_voxel_coords(dim, np.repeat(voxels, 2)) @ rot_t)[:1]
+        return rot @ _voxel_coords(dim, voxels)
+    return (rot @ _voxel_coords(dim, np.repeat(voxels, 2)))[:, :1]
 
 
-def _rounded_targets(dim: int, rot_t: np.ndarray, voxels: np.ndarray) -> np.ndarray:
-    """``np.rint(coords @ rot_t + half)``: rounded rotated centers, one row per voxel.
+def _rounded_targets(dim: int, rot: np.ndarray, voxels: np.ndarray) -> np.ndarray:
+    """``np.rint(rot @ coords + half)``: rounded rotated centers, ``(3 * poses, m)``, one column per voxel.
 
-    ``rot_t`` is one pose's ``rot.T`` or the :func:`_stacked_rotations` of
-    several; ``voxels`` picks the rows. Exact .5 ties occur (e.g. 24 of the
-    72 cells of the 30-degree lattice at dim 32) and the matmul's rounding
-    noise settles them, so every forward map comes
-    from this one matmul (:func:`_rotated_centers`). Each entry is the same
-    whichever rows and poses share the product: a row subset of any size,
-    or all lattice centers side by side, equals the same rows of the full
-    per-pose product bit for bit on the tested BLAS
+    ``rot`` is one pose's rotation or the :func:`_stacked_rotations` of
+    several; ``voxels`` picks the columns. Exact .5 ties occur (e.g. 24 of
+    the 72 cells of the 30-degree lattice at dim 32) and the matmul's
+    rounding noise settles them, so every forward map comes from this one
+    matmul (:func:`_rotated_centers`). Each entry is the same whichever
+    voxels and poses share the product, at the widths :func:`_fill` uses: a
+    column subset, or several poses stacked, equals the same entries of the
+    full per-pose product bit for bit on the tested BLAS
     (``tests/test_geometry.py::TestBlasIdentity``), so maps are filled voxel
     by voxel. The add and the rounding run in place.
     """
-    target = _rotated_centers(dim, rot_t, voxels)
+    target = _rotated_centers(dim, rot, voxels)
     target += (dim - 1) / 2.0
     return np.rint(target, out=target)
 
 
-def _fill(out: np.ndarray, dim: int, rot_t: np.ndarray, voxels: np.ndarray, encode) -> np.ndarray:
-    """``out`` with row ``i`` set to ``encode`` of the rounded targets of ``voxels[i]``.
+def _fill(out: np.ndarray, dim: int, rot: np.ndarray, voxels: np.ndarray, encode) -> np.ndarray:
+    """``out`` with column ``i`` (its last axis) set to ``encode`` of the rounded targets of ``voxels[i]``.
 
-    The voxels go through the matmul in products of ``_ENTRIES_PER_PRODUCT`` entries, voxel rows times poses.
+    The voxels go through the matmul in products of ``_ENTRIES_PER_PRODUCT`` entries, voxel columns times poses.
     """
-    rows = max(1, _ENTRIES_PER_PRODUCT // (rot_t.shape[1] // 3))
-    for start in range(0, len(voxels), rows):
-        chunk = voxels[start : start + rows]
-        out[start : start + len(chunk)] = encode(dim, _rounded_targets(dim, rot_t, chunk))
+    cols = max(1, _ENTRIES_PER_PRODUCT // (len(rot) // 3))
+    for start in range(0, len(voxels), cols):
+        chunk = voxels[start : start + cols]
+        out[..., start : start + len(chunk)] = encode(dim, _rounded_targets(dim, rot, chunk))
     return out
 
 
-def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
-    """Ray-major keys of rounded targets: ``(m, poses)`` int32, ``dim**3`` off the cube.
+def _axes(target: np.ndarray) -> np.ndarray:
+    """Rounded targets as int32 cells, ``(3, poses, m)``: every pose's x row, then its y, then its z."""
+    return target.astype(np.int32).reshape(3, -1, target.shape[1])
 
-    ``target`` is ``(m, 3 * poses)``, every x first, then every y, then
-    every z, as :func:`_stacked_rotations` lays them out.
-    """
-    x, y, z = np.split(target.astype(np.int32), 3, axis=1)
+
+def _cell_keys_of(dim: int, target: np.ndarray) -> np.ndarray:
+    """Ray-major keys of rounded targets: ``(poses, m)`` int32, ``dim**3`` off the cube."""
+    x, y, z = cells = _axes(target)
     keys = y * dim
     keys += z
     keys *= dim
     keys += x
-    np.putmask(keys, _off_cube(x, dim) | _off_cube(y, dim) | _off_cube(z, dim), dim**3)
+    off = _off_cube(cells, dim)  # one test of the contiguous rows, faster than one per axis
+    np.putmask(keys, off[0] | off[1] | off[2], dim**3)
     return keys
 
 
@@ -304,33 +304,34 @@ def _voxel_index(voxels, dim: int) -> np.ndarray:
 
 
 def _pixel_codes(dim: int, target: np.ndarray) -> np.ndarray:
-    """int32 codes of rounded targets: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
-    cells = target.astype(np.int32)
-    outside = _off_cube(cells, dim)  # one test of the contiguous (m, 3) array, faster than three of its columns
+    """int32 codes of rounded targets, ``(poses, m)``: the image-rule pixel id, plus ``dim * dim + 1`` when x is off."""
+    cells = _axes(target)
+    outside = _off_cube(cells, dim)
     off = dim * dim
-    codes = cells[:, 1] * dim
-    codes += cells[:, 2]
-    np.putmask(codes, outside[:, 1] | outside[:, 2], off)
-    return np.add(codes, off + 1, out=codes, where=outside[:, 0])
+    codes = cells[1] * dim
+    codes += cells[2]
+    np.putmask(codes, outside[1] | outside[2], off)
+    return np.add(codes, off + 1, out=codes, where=outside[0])
 
 
 class _ForwardMap:
     """A lattice's cell keys, one row per voxel, each voxel's row computed the first time a lookup asks for it.
 
-    ``rot_t`` is the :func:`_stacked_rotations` of the lattice's centers, and
-    a voxel's row holds its :func:`_cell_keys_of` under each of them. Each
-    voxel is mapped at most once while the map lives, by the same matmul
-    rows as the full map, and only when a lookup asks for it. Lookups copy,
+    ``rot`` is the :func:`_stacked_rotations` of the lattice's centers, and
+    a voxel's row holds its :func:`_cell_keys_of` under each of them, written
+    transposed from the axis-major fill. Each voxel is mapped at most once
+    while the map lives, by the same matmul columns as the full map, and
+    only when a lookup asks for it. Lookups copy,
     so the entries never leave the map. ``rows[1:used]`` holds the mapped
     voxels' rows in fill order, doubling up to ``dim**3 + 1`` rows, and
     ``slot[i]`` is voxel ``i``'s row, 0 (a sentinel) while it is unmapped;
     untouched pages of those zeros stay unresident.
     """
 
-    def __init__(self, dim: int, rot_t: np.ndarray) -> None:
-        self.dim, self.rot_t = dim, rot_t
+    def __init__(self, dim: int, rot: np.ndarray) -> None:
+        self.dim, self.rot = dim, rot
         self.slot = np.zeros(dim**3, dtype=np.int32)
-        self.rows = np.zeros((1, rot_t.shape[1] // 3), dtype=np.int32)
+        self.rows = np.zeros((1, len(rot) // 3), dtype=np.int32)
         self.used = 1
 
     def lookup(self, voxels: np.ndarray) -> np.ndarray:
@@ -351,15 +352,15 @@ class _ForwardMap:
             grown = np.empty((max(min(2 * len(self.rows), len(self.slot) + 1), end), self.rows.shape[1]), np.int32)
             grown[: self.used] = self.rows[: self.used]
             self.rows = grown
-        _fill(self.rows[self.used : end], self.dim, self.rot_t, missing, _cell_keys_of)
+        _fill(self.rows[self.used : end].T, self.dim, self.rot, missing, _cell_keys_of)
         self.slot[missing] = np.arange(self.used, end, dtype=np.int32)
         self.used = end
         return np.take(self.rows, self.slot[voxels], axis=0)
 
 
-def _pose_pixel_codes(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
-    """:func:`_pixel_codes` of ``voxels`` under ``v``, computed afresh."""
-    return _fill(np.empty(len(voxels), dtype=np.int32), dim, rotation_matrix(v).T, voxels, _pixel_codes)
+def _pose_pixel_codes(dim: int, poses: Sequence[Viewpoint], voxels: np.ndarray) -> np.ndarray:
+    """:func:`_pixel_codes` of ``voxels`` under each of ``poses``, computed afresh: one row per pose."""
+    return _fill(np.empty((len(poses), len(voxels)), np.int32), dim, _stacked_rotations(poses), voxels, _pixel_codes)
 
 
 def _pixel_rule(codes: np.ndarray, dim: int, *, clip_depth: bool) -> np.ndarray:
@@ -388,15 +389,15 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     :func:`rotate_grid` drops; without it (carving) only when its (y, z)
     pixel leaves the image.
 
-    Nothing is cached: each call maps exactly ``voxels``, one matmul row per
-    voxel, into one int32 code per voxel from which both rules read: the
+    Nothing is cached: each call maps exactly ``voxels``, one matmul column
+    per voxel, into one int32 code per voxel from which both rules read: the
     image-rule id, plus ``dim * dim + 1`` when the rotated depth leaves the
     cube. A caller that needs both rules for one pose reads them from the
     same codes, as the loop's one-pass render and carve does.
     """
     voxels = _voxel_index(voxels, dim)
     dim = int(dim)
-    return _pixel_rule(_pose_pixel_codes(dim, v, voxels), dim, clip_depth=clip_depth)
+    return _pixel_rule(_pose_pixel_codes(dim, [v], voxels)[0], dim, clip_depth=clip_depth)
 
 
 def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
@@ -411,7 +412,7 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
     """
     voxels = _voxel_index(voxels, dim)
     dim = int(dim)
-    return _fill(np.empty((len(voxels), 1), dtype=np.int32), dim, rotation_matrix(v).T, voxels, _cell_keys_of)[:, 0]
+    return _fill(np.empty((1, len(voxels)), dtype=np.int32), dim, rotation_matrix(v), voxels, _cell_keys_of)[0]
 
 
 def _base_half(lattice: ViewpointLattice) -> list[Viewpoint]:
@@ -455,8 +456,8 @@ def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     dim = int(dim)
-    cells = _rounded_targets(dim, rotation_matrix(v).T, np.arange(dim**3)).astype(np.int64)
-    return cells, ((cells >= 0) & (cells < dim)).all(axis=1)
+    cells = _rounded_targets(dim, rotation_matrix(v), np.arange(dim**3)).astype(np.int64)
+    return cells.T, ((cells >= 0) & (cells < dim)).all(axis=0)
 
 
 def rotate_grid(grid: VoxelGrid, v: Viewpoint) -> VoxelGrid:

@@ -18,8 +18,10 @@ AND of their one-view carves, each carved once; beside it lie the ids of the
 occupied voxels outside the hull, none unless a view carves one away. Every
 view is the exact silhouette of ``occ``. The loop renders and carves in one
 pass each object's first initial view, cut from the full cube, in one pass
-for all objects sharing that pose, and every new view in one pass per object
-that maps the hull plus its outside list. The other initial views are
+for all objects sharing that pose, and each object's round of new views in
+one pass (per 12) that maps the hull plus its outside list under all. The
+voxels an earlier view of the round carves away are among those mapped, so
+the round equals its views carved one by one. The other initial views are
 rendered from the occupied ids and carved by ``carve(new, dim, keep=...)``
 on the hull's mask. Because the AND is order-independent and idempotent, the
 hull always equals ``carve`` of all the observations. An object has
@@ -302,21 +304,28 @@ class _ObjectState:
         self.observations.extend(new)
 
 
-def _observe_in_one_pass(states: Sequence[_ObjectState], v: Viewpoint) -> None:
-    """Render ``v`` of each state's ``occ``, carve it into its hull and append it, in one pass for all of them.
+# The most views one product stacks, as far as TestBlasIdentity checks stacks bit-identical;
+# a longer round takes several passes, the same hull as the AND does not depend on order.
+_VIEWS_PER_PASS = 12
+
+
+def _observe_in_one_pass(states: Sequence[_ObjectState], views: Sequence[Viewpoint]) -> None:
+    """Render ``views`` of each state's ``occ``, carve them into its hull and append them, in one pass for all of them.
 
     Every state holds the same hull and outside list, as all do before their
-    first view, so the pass maps those ids once.
+    first view, so the pass maps those ids once under every view. A voxel a
+    view carves away moves to the outside list, which is mapped too, so the
+    later views of the pass render the same voxels as if carved one by one.
     """
     first = states[0]
     voxels = np.concatenate((first.hull, first.outside)) if first.outside.size else first.hull
     occupied = [state.occ if voxels.size == state.occ.size else state.occ[voxels] for state in states]
-    passes = _render_and_carve(first.dim, v, voxels, occupied, first.hull.size)
-    for state, occ, (silhouette, kept) in zip(states, occupied, passes):
-        lost = occ[: kept.size] & ~kept  # occupied hull voxels this view carves away
+    passes = _render_and_carve(first.dim, views, voxels, occupied, first.hull.size)
+    for state, occ, (silhouettes, kept) in zip(states, occupied, passes):
+        lost = occ[: kept.size] & ~kept  # occupied hull voxels these views carve away
         state.outside = np.sort(np.concatenate((state.outside, state.hull[lost])))
         state.hull = state.hull[kept]
-        state.observations.append(ViewObservation(v, silhouette))
+        state.observations.extend(map(ViewObservation, views, silhouettes))
 
 
 def run_object_iteration(
@@ -327,11 +336,11 @@ def run_object_iteration(
 ) -> dict:
     """Select and append new views for one object; returns the update record.
 
-    Each new view is rendered from ``state.occ`` and carved in one pass. The
-    record carries the viewpoints added, the freshly selected subset that
-    should enter the pool (empty under baseline policies), and whether an
-    empty pool forced a fallback to fresh selection. A converged object (zero
-    reconstruction error) is left untouched.
+    The new views are rendered from ``state.occ`` and carved in one pass per
+    ``_VIEWS_PER_PASS`` of them. The record carries the viewpoints added, the
+    freshly selected subset that should enter the pool (empty under baseline
+    policies), and whether an empty pool forced a fallback to fresh selection.
+    A converged object (zero reconstruction error) is left untouched.
     """
     if state.converged:
         return {"added": [], "pool_record": [], "pool_fallback": False, "converged": True}
@@ -369,8 +378,8 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    for v in added:
-        _observe_in_one_pass([state], v)
+    for start in range(0, len(added), _VIEWS_PER_PASS):
+        _observe_in_one_pass([state], added[start : start + _VIEWS_PER_PASS])
     pool_record = fresh if config.selection_policy == "error-guided" else []
     return {"added": added, "pool_record": pool_record, "pool_fallback": fallback, "converged": False}
 
@@ -441,7 +450,7 @@ def run_loop(
     for state, initial in zip(states, initials):
         sharing.setdefault(initial[0], []).append(state)
     for v, group in sharing.items():
-        _observe_in_one_pass(group, v)
+        _observe_in_one_pass(group, [v])
     for state, initial in zip(states, initials):  # rendered from the occupied ids, as render_silhouette does
         state.observe([ViewObservation(v, _silhouette(config.dim, pixel_ids(config.dim, v, voxels=state.occ_ids)))
                        for v in initial[1:]])

@@ -45,6 +45,9 @@ __all__ = [
 ALIGNED_PITCH_DEG = 60.0
 ALIGNED_YAW_STEP_DEG = 15.0
 ALIGNED_VIEW_COUNT = 24
+_ALIGNED_RING = tuple(
+    Viewpoint(yaw=-180.0 + k * ALIGNED_YAW_STEP_DEG, pitch=ALIGNED_PITCH_DEG) for k in range(ALIGNED_VIEW_COUNT)
+)
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,12 @@ class ViewDistribution:
 def sample_dataset_viewpoints(dist: ViewDistribution, rng: np.random.Generator) -> list[Viewpoint]:
     """Draw one object's worth of dataset viewpoints.
 
-    The aligned pattern is fixed and consumes no randomness. Random patterns
-    draw yaw then pitch for each view in order.
+    The aligned pattern is fixed, built once, and consumes no randomness;
+    each call returns a fresh list of it. Random patterns draw yaw then pitch
+    for each view in order.
     """
     if dist.kind == "aligned":
-        return [
-            Viewpoint(yaw=-180.0 + k * ALIGNED_YAW_STEP_DEG, pitch=ALIGNED_PITCH_DEG)
-            for k in range(ALIGNED_VIEW_COUNT)
-        ]
+        return list(_ALIGNED_RING)
     pitch_lo, pitch_hi = (0.0, 90.0) if dist.kind == "hemispherical" else (-90.0, 90.0)
     views = []
     for _ in range(dist.views_per_object):
@@ -195,7 +196,7 @@ def safe_radius(dim: int) -> float:
 
 
 def _ball_mask(dim: int, center: np.ndarray, radius: float) -> np.ndarray:
-    coords = _centered_coords(dim).T.reshape(3, dim, dim, dim)
+    coords = _centered_coords(dim).reshape(3, dim, dim, dim)
     dist2 = sum((coords[a] - center[a]) ** 2 for a in range(3))
     return dist2 <= radius * radius
 

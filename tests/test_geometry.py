@@ -25,6 +25,8 @@ from voxsel.geometry import (
     wrap_yaw,
 )
 from voxsel.grid import VoxelGrid
+from voxsel.harness import _VIEWS_PER_PASS
+from voxsel.synthesis import ViewDistribution, sample_dataset_viewpoints
 
 from .mapping_counts import MappedEntries
 from .oracles import (
@@ -36,6 +38,9 @@ from .oracles import (
 
 yaw_floats = st.floats(-720.0, 720.0, allow_nan=False)
 pitch_floats = st.floats(-90.0, 90.0, allow_nan=False)
+
+# Voxel columns times poses per forward-map product.
+ENTRIES = geometry._ENTRIES_PER_PRODUCT
 
 # All 90-degree-multiple viewpoints in the canonical domain:
 # yaw in {-180, -90, 0, 90}, pitch in {-90, 0, 90}.
@@ -532,7 +537,8 @@ class TestMappingWork:
         from voxsel.harness import make_corpus
         from voxsel.synthesis import render_silhouette, safe_radius
 
-        dim, v = 16, Viewpoint(-180.0, 60.0)
+        dim = 16
+        views = [Viewpoint(-180.0, 60.0), Viewpoint(95.0, -20.0), Viewpoint(-30.0, 45.0)]
         gts = [obj.gt for obj in make_corpus(3, dim=dim, seed=4)] + [random_grid(dim, 6)]
         radius = np.linalg.norm(np.indices((dim,) * 3).reshape(3, -1).T - (dim - 1) / 2.0, axis=1)
         assert np.any((gts[-1].values.reshape(-1) > 0) & (radius > safe_radius(dim)))
@@ -546,21 +552,25 @@ class TestMappingWork:
                 assert not np.array_equal(keep | union, keep | occs[-1])
             hull = np.flatnonzero(keep)
             voxels = np.concatenate((hull, np.flatnonzero(union & ~keep)))
-            # The reference: each object rendered, then carved, on its own.
-            reference = []
-            for gt in gts:
-                silhouette, carved = render_silhouette(gt, v), keep.copy()
-                carve([ViewObservation(v, silhouette)], dim, keep=carved)
-                reference.append((silhouette, carved))
-            mapped = MappedEntries(monkeypatch)
-            passes = _render_and_carve(dim, v, voxels, [occ[voxels] for occ in occs], hull.size)
-            assert len(passes) == len(gts)
-            for (rendered, kept), (silhouette, carved) in zip(passes, reference):
-                assert np.array_equal(rendered.pixels, silhouette.pixels)
-                assert kept.shape == hull.shape
-                assert np.array_equal(hull[kept], np.flatnonzero(carved))
-            # The hull and every voxel occupied outside it are mapped under the pose, once each.
-            assert np.array_equal(mapped.of(dim, v), keep | union)
+            # One pose, then a round of three poses in one pass.
+            for poses in (views[:1], views):
+                # The reference: each object rendered, then carved, on its own.
+                reference = []
+                for gt in gts:
+                    silhouettes, carved = [render_silhouette(gt, v) for v in poses], keep.copy()
+                    carve([ViewObservation(v, s) for v, s in zip(poses, silhouettes)], dim, keep=carved)
+                    reference.append((silhouettes, carved))
+                mapped = MappedEntries(monkeypatch)
+                passes = _render_and_carve(dim, poses, voxels, [occ[voxels] for occ in occs], hull.size)
+                assert len(passes) == len(gts)
+                for (rendered, kept), (silhouettes, carved) in zip(passes, reference):
+                    assert len(rendered) == len(poses)
+                    assert all(np.array_equal(r.pixels, s.pixels) for r, s in zip(rendered, silhouettes))
+                    assert kept.shape == hull.shape
+                    assert np.array_equal(hull[kept], np.flatnonzero(carved))
+                # The hull and every voxel occupied outside it are mapped under each pose, once each.
+                for v in poses:
+                    assert np.array_equal(mapped.of(dim, v), keep | union)
 
     def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
         # Nothing is kept between calls under one pose, so every call's voxels
@@ -592,7 +602,7 @@ def render_and_carve_hull(occ, dim, v, keep):
 
     hull = np.flatnonzero(keep)
     voxels = np.concatenate((hull, np.flatnonzero(occ & ~keep)))
-    [(silhouette, kept)] = _render_and_carve(dim, v, voxels, [occ[voxels]], hull.size)
+    [([silhouette], kept)] = _render_and_carve(dim, [v], voxels, [occ[voxels]], hull.size)
     keep[hull[~kept]] = False
     return silhouette
 
@@ -626,7 +636,7 @@ class TestOnDemandFill:
         clipped, on_image = dense_pixel_ids(dim, v)
         keys = dense_cell_keys(dim, v)
         table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
-        # One- and two-voxel chunks are fills of one and two matmul rows.
+        # One- and two-voxel chunks are fills of one and two matmul columns.
         sizes = [rng.choice([1, 2, rng.integers(0, dim**3 + 1)]) for _ in range(n_chunks)]
         chunks = [rng.choice(dim**3, size=min(size, dim**3), replace=False) for size in sizes]
         first, second = (rng.choice(dim**3, size=min(2, dim**3), replace=False) for _ in range(2))
@@ -679,79 +689,83 @@ class TestOnDemandFill:
             assert np.array_equal(lattice_cell_keys(dim, lattice, np.array([i])), table[[i]])
         for c in lattice.centers:
             _, on_image = dense_pixel_ids(dim, c)
-            for i in near_ties(dim, geometry._centered_coords(dim) @ rotation_matrix(c).T):
+            for i in near_ties(dim, rotation_matrix(c) @ geometry._centered_coords(dim)):
                 pixel = project_voxel(np.unravel_index(i, (dim,) * 3), c, dim)
                 assert pixel == (None if on_image[i] == dim * dim else divmod(int(on_image[i]), dim))
 
     def test_a_pose_fill_past_one_product_matches_the_dense_forward_map(self, monkeypatch):
-        # 2**14 + 1 voxels fill one full 2**14-row product and a one-row
-        # tail; the tail is a voxel near a .5 tie under the pose.
+        # ENTRIES + 1 voxels fill one full ENTRIES-column product and a
+        # one-column tail; the tail is a voxel near a .5 tie under the pose.
         dim, lattice = 32, discretize_viewpoints(30)
         coords = geometry._centered_coords(dim)
-        v = next(c for c in lattice.centers if near_ties(dim, coords @ rotation_matrix(c).T).size)
-        tail = near_ties(dim, coords @ rotation_matrix(v).T)[0]
+        v = next(c for c in lattice.centers if near_ties(dim, rotation_matrix(c) @ coords).size)
+        tail = near_ties(dim, rotation_matrix(v) @ coords)[0]
         rng = np.random.default_rng(3)
-        voxels = np.append(rng.choice(np.setdiff1d(np.arange(dim**3), tail), size=2**14, replace=False), tail)
+        voxels = np.append(rng.choice(np.setdiff1d(np.arange(dim**3), tail), size=ENTRIES, replace=False), tail)
         (clipped, on_image), keys = dense_pixel_ids(dim, v), dense_cell_keys(dim, v)
-        products = product_rows(monkeypatch)
+        products = product_columns(monkeypatch)
         assert np.array_equal(pixel_ids(dim, v, voxels=voxels), clipped[voxels])
         assert np.array_equal(pixel_ids(dim, v, clip_depth=False, voxels=voxels), on_image[voxels])
         assert np.array_equal(cell_keys(dim, v, voxels), keys[voxels])
-        assert products == [2**14, 1] * 3
+        assert products == [ENTRIES, 1] * 3
 
     def test_a_lattice_fill_past_one_product_matches_the_dense_forward_map(self, monkeypatch):
-        # A product over the 30-degree lattice holds 2**14 // 72 = 227 rows,
-        # so 228 fresh voxels fill one product and a one-row tail. The tail
-        # is a voxel whose keys differ when its lone row goes to BLAS gemv
-        # (168 voxels at dim 32 on the tested BLAS), so it must be
-        # multiplied as two rows.
+        # A product over the 30-degree lattice holds ENTRIES // 72 (227)
+        # columns, so one more fresh voxel fills one product and a one-column
+        # tail. The tail is a voxel whose keys differ when its lone column
+        # goes to BLAS gemv, so it must be multiplied as two columns.
         dim, lattice = 32, discretize_viewpoints(30)
         coords, stacked = geometry._centered_coords(dim), geometry._stacked_rotations(lattice.centers)
         table = np.stack([dense_cell_keys(dim, c) for c in lattice.centers], axis=1)
 
-        def lone_row_keys(i):
-            return geometry._cell_keys_of(dim, np.rint(coords[[i]] @ stacked + (dim - 1) / 2))[0]
+        def lone_column_keys(i):
+            return geometry._cell_keys_of(dim, np.rint(stacked @ coords[:, [i]] + (dim - 1) / 2))[:, 0]
 
         ties = tie_voxels(dim, 30)
-        ties = ties[ties >= 227]
-        tail = ([i for i in ties if not np.array_equal(lone_row_keys(i), table[i])] or ties)[0]
-        voxels = np.append(np.sort(np.random.default_rng(4).choice(tail, size=227, replace=False)), tail)
+        width = ENTRIES // len(lattice.centers)
+        ties = ties[ties >= width]
+        tail = ([i for i in ties if not np.array_equal(lone_column_keys(i), table[i])] or ties)[0]
+        voxels = np.append(np.sort(np.random.default_rng(4).choice(tail, size=width, replace=False)), tail)
         geometry._lattice_cell_keys.cache_clear()
-        products = product_rows(monkeypatch)
+        products = product_columns(monkeypatch)
         assert np.array_equal(lattice_cell_keys(dim, lattice, voxels), table[voxels])
-        assert products == [227, 1]
+        assert products == [width, 1]
 
 
-def product_rows(monkeypatch):
-    """The voxel rows of every forward-map product from now on, in the order made."""
-    rows = []
+def product_columns(monkeypatch):
+    """The voxel columns of every forward-map product from now on, in the order made."""
+    columns = []
     original = geometry._rounded_targets
 
-    def recording(dim, rot_t, voxels):
-        rows.append(len(voxels))
-        return original(dim, rot_t, voxels)
+    def recording(dim, rot, voxels):
+        columns.append(len(voxels))
+        return original(dim, rot, voxels)
 
     monkeypatch.setattr(geometry, "_rounded_targets", recording)
-    return rows
+    return columns
 
 
 def near_ties(dim, rotated):
-    """Voxels with a rotated coordinate within 1e-6 of a .5 tie.
+    """Voxels with a rotated coordinate within 1e-6 of a .5 tie; ``rotated`` is axis-major, one column per voxel.
 
-    Entries of different products of the same row differ by a few ulps at
-    most, so only these voxels can round to another cell.
+    Entries of different products of the same column differ by a few ulps
+    at most, so only these voxels can round to another cell.
     """
-    frac = np.abs((rotated + (dim - 1) / 2) % 1 - 0.5)
-    return np.flatnonzero((frac < 1e-6).any(axis=1))
+    shifted = rotated + (dim - 1) / 2
+    frac = np.abs(shifted - np.floor(shifted) - 0.5)
+    return np.flatnonzero((frac < 1e-6).any(axis=0))
+
+
+def pose_ties(dim, poses):
+    """The voxels near a .5 tie under any of ``poses``."""
+    coords = geometry._centered_coords(dim)
+    return np.unique(np.concatenate([near_ties(dim, rotation_matrix(c) @ coords) for c in poses]))
 
 
 @functools.lru_cache(maxsize=4)
 def tie_voxels(dim, interval):
     """The voxels near a .5 tie under any center of the lattice."""
-    lattice = discretize_viewpoints(interval)
-    coords = geometry._centered_coords(dim)
-    ties = [near_ties(dim, coords @ rotation_matrix(c).T) for c in lattice.centers]
-    return np.unique(np.concatenate(ties))
+    return pose_ties(dim, discretize_viewpoints(interval).centers)
 
 
 def blas_name():
@@ -759,47 +773,117 @@ def blas_name():
     return f"{blas.get('name', 'unknown BLAS')} {blas.get('version', '')} ({blas.get('openblas configuration', '')})"
 
 
+def round_poses(n):
+    """``n`` poses of one round: aligned-ring views, 30-degree centers and random poses in turn.
+
+    The ring's views and the centers put voxels exactly on .5 ties at dims 31 and 32.
+    """
+    ring = sample_dataset_viewpoints(ViewDistribution("aligned"), np.random.default_rng(0))
+    centers, rng = discretize_viewpoints(30).centers, np.random.default_rng(n)
+    cycle = [(ring[5 * k % 24], centers[7 * k % 72], Viewpoint(*rng.uniform((-180, -90), (180, 90)))) for k in range(n)]
+    return [v for trio in cycle for v in trio][:n]
+
+
+def fill_poses(poses):
+    """The poses one product stacks: a round of ``poses`` views, or an ``(interval, half)`` lattice table's centers."""
+    if isinstance(poses, int):
+        return round_poses(poses)
+    interval, half = poses
+    lattice = discretize_viewpoints(interval)
+    return geometry._base_half(lattice) if half else list(lattice.centers)
+
+
 class TestBlasIdentity:
-    # Maps multiply their voxels in products of a fixed row count and one
-    # shorter tail: 2**14 for a pose's pixel codes and the lattice
-    # table's 2**14 // 72 = 227 at 30 degrees (101 at 20), and any tail
-    # from one row up. Each case runs `products` full products and a tail.
-    # 162 centers: with each pose's columns together, one product over the
-    # 20-degree lattice differs from the per-pose one in its last columns.
+    # A fill multiplies the stacked rotations of its poses by
+    # _ENTRIES_PER_PRODUCT // poses voxel columns at a time, then by a
+    # shorter tail of any width; a lone column runs as two, as BLAS gemv
+    # rounds differently. Forward maps stay byte-identical to the dense
+    # per-pose map only while every entry of those products equals the full
+    # per-pose product's. Exact .5 ties make any other rounding visible in
+    # the reports, so the voxels near one go first. The product width is
+    # load-bearing: on OpenBLAS 0.3.31 a 455-column product (the width of the
+    # 30-degree half table, 36 centers) over the 288 centers of the
+    # 15-degree lattice differs from the per-pose product on every center,
+    # although each width below, used with its own pose count, does not.
     @pytest.mark.parametrize(
-        "rows, products, tail", [(1, 300, 0), (2, 300, 1), (101, 40, 57), (227, 40, 113), (2**14, 1, 101)]
+        "columns, products, tail",
+        [(1, 300, 0), (2, 300, 1), (ENTRIES // 162, 40, 57), (ENTRIES // 72, 40, 113), (ENTRIES, 1, 101)],
     )
-    @pytest.mark.parametrize("dim, interval", [(31, 30), (32, 30), (64, 30), (32, 20)])
-    def test_products_of_any_row_count_equal_the_full_per_pose_matmul(self, dim, interval, rows, products, tail):
-        # Forward maps are filled voxel by voxel and lattice tables for all
-        # centers at once, and they stay byte-identical to the full per-pose
-        # map only while the BLAS computes each entry of a matmul the same
-        # way whatever rows and columns share the product. Exact .5 ties
-        # make any other rounding visible in the reports, so the voxels near
-        # one go first.
+    @pytest.mark.parametrize("dim, interval", [(d, i) for i in (30, 20) for d in (31, 32, 64)])
+    def test_products_of_any_column_count_equal_the_full_per_pose_matmul(
+        self, dim, interval, columns, products, tail
+    ):
+        # One pose's product, as pixel_ids, cell_keys, carve, render_silhouette
+        # and every initial view make it, at the widths of one pose
+        # (ENTRIES), of the 30- and 20-degree lattice tables (ENTRIES // 72 and
+        # // 162), two columns and a lone column, each with a tail; and every
+        # center of the lattice stacked at those same widths.
         lattice = discretize_viewpoints(interval)
-        rng = np.random.default_rng(rows)
+        rng = np.random.default_rng(columns)
         ties = tie_voxels(dim, interval)
         others = np.setdiff1d(np.arange(dim**3), ties)
-        voxels = np.concatenate([rng.permutation(ties), rng.permutation(others)])[: products * rows + tail]
+        voxels = np.concatenate([rng.permutation(ties), rng.permutation(others)])[: products * columns + tail]
         voxels = rng.permutation(voxels)
-        chunks = [voxels[start : start + rows] for start in range(0, voxels.size, rows)]
+        chunks = [voxels[start : start + columns] for start in range(0, voxels.size, columns)]
         k = len(lattice.centers)
         stacked = geometry._stacked_rotations(lattice.centers)
-        batched = np.concatenate([geometry._rotated_centers(dim, stacked, chunk) for chunk in chunks])
+        batched = np.concatenate([geometry._rotated_centers(dim, stacked, chunk) for chunk in chunks], axis=1)
+        coords = geometry._centered_coords(dim)
         differ = []
         for j, c in enumerate(lattice.centers):
-            rot_t = rotation_matrix(c).T
-            full = (geometry._centered_coords(dim) @ rot_t)[voxels]
-            subsets = np.concatenate([geometry._rotated_centers(dim, rot_t, chunk) for chunk in chunks])
+            rot = rotation_matrix(c)
+            full = (rot @ coords)[:, voxels]
+            subsets = np.concatenate([geometry._rotated_centers(dim, rot, chunk) for chunk in chunks], axis=1)
             if not np.array_equal(subsets, full):
-                differ.append(("row subset", c.yaw, c.pitch))
-            if not np.array_equal(batched[:, [j, k + j, 2 * k + j]], full):
+                differ.append(("column subset", c.yaw, c.pitch))
+            if not np.array_equal(batched[[j, k + j, 2 * k + j]], full):
                 differ.append(("center batch", c.yaw, c.pitch))
+            if not np.array_equal((coords.T @ rot.T)[voxels].T, full):
+                differ.append(("voxel-major", c.yaw, c.pitch))
         assert not differ, (
-            f"on {blas_name()} {len(differ)} products of {rows} rows differ from the full per-pose product, "
+            f"on {blas_name()} {len(differ)} products of {columns} columns differ from the full per-pose product, "
             f"e.g. {differ[:3]}; forward maps filled on demand would not be byte-identical to the dense map "
             "with this BLAS"
+        )
+
+    @pytest.mark.parametrize(
+        "poses",
+        [*range(1, _VIEWS_PER_PASS + 1), *((interval, half) for interval in (30, 20, 15, 10) for half in (False, True))],
+        ids=str,
+    )
+    @pytest.mark.parametrize("dim", [31, 32, 64])
+    def test_products_at_the_fill_widths_equal_the_full_per_pose_matmul(self, dim, poses):
+        # Rounds of one to _VIEWS_PER_PASS views, the most one pass stacks,
+        # and the full and half lattice tables, each at its own fill width;
+        # the lone columns are all voxels near a tie.
+        poses = fill_poses(poses)
+        width = max(1, ENTRIES // len(poses))
+        rng = np.random.default_rng(len(poses))
+        ties = pose_ties(dim, poses)
+        others = np.setdiff1d(np.arange(dim**3), ties)
+        order = np.concatenate([rng.permutation(ties), rng.permutation(others)])
+        products = min(40, ENTRIES // width)
+        tail = min(int(rng.integers(2, width)) if width > 2 else 1, dim**3 - products * width)
+        full_and_tail = order[: products * width + tail]
+        chunks = [full_and_tail[start : start + width] for start in range(0, full_and_tail.size, width)]
+        chunks += [order[[i]] for i in range(50)]
+        assert [c.size for c in chunks] == [width] * products + [tail] + [1] * 50
+        stacked = geometry._stacked_rotations(poses)
+        batched = np.concatenate([geometry._rotated_centers(dim, stacked, chunk) for chunk in chunks], axis=1)
+        voxels = np.concatenate(chunks)
+        coords = geometry._centered_coords(dim)
+        k = len(poses)
+        differ = []
+        for j, c in enumerate(poses):
+            full = rotation_matrix(c) @ coords
+            if not np.array_equal(batched[[j, k + j, 2 * k + j]], full[:, voxels]):
+                differ.append(("stacked", c.yaw, c.pitch))
+            if not np.array_equal((coords.T @ rotation_matrix(c).T)[voxels].T, full[:, voxels]):
+                differ.append(("voxel-major", c.yaw, c.pitch))
+        assert not differ, (
+            f"on {blas_name()} {len(differ)} products over {k} poses of {width} columns differ from the full "
+            f"per-pose product, e.g. {differ[:3]}; forward maps filled on demand would not be byte-identical "
+            "to the dense map with this BLAS"
         )
 
 

@@ -378,7 +378,7 @@ class TestRunningHull:
 
         def counting_render_and_carve(*args):
             passes = render_and_carve(*args)
-            by_one_pass.extend(silhouette for silhouette, _ in passes)
+            by_one_pass.extend(silhouette for silhouettes, _ in passes for silhouette in silhouettes)
             return passes
 
         monkeypatch.setattr(harness, "carve", counting_carve)
@@ -470,22 +470,88 @@ class TestIdHull:
         one_pass = harness._observe_in_one_pass
         outside = []
 
-        def counted(states, v):
+        def counted(states, views):
             if not states[0].observations:  # a first initial view, cut from the whole cube
-                return one_pass(states, v)
+                return one_pass(states, views)
+            # An object's round: all its selected views in one pass.
             [state] = states
+            assert len(views) == 3
             expected = np.zeros(16**3, dtype=bool)
             expected[state.hull] = expected[state.outside] = True
             assert np.count_nonzero(expected) == state.hull.size + state.outside.size
             outside.append(state.outside.size)
             mapped.counts.clear()
-            one_pass(states, v)
-            assert np.array_equal(mapped.of(16, v), expected)
+            one_pass(states, views)
+            for v in views:
+                assert np.array_equal(mapped.of(16, v), expected)
 
         monkeypatch.setattr(harness, "_observe_in_one_pass", counted)
         corpus = [corner_object(obj) for obj in make_corpus(4, dim=16, seed=3)]
         run_loop(corpus, small_config(iterations=3, selection_policy=policy))
-        assert len(outside) == 4 * 3 * 3 and min(outside) > 0
+        assert len(outside) == 4 * 3 and min(outside) > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_round_longer_than_one_pass_is_carved_in_passes_of_at_most_the_checked_stack(
+        self, monkeypatch, policy
+    ):
+        # A pass stacks at most _VIEWS_PER_PASS poses in one product, the
+        # stacks TestBlasIdentity checks; a longer round takes several passes
+        # and still equals its views carved one by one.
+        states = recorded_states(monkeypatch)
+        one_pass = harness._observe_in_one_pass
+        passes = []
+
+        def counted(states, views):
+            if states[0].observations:
+                passes.append(len(views))
+            return one_pass(states, views)
+
+        monkeypatch.setattr(harness, "_observe_in_one_pass", counted)
+        n = 2 * harness._VIEWS_PER_PASS + 3
+        corpus = [corner_object(obj) for obj in make_corpus(2, dim=16, seed=3)]
+        rep = run_loop(corpus, small_config(views_per_round=n, selection_policy=policy))
+        rounds = [len(it["selected"]) for rec in rep.objects for it in rec["iterations"] if it["selected"]]
+        assert rounds and set(rounds) == {n}
+        assert passes == [harness._VIEWS_PER_PASS, harness._VIEWS_PER_PASS, 3] * len(rounds)
+        for state, obj in zip(states, corpus):
+            assert_hull_is_carve(state, 16)
+            for obs in state.observations:
+                assert np.array_equal(obs.silhouette.pixels, render_silhouette(obj.gt, obs.viewpoint).pixels)
+
+    def test_a_round_renders_and_carves_its_views_as_if_one_by_one(self, monkeypatch):
+        # The corner voxels lie past the safe radius. The round's first view
+        # carves both away; the second, a plain view down x, still renders
+        # them, from the outside list, and they alone set two of its pixels.
+        dim, tau = 16, 0.4
+        gt = corner_object(make_corpus(1, dim=dim, seed=3)[0]).gt
+        corners = np.ravel_multi_index(([0, dim - 1], [0, dim - 1], [0, 0]), (dim,) * 3)
+        state = _ObjectState(gt, tau, np.random.default_rng(0))
+        first = Viewpoint(90.0, 0.0)  # a quarter turn keeps the corners on the cube
+        harness._observe_in_one_pass([state], [first])
+        assert np.isin(corners, state.hull).all()
+        views = [Viewpoint(45.0, 0.0), Viewpoint(0.0, 0.0), Viewpoint(100.0, 30.0)]
+        carved_by_one = carve([ViewObservation(v, render_silhouette(gt, v, tau)) for v in (first, views[0])], dim)
+        assert not carved_by_one.values.reshape(-1)[corners].any()
+        expected = np.zeros(dim**3, dtype=bool)
+        expected[state.hull] = expected[state.outside] = True
+        mapped = MappedEntries(monkeypatch)
+        harness._observe_in_one_pass([state], views)
+        # The hull and the occupied voxels outside it, mapped once per pose of the round.
+        for v in views:
+            assert np.array_equal(mapped.of(dim, v), expected)
+        assert mapped.most() == 1 and len(mapped.counts) == len(views)
+        assert [obs.viewpoint for obs in state.observations] == [first, *views]
+        for obs in state.observations:
+            assert np.array_equal(obs.silhouette.pixels, render_silhouette(gt, obs.viewpoint, tau).pixels)
+        without_corners = gt.values.copy()
+        without_corners.reshape(-1)[corners] = 0.0
+        lone = state.observations[2].silhouette.pixels & ~render_silhouette(VoxelGrid(without_corners), views[1]).pixels
+        assert np.array_equal(np.argwhere(lone), [[0, 0], [dim - 1, 0]])
+        # The hull is the carve of every observation, and the outside list the occupied voxels it drops.
+        assert_hull_is_carve(state, dim)
+        occ = gt.values.reshape(-1) >= tau
+        assert np.array_equal(state.outside, np.setdiff1d(np.flatnonzero(occ), state.hull))
+        assert np.isin(corners, state.outside).all()
 
 
 class TestLoopMetrics:
