@@ -15,10 +15,11 @@ miss its silhouette and be carved away.
 
 Each observation keeps the voxels whose pixel is set in its silhouette, and
 the hull is the AND of those sets. The AND is order-independent and
-idempotent, so a caller that gains views a few at a time (the reconstruction
-loop) can keep a running mask and pass it to :func:`carve` as ``keep``: each
-new view is carved once instead of all views again. A view reads the pixel
-ids of the voxels still kept only, so a voxel an earlier view dropped is
+idempotent, so :func:`carve` cuts a list of voxel ids down view by view, one
+compress each, and builds the grid once, at the end. A caller that gains
+views a few at a time (the reconstruction loop) passes the ids of its hull
+as ``voxels``: each new view is carved once instead of all views again. A
+view maps the surviving ids only, so a voxel an earlier view dropped is
 never mapped under a later one.
 
 The loop renders and carves views of its own ground truth in one pass,
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Viewpoint, _pixel_rule, _pose_pixel_codes, pixel_ids
+from .geometry import Viewpoint, _grid_dim, _pixel_rule, _pose_pixel_codes, _voxel_index, pixel_ids
 from .grid import VoxelGrid
 from .synthesis import SilhouetteImage, _silhouette
 
@@ -73,7 +74,7 @@ def project_voxel(index: tuple[int, int, int], v: Viewpoint, dim: int) -> tuple[
 
 
 def carve(
-    observations: Sequence[ViewObservation], dim: int, *, keep: np.ndarray | None = None
+    observations: Sequence[ViewObservation], dim: int, *, voxels: np.ndarray | None = None
 ) -> VoxelGrid:
     """Intersect silhouette constraints into a binary occupancy grid.
 
@@ -82,31 +83,23 @@ def carve(
     not depend on their order, and is idempotent under duplicates. It is the
     AND of the one-observation carves.
 
-    ``keep`` carves incrementally: a flat bool array of ``dim ** 3`` entries,
-    the running mask of earlier observations (``carve(earlier, dim)`` as a
-    flat mask). The new observations are ANDed into it in place, and the
-    result is the hull of the earlier and the new observations together. On
-    a ValueError ``keep`` is left unchanged.
+    ``voxels`` carves incrementally: the flat ids of the voxels still in
+    play, by default the whole cube. Only they can survive, so with the ids
+    of ``carve(earlier, dim)`` the result is the hull of the earlier and the
+    new observations together, and the new ones alone are mapped.
     """
     if len(observations) == 0:
         raise ValueError("carving requires at least one observation")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    dim = _grid_dim(dim)
     for obs in observations:
         if obs.silhouette.dims != (dim, dim):
             raise ValueError(f"silhouette dims {obs.silhouette.dims} do not match grid dim {dim}")
-    if keep is None:
-        keep = np.ones(dim**3, dtype=bool)
-    elif keep.dtype != np.bool_ or keep.shape != (dim**3,):
-        raise ValueError(f"keep must be a flat bool array of {dim ** 3} entries, got {keep.dtype} {keep.shape}")
-    for obs in observations:
-        alive = np.flatnonzero(keep)  # only the voxels still kept are mapped
-        kept = _kept(obs.silhouette, pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive))
-        if alive.size == keep.size:  # a plain AND over the whole cube
-            np.logical_and(keep, kept, out=keep)
-        else:
-            keep[alive] = kept
-    return VoxelGrid(keep.reshape((dim, dim, dim)))
+    alive = np.arange(dim**3) if voxels is None else _voxel_index(voxels, dim)
+    for obs in observations:  # only the voxels still alive are mapped
+        alive = alive[_kept(obs.silhouette, pixel_ids(dim, obs.viewpoint, clip_depth=False, voxels=alive))]
+    hull = np.zeros(dim**3, dtype=bool)
+    hull[alive] = True
+    return VoxelGrid(hull.reshape((dim, dim, dim)))
 
 
 def _kept(silhouette: SilhouetteImage, pixels: np.ndarray) -> np.ndarray:

@@ -289,10 +289,17 @@ def _off_cube(cells: np.ndarray, dim: int) -> np.ndarray:
     return cells.view(np.uint32) >= dim
 
 
-def _voxel_index(voxels, dim: int) -> np.ndarray:
-    """``voxels`` as checked flat indices into a cubic grid; any empty 1-D input means no voxels."""
+def _grid_dim(dim) -> int:
+    """``dim`` as a checked positive int; a bool or a float is no dim."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    return int(dim)
+
+
+def _voxel_index(voxels, dim: int) -> np.ndarray:
+    """``voxels`` as checked flat indices into a cubic grid of a checked ``dim``; an empty 1-D input means none."""
     voxels = np.asarray(voxels)
     if voxels.shape == (0,):
         return voxels.astype(np.intp)
@@ -395,8 +402,8 @@ def pixel_ids(dim: int, v: Viewpoint, *, clip_depth: bool = True, voxels: np.nda
     cube. A caller that needs both rules for one pose reads them from the
     same codes, as the loop's one-pass render and carve does.
     """
+    dim = _grid_dim(dim)
     voxels = _voxel_index(voxels, dim)
-    dim = int(dim)
     return _pixel_rule(_pose_pixel_codes(dim, [v], voxels)[0], dim, clip_depth=clip_depth)
 
 
@@ -410,8 +417,8 @@ def cell_keys(dim: int, v: Viewpoint, voxels: np.ndarray) -> np.ndarray:
     entry (sentinel ``dim * dim``), and among the voxels on one pixel ray
     the smallest key is the one nearest the camera. Nothing is cached.
     """
+    dim = _grid_dim(dim)
     voxels = _voxel_index(voxels, dim)
-    dim = int(dim)
     return _fill(np.empty((1, len(voxels)), dtype=np.int32), dim, rotation_matrix(v), voxels, _cell_keys_of)[0]
 
 
@@ -440,8 +447,8 @@ def lattice_cell_keys(dim: int, lattice: ViewpointLattice, voxels: np.ndarray) -
     lattice)`` pairs: a voxel's keys under every center come from one
     batched matmul the first time any caller asks for that voxel.
     """
-    voxels = _voxel_index(voxels, dim)
-    return _lattice_cell_keys(int(dim), lattice).lookup(voxels)
+    dim = _grid_dim(dim)
+    return _lattice_cell_keys(dim, lattice).lookup(_voxel_index(voxels, dim))
 
 
 def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
@@ -453,9 +460,7 @@ def rotated_cells(dim: int, v: Viewpoint) -> tuple[np.ndarray, np.ndarray]:
     lies within the cube. Both arrays are computed afresh on every call. This
     dense map serves :func:`rotate_grid`; the hot paths use :func:`pixel_ids`.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    dim = int(dim)
+    dim = _grid_dim(dim)
     cells = _rounded_targets(dim, rotation_matrix(v), np.arange(dim**3)).astype(np.int64)
     return cells.T, ((cells >= 0) & (cells < dim)).all(axis=0)
 

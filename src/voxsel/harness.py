@@ -22,17 +22,19 @@ for all objects sharing that pose, and each object's round of new views in
 one pass (per 12) that maps the hull plus its outside list under all. The
 voxels an earlier view of the round carves away are among those mapped, so
 the round equals its views carved one by one. The other initial views are
-rendered from the occupied ids and carved by ``carve(new, dim, keep=...)``
-on the hull's mask. Because the AND is order-independent and idempotent, the
-hull always equals ``carve`` of all the observations. An object has
-converged when its hull equals its bits, which the state decides in one
-place; a converged object is not re-observed. Evaluation computes IoU,
+rendered from the occupied ids and carved by ``carve(new, dim, voxels=hull)``,
+which maps the hull's ids only; the new hull and outside list are gathers of
+its grid. Because the AND is order-independent and idempotent, the hull
+always equals ``carve`` of all the observations. An object has converged
+when its hull equals its bits, which the state decides in one place; a
+converged object is not re-observed. Evaluation computes IoU,
 F-score and excess voxels from the lengths of the id lists. Error-guided
 selection passes the ids of the mismatch voxels, the hull's off ``bits``
 and the ``bits`` outside the hull, straight to the scoring kernel of
 :mod:`voxsel.selection` and takes the best-ranked lattice centers from its
 totals, building no grid and no per-center scores; a soft ground truth is
-scored on ``|keep - gt|`` over the cube and never converges.
+scored on ``|hull - gt|`` over the cube, ``gt`` with ``1 - gt`` written at
+the hull's ids, and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -252,11 +254,12 @@ class _ObjectState:
     the sorted flat ids of the voxels every observation keeps; with no
     observations it is the full cube. ``outside`` holds the occupied voxels
     outside the hull, none unless a view carves away an occupied voxel (one
-    past the safe radius, or any at tau 0). A state starts with no
-    observations: :meth:`observe` carves rendered views into the hull once
-    and appends them, and :func:`_observe_in_one_pass` renders and carves
-    views in one pass, each first initial view in one pass shared by every
-    object seen from that pose.
+    past the safe radius, or any at tau 0); neither is ever a dense mask. A
+    state starts with no observations: :meth:`observe` carves rendered views
+    into the hull's ids once and appends them, and
+    :func:`_observe_in_one_pass` renders and carves views in one pass, each
+    first initial view in one pass shared by every object seen from that
+    pose.
     """
 
     gt: VoxelGrid
@@ -287,20 +290,12 @@ class _ObjectState:
         """Zero reconstruction error: the hull equals a 0/1 ground truth (a soft one never converges)."""
         return self.bits is not None and self.hull.size == self.n_bits and bool(self.bits[self.hull].all())
 
-    @property
-    def keep(self) -> np.ndarray:
-        """The hull as a flat bool mask of the ``dim**3`` voxels."""
-        keep = np.zeros(self.dim**3, dtype=bool)
-        keep[self.hull] = True
-        return keep
-
     def observe(self, new: Sequence[ViewObservation]) -> None:
-        """Append observations and AND them into the hull with one ``carve`` call on its mask."""
+        """Append observations and AND them into the hull with one ``carve`` call on its ids."""
         if not new:
             return
-        keep = self.keep
-        carve(new, self.dim, keep=keep)
-        self.hull, self.outside = np.flatnonzero(keep), self.occ_ids[~keep[self.occ_ids]]
+        carved = carve(new, self.dim, voxels=self.hull).values.reshape(-1)
+        self.hull, self.outside = self.hull[carved[self.hull] > 0], self.occ_ids[carved[self.occ_ids] == 0]
         self.observations.extend(new)
 
 
@@ -361,8 +356,10 @@ def run_object_iteration(
                 fallback = config.pool_mode == "pool-only"
         n_fresh = n - len(pool_views)
         if n_fresh > 0:
-            if state.bits is None:  # soft: |hull - gt| over the cube
-                hot, vals = _hot_voxels(np.abs(state.keep - obj.gt.values.ravel()))
+            if state.bits is None:  # soft: |hull - gt| over the cube, gt off the hull and 1 - gt on it
+                error = obj.gt.values.ravel().copy()
+                error[state.hull] = 1.0 - error[state.hull]
+                hot, vals = _hot_voxels(error)
             else:  # the hull voxels off bits, then the bits voxels outside the hull
                 hot = np.concatenate((state.hull[~state.bits[state.hull]], state.outside[state.bits[state.outside]]))
                 vals = None

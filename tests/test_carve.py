@@ -12,6 +12,7 @@ from voxsel.geometry import Viewpoint, discretize_viewpoints, rotated_cells
 from voxsel.grid import VoxelGrid, iou, threshold_grid
 from voxsel.synthesis import ShapeSpec, SilhouetteImage, generate_shape, render_silhouette, safe_radius
 
+from .mapping_counts import MappedEntries
 from .oracles import AXIS_VIEWPOINTS, extrude_silhouette, quarter_turn_matrix
 
 
@@ -93,6 +94,12 @@ class TestCarveBasics:
         with pytest.raises(ValueError, match="dim must be positive, got 0"):
             carve([ViewObservation(Viewpoint(0.0, 0.0), sil)], 0)
 
+    @pytest.mark.parametrize("dim", [16.0, 16.5, True])
+    def test_a_dim_that_is_not_an_integer_is_rejected(self, dim):
+        sil = SilhouetteImage(np.zeros((16, 16), dtype=bool))
+        with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+            carve([ViewObservation(Viewpoint(0.0, 0.0), sil)], dim)
+
     def test_output_is_binary(self):
         gt = centered_cube()
         out = carve(observe(gt, [Viewpoint(30.0, 45.0)]), 16)
@@ -158,29 +165,76 @@ class TestCarveMatchesDenseGather:
         assert np.array_equal(carve(obs, dim).values > 0, dense_gather_carve(obs, dim))
 
 
-class TestIncrementalCarve:
-    def test_carving_into_a_running_mask_equals_carving_everything(self):
-        gt = random_shape(11)
-        obs = observe(gt, [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0), Viewpoint(0.0, 0.0)])
-        keep = np.ones(16**3, dtype=bool)
-        first = carve(obs[:1], 16, keep=keep)
-        assert np.array_equal(keep, first.values.reshape(-1) > 0)
-        rest = carve(obs[1:], 16, keep=keep)
-        assert np.array_equal(rest.values, carve(obs, 16).values)
-        assert np.array_equal(keep, rest.values.reshape(-1) > 0)
+class TestCarveOnVoxelIds:
+    """``carve(..., voxels=)``: only the listed ids can survive, and only the surviving ones are mapped."""
 
-    def test_bad_keep_or_silhouette_leaves_keep_unchanged(self):
-        gt = random_shape(12)
-        obs = observe(gt, [Viewpoint(25.0, -10.0)])
-        keep = carve(obs, 16).values.reshape(-1) > 0
-        before = keep.copy()
+    VIEWS = [Viewpoint(25.0, -10.0), Viewpoint(-65.0, 45.0), Viewpoint(120.0, 80.0), Viewpoint(0.0, 0.0)]
+
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_carving_into_the_earlier_hull_equals_carving_everything(self, split):
+        gt = random_shape(11)
+        obs = observe(gt, self.VIEWS)
+        earlier = carve(obs[:split], 16)
+        later = carve(obs[split:], 16, voxels=np.flatnonzero(earlier.values))
+        assert np.array_equal(later.values, carve(obs, 16).values)
+        assert np.array_equal(carve(obs[split:], 16, voxels=np.arange(16**3)).values, carve(obs[split:], 16).values)
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_the_carve_of_any_ids_is_the_full_carve_within_them(self, seed, dim, n_views):
+        # Unsorted ids with repeats, over random silhouettes.
+        rng = np.random.default_rng(seed)
+        obs = [
+            ViewObservation(
+                Viewpoint(rng.uniform(-180, 180), rng.uniform(-90, 90)),
+                SilhouetteImage(rng.random((dim, dim)) < 0.8),
+            )
+            for _ in range(n_views)
+        ]
+        voxels = rng.integers(0, dim**3, size=rng.integers(1, 2 * dim**3))
+        within = np.zeros(dim**3, dtype=bool)
+        within[voxels] = True
+        expected = dense_gather_carve(obs, dim) & within.reshape((dim,) * 3)
+        assert np.array_equal(carve(obs, dim, voxels=voxels).values > 0, expected)
+
+    def test_no_ids_give_an_empty_grid(self):
+        obs = observe(random_shape(12), self.VIEWS[:2])
+        for voxels in (np.array([], dtype=np.int64), [], np.array([])):
+            out = carve(obs, 16, voxels=voxels)
+            assert out.dims == (16, 16, 16) and not out.values.any()
+
+    def test_bad_ids_or_silhouettes_are_rejected(self):
+        obs = observe(random_shape(12), self.VIEWS[:1])
+        for message, voxels in [
+            ("a 1-D array", np.arange(16**3).reshape(16, -1)),
+            ("a 1-D array", np.arange(4.0)),
+            ("a 1-D array", np.ones(16**3, dtype=bool)),
+            (r"in \[0, 4096\)", np.array([3, -1])),
+            (r"in \[0, 4096\)", np.array([0, 16**3])),
+        ]:
+            with pytest.raises(ValueError, match=f"voxels must be .*{message}"):
+                carve(obs, 16, voxels=voxels)
         small = ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))
         with pytest.raises(ValueError, match="do not match grid dim 16"):
-            carve([*observe(gt, [Viewpoint(90.0, 0.0)]), small], 16, keep=keep)
-        assert np.array_equal(keep, before)
-        for bad in (np.ones(16**3), np.ones(15**3, dtype=bool), np.ones((16, 16, 16), dtype=bool)):
-            with pytest.raises(ValueError, match="keep must be a flat bool array"):
-                carve(obs, 16, keep=bad)
+            carve([*obs, small], 16, voxels=np.arange(10))
+
+    def test_each_view_maps_only_the_ids_that_survive_the_earlier_ones(self, monkeypatch):
+        dim = 16
+        gt = random_shape(11)
+        obs = observe(gt, self.VIEWS)
+        # Every third voxel, unsorted: a view never maps an id outside them.
+        voxels = np.random.default_rng(3).permutation(np.arange(0, dim**3, 3))
+        within = np.zeros(dim**3, dtype=bool)
+        within[voxels] = True
+        singles = [carve([o], dim).values.reshape(-1) > 0 for o in obs]
+        mapped = MappedEntries(monkeypatch)
+        carve(obs, dim, voxels=voxels)
+        alive = within
+        for o, single in zip(obs, singles):
+            assert np.array_equal(mapped.of(dim, o.viewpoint), alive)
+            alive = alive & single
+        assert mapped.most() == 1 and len(mapped.counts) == len(obs)
+        assert mapped.of(dim, obs[-1].viewpoint).sum() < within.sum()
 
 
 class TestCarveAlgebra:

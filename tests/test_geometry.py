@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,29 @@ class TestPixelIds:
         with pytest.raises(ValueError, match="dim must be positive"):
             rotated_cells(0, Viewpoint(0.0, 0.0))
 
+    @pytest.mark.parametrize("dim", [16.5, 16.0, np.float64(16.0), True])
+    def test_rejects_a_dim_that_is_not_an_integer(self, dim):
+        # A float dim once mapped as its floor, a bool as 1.
+        v, lattice = Viewpoint(30.0, 20.0), discretize_viewpoints(90)
+        message = re.escape(f"dim must be an integer, got {dim!r}")
+        for voxels in (np.array([0, 4095, 4096]), np.array([0, 4095]), []):
+            with pytest.raises(ValueError, match=message):
+                pixel_ids(dim, v, voxels=voxels)
+            with pytest.raises(ValueError, match=message):
+                cell_keys(dim, v, voxels)
+            with pytest.raises(ValueError, match=message):
+                lattice_cell_keys(dim, lattice, voxels)
+        with pytest.raises(ValueError, match=message):
+            rotated_cells(dim, v)
+
+    def test_a_numpy_integer_dim_maps_as_the_int(self):
+        v, lattice, voxels = Viewpoint(30.0, 20.0), discretize_viewpoints(90), np.array([0, 77, 4095])
+        for dim in (np.int64(16), np.int32(16), np.uint8(16)):
+            assert np.array_equal(pixel_ids(dim, v, voxels=voxels), pixel_ids(16, v, voxels=voxels))
+            assert np.array_equal(cell_keys(dim, v, voxels), cell_keys(16, v, voxels))
+            assert np.array_equal(lattice_cell_keys(dim, lattice, voxels), lattice_cell_keys(16, lattice, voxels))
+            assert np.array_equal(rotated_cells(dim, v)[0], rotated_cells(16, v)[0])
+
 
 class TestLatticeCellKeys:
     @pytest.mark.parametrize("dim, interval", [(1, 30), (5, 45), (31, 30), (32, 30), (9, 22.5)])
@@ -495,22 +519,23 @@ class TestMappingWork:
         gt = VoxelGrid(random_grid(dim, 4).values > 0.7)
         occ = gt.values.reshape(-1) > 0.5
         views = [Viewpoint(yaw, 20.0) for yaw in (5.0, 65.0, 125.0, 185.0, 245.0, 305.0, 15.0, 75.0)]
-        # The reference: each view rendered, then carved into a running mask.
-        reference, running = [], np.ones(dim**3, dtype=bool)
+        # The reference: each view rendered, then carved into the ids of the running hull.
+        reference, running = [], np.arange(dim**3)
         for v in views:
             silhouette = render_silhouette(gt, v)
-            carve([ViewObservation(v, silhouette)], dim, keep=running)
-            reference.append((silhouette, running.copy()))
+            running = np.flatnonzero(carve([ViewObservation(v, silhouette)], dim, voxels=running).values)
+            reference.append((silhouette, running))
         geometry._lattice_cell_keys.cache_clear()
         mapped = MappedEntries(monkeypatch)
-        keep = np.ones(dim**3, dtype=bool)
+        hull = np.arange(dim**3)
         outside_hull = 0
         for v, (silhouette, carved) in zip(views, reference):
-            alive = keep | occ
-            outside_hull += np.count_nonzero(occ & ~keep)
-            rendered = render_and_carve_hull(occ, dim, v, keep)
+            alive = occ.copy()
+            alive[hull] = True
+            outside_hull += np.count_nonzero(alive) - hull.size
+            rendered, hull = render_and_carve_hull(occ, dim, v, hull)
             assert np.array_equal(rendered.pixels, silhouette.pixels)
-            assert np.array_equal(keep, carved)
+            assert np.array_equal(hull, carved)
             # One pass maps the voxels still kept and the occupied ones, once each.
             assert np.array_equal(mapped.of(dim, v), alive)
         assert outside_hull > 0
@@ -545,21 +570,22 @@ class TestMappingWork:
         occs = [gt.values.reshape(-1) >= 0.4 for gt in gts]
         union = np.logical_or.reduce(occs)
         for earlier in ([], [Viewpoint(30.0, 10.0), Viewpoint(-70.0, -40.0)]):
-            keep = np.ones(dim**3, dtype=bool)
+            in_hull = np.ones(dim**3, dtype=bool)
             if earlier:
-                carve([ViewObservation(w, render_silhouette(gts[0], w)) for w in earlier], dim, keep=keep)
-                assert np.any(occs[-1] & ~keep)
-                assert not np.array_equal(keep | union, keep | occs[-1])
-            hull = np.flatnonzero(keep)
-            voxels = np.concatenate((hull, np.flatnonzero(union & ~keep)))
+                in_hull = carve([ViewObservation(w, render_silhouette(gts[0], w)) for w in earlier], dim).values > 0
+                in_hull = in_hull.reshape(-1)
+                assert np.any(occs[-1] & ~in_hull)
+                assert not np.array_equal(in_hull | union, in_hull | occs[-1])
+            hull = np.flatnonzero(in_hull)
+            voxels = np.concatenate((hull, np.flatnonzero(union & ~in_hull)))
             # One pose, then a round of three poses in one pass.
             for poses in (views[:1], views):
                 # The reference: each object rendered, then carved, on its own.
                 reference = []
                 for gt in gts:
-                    silhouettes, carved = [render_silhouette(gt, v) for v in poses], keep.copy()
-                    carve([ViewObservation(v, s) for v, s in zip(poses, silhouettes)], dim, keep=carved)
-                    reference.append((silhouettes, carved))
+                    silhouettes = [render_silhouette(gt, v) for v in poses]
+                    carved = carve([ViewObservation(v, s) for v, s in zip(poses, silhouettes)], dim, voxels=hull)
+                    reference.append((silhouettes, np.flatnonzero(carved.values)))
                 mapped = MappedEntries(monkeypatch)
                 passes = _render_and_carve(dim, poses, voxels, [occ[voxels] for occ in occs], hull.size)
                 assert len(passes) == len(gts)
@@ -567,24 +593,24 @@ class TestMappingWork:
                     assert len(rendered) == len(poses)
                     assert all(np.array_equal(r.pixels, s.pixels) for r, s in zip(rendered, silhouettes))
                     assert kept.shape == hull.shape
-                    assert np.array_equal(hull[kept], np.flatnonzero(carved))
+                    assert np.array_equal(hull[kept], carved)
                 # The hull and every voxel occupied outside it are mapped under each pose, once each.
                 for v in poses:
-                    assert np.array_equal(mapped.of(dim, v), keep | union)
+                    assert np.array_equal(mapped.of(dim, v), in_hull | union)
 
     def test_every_fill_maps_only_the_missing_voxels(self, monkeypatch):
         # Nothing is kept between calls under one pose, so every call's voxels
         # are missing: pixel_ids under either rule maps exactly the voxels it
-        # is given, and a render and carve exactly those of keep | occ, each once.
+        # is given, and a render and carve exactly those of in_hull | occ, each once.
         dim, v = 16, Viewpoint(33.0, -12.0)
         mapped = MappedEntries(monkeypatch)
         rng = np.random.default_rng(0)
         expected = np.zeros(dim**3, dtype=np.int64)
         for fill in range(6):
             if fill % 3 == 2:
-                keep, occ = rng.random(dim**3) < 0.3, rng.random(dim**3) < 0.1
-                expected += keep | occ
-                render_and_carve_hull(occ, dim, v, keep)
+                in_hull, occ = rng.random(dim**3) < 0.3, rng.random(dim**3) < 0.1
+                expected += in_hull | occ
+                render_and_carve_hull(occ, dim, v, np.flatnonzero(in_hull))
             else:
                 voxels = np.sort(rng.choice(dim**3, size=300, replace=False))
                 pixel_ids(dim, v, clip_depth=bool(fill % 2), voxels=voxels)
@@ -593,18 +619,18 @@ class TestMappingWork:
         assert mapped.most() > 1
 
 
-def render_and_carve_hull(occ, dim, v, keep):
-    """The loop's one pass of a hull held as the flat mask ``keep``, which it carves in place; returns the silhouette.
+def render_and_carve_hull(occ, dim, v, hull):
+    """The loop's one pass of a hull held as sorted ids; returns the silhouette and the carved hull's ids.
 
     The pass maps the hull's ids, then the occupied voxels outside it.
     """
     from voxsel.carve import _render_and_carve
 
-    hull = np.flatnonzero(keep)
-    voxels = np.concatenate((hull, np.flatnonzero(occ & ~keep)))
+    outside = occ.copy()
+    outside[hull] = False
+    voxels = np.concatenate((hull, np.flatnonzero(outside)))
     [([silhouette], kept)] = _render_and_carve(dim, [v], voxels, [occ[voxels]], hull.size)
-    keep[hull[~kept]] = False
-    return silhouette
+    return silhouette, hull[kept]
 
 
 def dense_cell_keys(dim, v):

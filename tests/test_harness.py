@@ -288,7 +288,6 @@ def assert_hull_is_carve(state, dim):
     assert state.dim == dim
     assert np.array_equal(state.hull, np.flatnonzero(expected))
     assert np.array_equal(state.outside, np.flatnonzero(state.occ & ~expected))
-    assert np.array_equal(state.keep, expected)
 
 
 def recorded_states(monkeypatch):
@@ -350,9 +349,9 @@ class TestRunningHull:
         obs = ViewObservation(Viewpoint(40.0, 10.0), render_silhouette(obj.gt, Viewpoint(40.0, 10.0), 0.4))
         state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
         state.observe([obs])
-        before = state.keep.copy()
+        before = state.hull.copy(), state.outside.copy()
         state.observe([obs])
-        assert np.array_equal(state.keep, before)
+        assert np.array_equal(state.hull, before[0]) and np.array_equal(state.outside, before[1])
         assert len(state.observations) == 2
         assert_hull_is_carve(state, 16)
 
@@ -360,10 +359,11 @@ class TestRunningHull:
         obj = make_corpus(1, dim=16, seed=2)[0]
         state = _ObjectState(obj.gt, 0.4, np.random.default_rng(0))
         state.observe([ViewObservation(Viewpoint(0.0, 0.0), render_silhouette(obj.gt, Viewpoint(0.0, 0.0), 0.4))])
-        before = state.keep.copy()
+        before = state.hull.copy(), state.outside.copy()
         with pytest.raises(ValueError, match="do not match grid dim 16"):
             state.observe([ViewObservation(Viewpoint(0.0, 0.0), SilhouetteImage(np.zeros((8, 8), dtype=bool)))])
-        assert len(state.observations) == 1 and np.array_equal(state.keep, before)
+        assert len(state.observations) == 1
+        assert np.array_equal(state.hull, before[0]) and np.array_equal(state.outside, before[1])
 
     def test_run_loop_carves_each_observation_once(self, monkeypatch):
         # First initial views and new views are carved by the one-pass
@@ -394,6 +394,35 @@ class TestRunningHull:
         assert sorted(map(id, carved)) == sorted(map(id, observed))
         for state in states:
             assert_hull_is_carve(state, config.dim)
+
+    @pytest.mark.parametrize("initial_views", [2, 3])
+    @pytest.mark.parametrize("kind", ["aligned", "hemispherical", "spherical"])
+    def test_each_initial_view_after_the_first_maps_the_hull_carved_before_it(self, monkeypatch, kind, initial_views):
+        # The first initial view is cut from the whole cube; each later one
+        # maps exactly the ids of the hull the views before it carved, each
+        # once, and so never the whole cube.
+        dim = 16
+        mapped = MappedEntries(monkeypatch)
+        observed = []
+
+        class CheckedState(_ObjectState):
+            def observe(self, new):
+                before = carve(self.observations, dim).values.reshape(-1) > 0
+                assert self.observations and np.array_equal(self.hull, np.flatnonzero(before))
+                singles = [carve([obs], dim).values.reshape(-1) > 0 for obs in new]
+                mapped.counts.clear()
+                super().observe(new)
+                for obs, single in zip(new, singles):
+                    assert np.array_equal(mapped.of(dim, obs.viewpoint), before) and not before.all()
+                    before = before & single
+                assert len(mapped.counts) == len(new)
+                observed.append(len(new))
+
+        monkeypatch.setattr(harness, "_ObjectState", CheckedState)
+        corpus = [corner_object(obj) for obj in make_corpus(3, dim=dim, seed=2)]
+        distribution = ViewDistribution(kind) if kind == "aligned" else ViewDistribution(kind, 6)
+        run_loop(corpus, small_config(initial_views=initial_views, initial_distribution=distribution))
+        assert observed == [initial_views - 1] * len(corpus)
 
     @pytest.mark.parametrize("tau, soft", [(0.4, False), (0.6, True), (0.2, True)])
     def test_run_loop_observes_the_exact_silhouette_of_every_view(self, monkeypatch, tau, soft):
@@ -552,6 +581,37 @@ class TestIdHull:
         occ = gt.values.reshape(-1) >= tau
         assert np.array_equal(state.outside, np.setdiff1d(np.flatnonzero(occ), state.hull))
         assert np.isin(corners, state.outside).all()
+
+
+    @pytest.mark.parametrize("tau", [0.0, 0.4, 1.0])
+    def test_a_soft_error_from_the_ids_is_the_dense_error_bit_for_bit(self, monkeypatch, tau):
+        # The soft error is gt with 1 - gt written at the hull's ids; the dense
+        # |mask - gt| of the same hull must come out in the same bits. The
+        # corner voxels are carved away, so the outside list is not empty.
+        errors, expected, outside = [], [], []
+        hot_voxels, iterate = harness._hot_voxels, harness.run_object_iteration
+
+        def recording(error):
+            errors.append(error.copy())
+            return hot_voxels(error)
+
+        def checked(obj, state, config, pool):
+            mask = np.zeros(state.dim**3, dtype=bool)
+            mask[state.hull] = True
+            expected.append(np.abs(mask - obj.gt.values.ravel()))
+            outside.append(state.outside.size)
+            rec = iterate(obj, state, config, pool)
+            assert len(errors) == len(expected)
+            return rec
+
+        monkeypatch.setattr(harness, "_hot_voxels", recording)
+        monkeypatch.setattr(harness, "run_object_iteration", checked)
+        corpus = [corner_object(soft_object(obj, k)) for k, obj in enumerate(make_corpus(4, dim=16, seed=3))]
+        run_loop(corpus, small_config(tau=tau, iterations=3))
+        assert len(errors) > 0 and min(outside) > 0
+        for error, dense in zip(errors, expected):
+            assert error.dtype == dense.dtype == np.float64
+            assert np.array_equal(error.view(np.uint64), dense.view(np.uint64))
 
 
 class TestLoopMetrics:
