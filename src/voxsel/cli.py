@@ -23,6 +23,7 @@ from .grid import DEFAULT_THRESHOLD, OccupancySet, VoxelGrid, error_grid
 from .harness import (
     LoopConfig,
     SceneObject,
+    _CORPUS_TYPES,
     _check_field_types,
     compare_policies,
     comparison_json,
@@ -141,9 +142,6 @@ def _load_corpus_dir(path: Path) -> list[SceneObject]:
         gt = _load_grid(path / entry["file"])
         corpus.append(SceneObject(name=entry["name"], category=entry["category"], gt=gt))
     return corpus
-
-
-_CORPUS_TYPES = {"dir": str, "count": int, "dim": int, "seed": int, "kinds": list}
 
 
 def _corpus_and_config(config_path: str) -> tuple[list[SceneObject], LoopConfig]:

@@ -5,6 +5,10 @@ A grid holds one scalar per voxel in [0, 1]. Values are addressed as
 format and by anything that serializes a grid) is row-major with x varying
 fastest, i.e. ``flat[(z * dims_y + y) * dims_x + x]``, which is exactly
 ``values.ravel(order="F")``.
+
+One private step, ``_frozen``, validates and freezes the array of every frozen
+container: ``VoxelGrid``, ``OccupancySet``, ``SilhouetteImage`` and
+``ErrorProjectionMap`` each store a read-only copy it checks.
 """
 
 from __future__ import annotations
@@ -27,20 +31,21 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.4
 
 
-def _validated_values(values: np.ndarray) -> np.ndarray:
-    src = np.asarray(values)
-    arr = np.array(src, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"voxel grid must be 3-D, got shape {arr.shape}")
-    if any(d < 1 for d in arr.shape):
-        raise ValueError(f"voxel grid dims must be positive, got {arr.shape}")
-    if src.dtype != np.bool_:  # bools are 0.0 or 1.0: nothing to check
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("voxel grid values must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("voxel grid values must lie in [0, 1]")
-    arr.flags.writeable = False
-    return arr
+def _frozen(arr, what: str, ndim: int, bits: bool) -> np.ndarray:
+    """A read-only copy of ``arr`` with ``ndim`` positive dims: bool bits, or float64 values finite and in [0, 1]."""
+    src = np.asarray(arr)
+    if bits and src.dtype != np.bool_:
+        raise ValueError(f"{what} must be boolean, got {src.dtype}")
+    if src.ndim != ndim or 0 in src.shape:
+        raise ValueError(f"{what} must be {ndim}-D with positive dims, got shape {src.shape}")
+    out = src.copy() if bits else np.array(src, dtype=np.float64)  # bits in C order, values in the source's
+    if src.dtype != np.bool_:  # a bool source holds 0 and 1 only
+        if not np.isfinite(out).all():
+            raise ValueError(f"{what} must be finite")
+        if out.min() < 0.0 or out.max() > 1.0:
+            raise ValueError(f"{what} must lie in [0, 1]")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class VoxelGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validated_values(self.values))
+        object.__setattr__(self, "values", _frozen(self.values, "VoxelGrid values", 3, bits=False))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -90,14 +95,7 @@ class OccupancySet:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits)
-        if bits.dtype != np.bool_:
-            raise ValueError(f"occupancy bits must be boolean, got {bits.dtype}")
-        if bits.ndim != 3 or any(d < 1 for d in bits.shape):
-            raise ValueError(f"occupancy bits must be 3-D with positive dims, got {bits.shape}")
-        bits = bits.copy()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _frozen(self.bits, "OccupancySet bits", 3, bits=True))
 
     @property
     def dims(self) -> tuple[int, int, int]:

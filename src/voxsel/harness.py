@@ -23,18 +23,18 @@ one pass (per 12) that maps the hull plus its outside list under all. The
 voxels an earlier view of the round carves away are among those mapped, so
 the round equals its views carved one by one. The other initial views are
 rendered from the occupied ids and carved by ``carve(new, dim, voxels=hull)``,
-which maps the hull's ids only; the new hull and outside list are gathers of
-its grid. Because the AND is order-independent and idempotent, the hull
-always equals ``carve`` of all the observations. An object has converged
-when its hull equals its bits, which the state decides in one place; a
-converged object is not re-observed. Evaluation computes IoU,
-F-score and excess voxels from the lengths of the id lists. Error-guided
-selection passes the ids of the mismatch voxels, the hull's off ``bits``
-and the ``bits`` outside the hull, straight to the scoring kernel of
-:mod:`voxsel.selection` and takes the best-ranked lattice centers from its
-totals, building no grid and no per-center scores; a soft ground truth is
-scored on ``|hull - gt|`` over the cube, ``gt`` with ``1 - gt`` written at
-the hull's ids, and never converges.
+which maps the hull's ids only. Either way one update keeps the hull voxels
+the views keep and moves the occupied ones they drop to the outside list. The
+AND is order-independent and idempotent, so the hull equals ``carve`` of all
+the observations. An object has converged when its hull equals its bits,
+which the state decides in one place; a converged object is not re-observed.
+Evaluation computes IoU, F-score and excess voxels from the lengths of the
+id lists. Error-guided selection passes the ids of the mismatch voxels, the
+hull's off ``bits`` and the ``bits`` outside the hull, straight to the
+scoring kernel of :mod:`voxsel.selection` and takes the best-ranked lattice
+centers from its totals, building no grid and no per-center scores; a soft
+ground truth is scored on ``|hull - gt|`` over the cube, ``gt`` with
+``1 - gt`` written at the hull's ids, and never converges.
 
 Randomness is drawn from numpy's PCG64 generator. Streams are derived with
 ``numpy.random.SeedSequence`` from (master seed, purpose tag, object index),
@@ -45,7 +45,7 @@ leak randomness across objects.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from typing import get_type_hints
@@ -54,7 +54,7 @@ import numpy as np
 
 from .carve import ViewObservation, _render_and_carve, carve
 from .geometry import Viewpoint, discretize_viewpoints, pixel_ids
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, threshold_grid
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import _hot_voxels, _lattice_totals, _top_centers, sample_around
@@ -130,6 +130,7 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(vars(self), _FIELD_TYPES, "loop config")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.views_per_round < 1:
@@ -166,17 +167,15 @@ def config_to_dict(config: LoopConfig) -> dict:
     return asdict(config)
 
 
-# The JSON type each loop config field must have, read from the dataclass
-# annotations: the loop passes counts, sizes and seeds to range() and
-# SeedSequence, and divides by the interval; a float field takes any number.
+# The type of each loop config field, read from its annotation and checked by the constructor: the loop passes
+# counts, sizes and seeds to range() and SeedSequence; a float field takes any number, and no field a bool.
 _NUMBER = (int, float)
-_FIELD_TYPES = {
-    key: _NUMBER if kind is float else kind
-    for key, kind in get_type_hints(LoopConfig).items()
-    if key != "initial_distribution"
-}
+_FIELD_TYPES = {key: _NUMBER if kind is float else kind for key, kind in get_type_hints(LoopConfig).items()}
 _DISTRIBUTION_TYPES = get_type_hints(ViewDistribution)
-_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a non-empty list of shape kinds"}
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", str: "a string", list: "a non-empty list of shape kinds",
+               ViewDistribution: "a ViewDistribution"}
+# The type of each corpus field, in a JSON config and as a make_corpus argument.
+_CORPUS_TYPES = {"dir": str, "count": int, "dim": int, "seed": int, "kinds": list}
 
 
 def _check_field_types(obj: dict, types: dict, where: str) -> None:
@@ -219,6 +218,7 @@ def make_corpus(
     corpus is reproducible and insensitive to generation order. The shape
     kind doubles as the object's category.
     """
+    _check_field_types({"count": count, "dim": dim, "seed": seed}, _CORPUS_TYPES, "corpus")
     if count < 1:
         raise ValueError(f"corpus count must be positive, got {count}")
     if seed < 0:
@@ -255,11 +255,9 @@ class _ObjectState:
     observations it is the full cube. ``outside`` holds the occupied voxels
     outside the hull, none unless a view carves away an occupied voxel (one
     past the safe radius, or any at tau 0); neither is ever a dense mask. A
-    state starts with no observations: :meth:`observe` carves rendered views
-    into the hull's ids once and appends them, and
-    :func:`_observe_in_one_pass` renders and carves views in one pass, each
-    first initial view in one pass shared by every object seen from that
-    pose.
+    state starts with no observations. :meth:`observe` carves views on the
+    hull's ids and :func:`_observe_in_one_pass` renders and carves them in
+    one pass; both append them through :meth:`add`, the one hull update.
     """
 
     gt: VoxelGrid
@@ -278,7 +276,7 @@ class _ObjectState:
     def __post_init__(self) -> None:
         self.dim = self.gt.dims[0]
         flat = self.gt.values.reshape(-1)
-        self.occ = threshold_grid(self.gt, self.tau).bits.reshape(-1)
+        self.occ = flat >= self.tau
         self.occ_ids = np.flatnonzero(self.occ)
         bits = self.occ if self.tau > 0 else flat == 1.0
         self.bits = bits if np.array_equal(flat, bits) else None
@@ -292,10 +290,14 @@ class _ObjectState:
 
     def observe(self, new: Sequence[ViewObservation]) -> None:
         """Append observations and AND them into the hull with one ``carve`` call on its ids."""
-        if not new:
-            return
-        carved = carve(new, self.dim, voxels=self.hull).values.reshape(-1)
-        self.hull, self.outside = self.hull[carved[self.hull] > 0], self.occ_ids[carved[self.occ_ids] == 0]
+        if new:
+            kept = carve(new, self.dim, voxels=self.hull).values.reshape(-1)[self.hull] > 0
+            self.add(new, kept, self.occ[self.hull])
+
+    def add(self, new: Iterable[ViewObservation], kept: np.ndarray, occupied: np.ndarray) -> None:
+        """Append views keeping the hull voxels ``kept``; the ones they drop that are ``occupied`` join ``outside``."""
+        self.outside = np.sort(np.concatenate((self.outside, self.hull[occupied & ~kept])))
+        self.hull = self.hull[kept]
         self.observations.extend(new)
 
 
@@ -317,10 +319,7 @@ def _observe_in_one_pass(states: Sequence[_ObjectState], views: Sequence[Viewpoi
     occupied = [state.occ if voxels.size == state.occ.size else state.occ[voxels] for state in states]
     passes = _render_and_carve(first.dim, views, voxels, occupied, first.hull.size)
     for state, occ, (silhouettes, kept) in zip(states, occupied, passes):
-        lost = occ[: kept.size] & ~kept  # occupied hull voxels these views carve away
-        state.outside = np.sort(np.concatenate((state.outside, state.hull[lost])))
-        state.hull = state.hull[kept]
-        state.observations.extend(map(ViewObservation, views, silhouettes))
+        state.add(map(ViewObservation, views, silhouettes), kept, occ[: kept.size])
 
 
 def run_object_iteration(

@@ -55,7 +55,7 @@ from .geometry import (
     rotate_grid,
     sample_gaussian_view,
 )
-from .grid import VoxelGrid, error_grid
+from .grid import VoxelGrid, _frozen, error_grid
 
 __all__ = [
     "FIRST_HIT_EPS",
@@ -96,13 +96,7 @@ class ErrorProjectionMap:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.pixels, dtype=np.float64)
-        if arr.ndim != 2 or any(d < 1 for d in arr.shape):
-            raise ValueError(f"projection map must be 2-D with positive dims, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("projection pixels must be finite values in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", _frozen(self.pixels, "ErrorProjectionMap pixels", 2, bits=False))
 
     @property
     def dims(self) -> tuple[int, int]:

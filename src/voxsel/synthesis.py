@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Viewpoint, _centered_coords, pixel_ids
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, _check_tau
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _check_tau, _frozen
 
 __all__ = [
     "SilhouetteImage",
@@ -61,14 +61,7 @@ class SilhouetteImage:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.pixels)
-        if arr.dtype != np.bool_:
-            raise ValueError(f"silhouette pixels must be boolean, got {arr.dtype}")
-        if arr.ndim != 2 or any(d < 1 for d in arr.shape):
-            raise ValueError(f"silhouette must be 2-D with positive dims, got {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", _frozen(self.pixels, "SilhouetteImage pixels", 2, bits=True))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -98,6 +91,8 @@ class ViewDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("aligned", "hemispherical", "spherical"):
             raise ValueError(f"unknown view distribution kind {self.kind!r}")
+        if isinstance(self.views_per_object, bool) or not isinstance(self.views_per_object, int):
+            raise ValueError(f"views_per_object must be an integer, got {self.views_per_object!r}")
         if self.views_per_object < 1:
             raise ValueError(f"views_per_object must be positive, got {self.views_per_object}")
         if self.kind == "aligned" and self.views_per_object != ALIGNED_VIEW_COUNT:

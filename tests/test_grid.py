@@ -1,5 +1,8 @@
 """Voxel grid container, thresholding, error grids, and metrics."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +18,8 @@ from voxsel.grid import (
     iou,
     threshold_grid,
 )
+from voxsel.selection import ErrorProjectionMap
+from voxsel.synthesis import SilhouetteImage
 
 
 def grid_of(values):
@@ -38,7 +43,7 @@ class TestVoxelGrid:
             VoxelGrid(np.zeros((4, 4)))
 
     def test_rejects_an_empty_axis(self):
-        with pytest.raises(ValueError, match="dims must be positive"):
+        with pytest.raises(ValueError, match=r"VoxelGrid values must be 3-D with positive dims, got shape \(4, 0, 4\)"):
             VoxelGrid(np.zeros((4, 0, 4)))
 
     def test_rejects_out_of_range_values(self):
@@ -131,6 +136,43 @@ class TestOccupancySet:
     def test_from_flat_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 8 flat bits"):
             OccupancySet.from_flat((2, 2, 2), np.zeros(7, dtype=bool))
+
+
+def with_entry(shape, value):
+    arr = np.zeros(shape)
+    arr.flat[-1] = value
+    return arr
+
+
+# The contract every frozen container shares: a read-only copy of its array with its number of positive dims,
+# bool bits or finite values in [0, 1]. Only the cases the per-container tests leave out are listed. Bits are
+# copied in C order from a source of any layout (the CLI reads them in Fortran order from its files).
+@pytest.mark.parametrize(
+    "container, source, message",
+    [
+        (OccupancySet, np.asfortranarray(np.arange(24).reshape(2, 3, 4) % 3 == 0), None),
+        (SilhouetteImage, np.asfortranarray(np.eye(3, dtype=bool)[:, :2]), None),
+        (OccupancySet, np.ones((2, 2, 2), dtype=np.uint8), "OccupancySet bits must be boolean, got uint8"),
+        (SilhouetteImage, np.ones((2, 2), dtype=np.uint8), "SilhouetteImage pixels must be boolean, got uint8"),
+        (ErrorProjectionMap, np.zeros((2, 0)),
+         "ErrorProjectionMap pixels must be 2-D with positive dims, got shape (2, 0)"),
+        (ErrorProjectionMap, with_entry((2, 2), np.nan), "ErrorProjectionMap pixels must be finite"),
+        (ErrorProjectionMap, with_entry((2, 2), np.inf), "ErrorProjectionMap pixels must be finite"),
+        (ErrorProjectionMap, with_entry((2, 2), -0.1), "ErrorProjectionMap pixels must lie in [0, 1]"),
+    ],
+)
+def test_a_frozen_container_stores_a_read_only_copy_of_a_valid_array(container, source, message):
+    if message is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            container(source)
+        return
+    stored = getattr(container(source), dataclasses.fields(container)[0].name)
+    assert stored.dtype == source.dtype and np.array_equal(stored, source)
+    assert stored.flags.c_contiguous and not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0, 0] = ~stored[0, 0]
+    source[...] = ~source
+    assert np.array_equal(stored, ~source)
 
 
 class TestThreshold:

@@ -88,6 +88,20 @@ class TestMakeCorpus:
         with pytest.raises(ValueError, match="corpus kinds must be a sequence of shape kinds, got None"):
             make_corpus(2, dim=8, kinds=None)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"count": 2.0}, "corpus field 'count' must be an integer, got 2.0"),
+            ({"count": True}, "corpus field 'count' must be an integer, got True"),
+            ({"count": 2, "dim": 16.0}, "corpus field 'dim' must be an integer, got 16.0"),
+            ({"count": 2, "dim": np.int64(16)}, "corpus field 'dim' must be an integer, got np.int64(16)"),
+            ({"count": 2, "seed": 1.5}, "corpus field 'seed' must be an integer, got 1.5"),
+        ],
+    )
+    def test_rejects_counts_dims_and_seeds_that_are_not_ints(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_corpus(**kw)
+
 
 class TestSceneObject:
     @pytest.mark.parametrize("name, category", [("", "box"), ("box-000", "")])
@@ -134,6 +148,34 @@ class TestLoopConfig:
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             LoopConfig(**kw)
+
+    # The constructor applies the rule config_from_dict applies to JSON: an int field takes an int and not a
+    # bool, a float field an int or a float, a str field a str, and initial_distribution a ViewDistribution.
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"dim": 16.0}, "loop config field 'dim' must be an integer, got 16.0"),
+            ({"dim": np.int64(16)}, "loop config field 'dim' must be an integer, got np.int64(16)"),
+            ({"seed": 1.5}, "loop config field 'seed' must be an integer, got 1.5"),
+            ({"iterations": 2.0}, "loop config field 'iterations' must be an integer, got 2.0"),
+            ({"pool_capacity": 2.5}, "loop config field 'pool_capacity' must be an integer, got 2.5"),
+            ({"views_per_round": True}, "loop config field 'views_per_round' must be an integer, got True"),
+            ({"interval_deg": "30"}, "loop config field 'interval_deg' must be a number, got '30'"),
+            ({"update_fraction": True}, "loop config field 'update_fraction' must be a number, got True"),
+            ({"tau": "0.4"}, "loop config field 'tau' must be a number, got '0.4'"),
+            ({"tau": np.float32(0.4)}, "loop config field 'tau' must be a number, got np.float32(0.4)"),
+            ({"selection_policy": 1}, "loop config field 'selection_policy' must be a string, got 1"),
+            ({"initial_distribution": {"kind": "aligned"}},
+             "loop config field 'initial_distribution' must be a ViewDistribution, got {'kind': 'aligned'}"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_rejected_by_the_constructor(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LoopConfig(**kw)
+
+    def test_an_int_float_field_and_a_python_float_subclass_are_numbers(self):
+        cfg = LoopConfig(interval_deg=45, update_fraction=1, tau=np.float64(0.5))
+        assert (cfg.interval_deg, cfg.update_fraction, cfg.tau) == (45, 1, 0.5)
 
     def test_views_per_round_beyond_the_lattice_rejected_under_error_guided(self):
         with pytest.raises(ValueError, match=r"views_per_round .* 8 centers .* got 9"):
@@ -640,20 +682,20 @@ class TestLoopMetrics:
 class TestLoopWork:
     """What the loop builds per run and per selection."""
 
-    def test_ground_truth_is_thresholded_once_per_object(self, monkeypatch):
-        thresholded = []
-
-        def counting(grid, tau):
-            thresholded.append(grid)
-            return threshold_grid(grid, tau)
-
-        monkeypatch.setattr(harness, "threshold_grid", counting)
+    @pytest.mark.parametrize("tau, soft", [(0.0, False), (0.4, False), (1.0, False), (0.4, True), (0.6, True)])
+    def test_ground_truth_is_thresholded_once_per_object(self, monkeypatch, tau, soft):
+        # One state per object, built from its own ground truth, whose occupancy is threshold_grid's bits.
+        states = recorded_states(monkeypatch)
         corpus = make_corpus(3, dim=16, seed=1)
-        run_loop(corpus, small_config(iterations=3))
-        assert [id(grid) for grid in thresholded] == [id(obj.gt) for obj in corpus]
+        if soft:
+            corpus = [soft_object(obj, k) for k, obj in enumerate(corpus)]
+        run_loop(corpus, small_config(tau=tau, iterations=3))
+        assert [id(state.gt) for state in states] == [id(obj.gt) for obj in corpus]
+        for state, obj in zip(states, corpus):
+            assert np.array_equal(state.occ, threshold_grid(obj.gt, tau).bits.reshape(-1))
 
-    def test_the_loop_builds_one_occupancy_set_per_object(self, monkeypatch):
-        # The ground truth's threshold; rendering and evaluation read masks.
+    def test_the_loop_builds_no_occupancy_set(self, monkeypatch):
+        # Thresholding, rendering and evaluation all read flat masks and id lists.
         built = []
         post_init = grid.OccupancySet.__post_init__
 
@@ -664,7 +706,7 @@ class TestLoopWork:
         monkeypatch.setattr(grid.OccupancySet, "__post_init__", counting)
         corpus = make_corpus(3, dim=16, seed=1)
         run_loop(corpus, small_config(iterations=3))
-        assert len(built) == len(corpus)
+        assert built == []
 
     def test_objects_sharing_the_first_initial_pose_map_it_once(self, monkeypatch):
         # Every object's first initial view is carved out of the full cube

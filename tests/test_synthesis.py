@@ -136,6 +136,11 @@ class TestViewDistributions:
         with pytest.raises(ValueError, match="views_per_object must be positive, got 0"):
             ViewDistribution("spherical", 0)
 
+    @pytest.mark.parametrize("kind, count", [("aligned", 24.0), ("spherical", True), ("hemispherical", "8")])
+    def test_a_view_count_that_is_not_an_int_rejected(self, kind, count):
+        with pytest.raises(ValueError, match=f"views_per_object must be an integer, got {count!r}"):
+            ViewDistribution(kind, count)
+
     @given(st.integers(0, 100))
     def test_hemispherical_pitch_range(self, seed):
         views = sample_dataset_viewpoints(ViewDistribution("hemispherical", 8), rng_of(seed))
