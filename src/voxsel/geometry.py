@@ -74,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import VoxelGrid
+from .grid import VoxelGrid, _cubic_dim
 
 __all__ = [
     "Viewpoint",
@@ -162,7 +162,10 @@ class ViewpointLattice:
     centers: tuple[Viewpoint, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        interval_deg = float(self.interval_deg)
+        try:
+            interval_deg = float(self.interval_deg)
+        except OverflowError:  # an int too large for a float
+            raise ValueError("interval must divide both 360 and 180, got an int too large for a float") from None
         if not interval_deg >= 1.0:
             raise ValueError(f"interval must be at least 1 degree (the 64,800-center lattice), got {interval_deg}")
         n_yaw = round(360.0 / interval_deg)
@@ -206,6 +209,9 @@ def _centered_coords(dim: int) -> np.ndarray:
 # took 1.1 ms, and 2.8 ms as one product whose fresh temporaries are faulted
 # in page by page.
 _ENTRIES_PER_PRODUCT = 2**14
+# The most views of a round stacked in one product (one pass of the loop's
+# carve), as TestBlasIdentity checks stacks of 1 to this many poses.
+_POSES_PER_PASS = 12
 
 
 def _stacked_rotations(poses: Sequence[Viewpoint]) -> np.ndarray:
@@ -472,9 +478,7 @@ def rotate_grid(grid: VoxelGrid, v: Viewpoint) -> VoxelGrid:
     deposit into their rotated cells, out-of-cube targets are dropped, vacated
     cells read 0, and colliding deposits keep the maximum value.
     """
-    if not grid.is_cubic:
-        raise ValueError(f"rotation requires a cubic grid, got dims {grid.dims}")
-    dim = grid.dims[0]
+    dim = _cubic_dim(grid, "rotation")
     cells, inside = rotated_cells(dim, v)
     vals = grid.values.reshape(-1)
     src = inside & (vals > 0.0)

@@ -8,7 +8,8 @@ fastest, i.e. ``flat[(z * dims_y + y) * dims_x + x]``, which is exactly
 
 One private step, ``_frozen``, validates and freezes the array of every frozen
 container: ``VoxelGrid``, ``OccupancySet``, ``SilhouetteImage`` and
-``ErrorProjectionMap`` each store a read-only copy it checks.
+``ErrorProjectionMap`` each store a read-only copy it checks. Likewise
+``_unflattened`` reads both flat layouts and ``_cubic_dim`` every cubic grid.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ def _frozen(arr, what: str, ndim: int, bits: bool) -> np.ndarray:
     return out
 
 
+def _unflattened(dims: tuple[int, int, int], flat, dtype, noun: str) -> np.ndarray:
+    """``flat``, one ``dtype`` entry per voxel in the canonical x-fastest layout, reshaped to ``dims``."""
+    flat = np.asarray(flat, dtype=dtype)
+    expected = int(np.prod(dims))
+    if flat.shape != (expected,):
+        raise ValueError(f"expected {expected} flat {noun}, got {flat.shape}")
+    return flat.reshape(dims, order="F")
+
+
+def _cubic_dim(grid: VoxelGrid, what: str) -> int:
+    """The side of a cubic ``grid``; ``what`` names the step that needs one."""
+    if len(set(grid.dims)) != 1:
+        raise ValueError(f"{what} requires a cubic grid, got dims {grid.dims}")
+    return grid.dims[0]
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
     """Dense grid of scalar occupancy values in [0, 1].
@@ -65,11 +82,6 @@ class VoxelGrid:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape  # type: ignore[return-value]
 
-    @property
-    def is_cubic(self) -> bool:
-        dx, dy, dz = self.dims
-        return dx == dy == dz
-
     @classmethod
     def zeros(cls, dims: tuple[int, int, int]) -> "VoxelGrid":
         return cls(np.zeros(dims, dtype=np.float64))
@@ -77,11 +89,7 @@ class VoxelGrid:
     @classmethod
     def from_flat(cls, dims: tuple[int, int, int], flat: np.ndarray) -> "VoxelGrid":
         """Build a grid from the canonical x-fastest flat layout."""
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = int(np.prod(dims))
-        if flat.shape != (expected,):
-            raise ValueError(f"expected {expected} flat values, got {flat.shape}")
-        return cls(flat.reshape(dims, order="F"))
+        return cls(_unflattened(dims, flat, np.float64, "values"))
 
     def to_flat(self) -> np.ndarray:
         """Return values in the canonical x-fastest flat layout."""
@@ -111,11 +119,7 @@ class OccupancySet:
 
     @classmethod
     def from_flat(cls, dims: tuple[int, int, int], flat: np.ndarray) -> "OccupancySet":
-        flat = np.asarray(flat, dtype=np.bool_)
-        expected = int(np.prod(dims))
-        if flat.shape != (expected,):
-            raise ValueError(f"expected {expected} flat bits, got {flat.shape}")
-        return cls(flat.reshape(dims, order="F"))
+        return cls(_unflattened(dims, flat, np.bool_, "bits"))
 
     def to_flat(self) -> np.ndarray:
         return self.bits.ravel(order="F")

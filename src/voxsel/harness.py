@@ -53,8 +53,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .carve import ViewObservation, _render_and_carve, carve
-from .geometry import Viewpoint, discretize_viewpoints, pixel_ids
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores
+from .geometry import Viewpoint, _POSES_PER_PASS, discretize_viewpoints, pixel_ids
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _count_scores, _cubic_dim
 from .io import canonical_json, viewpoint_to_dict
 from .pool import DEFAULT_POOL_CAPACITY, EmptyCategoryError, ViewpointPool, record, sample_by_category
 from .selection import _hot_voxels, _lattice_totals, _top_centers, sample_around
@@ -104,8 +104,7 @@ class SceneObject:
     def __post_init__(self) -> None:
         if not self.name or not self.category:
             raise ValueError("scene objects need non-empty name and category")
-        if not self.gt.is_cubic:
-            raise ValueError(f"ground truth must be cubic, got dims {self.gt.dims}")
+        _cubic_dim(self.gt, "SceneObject ground truth")
 
 
 @dataclass(frozen=True)
@@ -301,11 +300,6 @@ class _ObjectState:
         self.observations.extend(new)
 
 
-# The most views one product stacks, as far as TestBlasIdentity checks stacks bit-identical;
-# a longer round takes several passes, the same hull as the AND does not depend on order.
-_VIEWS_PER_PASS = 12
-
-
 def _observe_in_one_pass(states: Sequence[_ObjectState], views: Sequence[Viewpoint]) -> None:
     """Render ``views`` of each state's ``occ``, carve them into its hull and append them, in one pass for all of them.
 
@@ -331,9 +325,10 @@ def run_object_iteration(
     """Select and append new views for one object; returns the update record.
 
     The new views are rendered from ``state.occ`` and carved in one pass per
-    ``_VIEWS_PER_PASS`` of them. The record carries the viewpoints added, the
-    freshly selected subset that should enter the pool (empty under baseline
-    policies), and whether an empty pool forced a fallback to fresh selection.
+    ``geometry._POSES_PER_PASS`` of them. The record carries the viewpoints
+    added, the freshly selected subset that should enter the pool (empty under
+    baseline policies), and whether an empty pool forced a fallback to fresh
+    selection.
     A converged object (zero reconstruction error) is left untouched.
     """
     if state.converged:
@@ -374,8 +369,8 @@ def run_object_iteration(
         state.lattice_cursor = (state.lattice_cursor + n) % total
 
     added = fresh + pool_views
-    for start in range(0, len(added), _VIEWS_PER_PASS):
-        _observe_in_one_pass([state], added[start : start + _VIEWS_PER_PASS])
+    for start in range(0, len(added), _POSES_PER_PASS):
+        _observe_in_one_pass([state], added[start : start + _POSES_PER_PASS])
     pool_record = fresh if config.selection_policy == "error-guided" else []
     return {"added": added, "pool_record": pool_record, "pool_fallback": fallback, "converged": False}
 

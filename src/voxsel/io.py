@@ -56,6 +56,19 @@ class FormatError(ValueError):
     """Raised for malformed .vxg or .sil content; the message says where."""
 
 
+def _header(data: bytes, what: str, magic: bytes, fmt: str, ndim: int) -> tuple[tuple[int, ...], bytes]:
+    """The ``fmt`` fields after ``magic``, the first ``ndim`` of them positive dims, and the payload after them."""
+    end = len(magic) + struct.calcsize(fmt)
+    if len(data) < end:
+        raise FormatError(f"{what}: truncated header, got {len(data)} bytes")
+    if data[: len(magic)] != magic:
+        raise FormatError(f"{what}: bad magic {data[: len(magic)]!r} at offset 0, expected {magic!r}")
+    fields = struct.unpack(fmt, data[len(magic) : end])
+    if min(fields[:ndim]) < 1:
+        raise FormatError(f"{what}: dims must be positive, got {fields[:ndim]}")
+    return fields, data[end:]
+
+
 def _packed_bits(flags: np.ndarray) -> bytes:
     return np.packbits(flags, bitorder="little").tobytes()
 
@@ -89,17 +102,8 @@ def parse_vxg(data: bytes) -> VoxelGrid | OccupancySet:
     Float values outside [0, 1] are clamped with a warning; non-finite
     values, bad magic, unknown flags, and size mismatches are rejected.
     """
-    header = VXG_MAGIC + struct.pack("<IIIB", 0, 0, 0, 0)
-    if len(data) < len(header):
-        raise FormatError(f"vxg: truncated header, got {len(data)} bytes")
-    magic = data[:8]
-    if magic != VXG_MAGIC:
-        raise FormatError(f"vxg: bad magic {magic!r} at offset 0, expected {VXG_MAGIC!r}")
-    dx, dy, dz, flag = struct.unpack("<IIIB", data[8:21])
-    if min(dx, dy, dz) < 1:
-        raise FormatError(f"vxg: dims must be positive, got ({dx}, {dy}, {dz})")
+    (dx, dy, dz, flag), payload = _header(data, "vxg", VXG_MAGIC, "<IIIB", 3)
     count = dx * dy * dz
-    payload = data[21:]
     if flag == VXG_FLAG_FLOAT:
         if len(payload) != 4 * count:
             raise FormatError(f"vxg: expected {4 * count} payload bytes for {count} voxels, got {len(payload)}")
@@ -130,15 +134,8 @@ def sil_bytes(sil: SilhouetteImage) -> bytes:
 
 def parse_sil(data: bytes) -> SilhouetteImage:
     """Parse .sil bytes, rejecting bad magic and size mismatches."""
-    if len(data) < 16:
-        raise FormatError(f"sil: truncated header, got {len(data)} bytes")
-    magic = data[:8]
-    if magic != SIL_MAGIC:
-        raise FormatError(f"sil: bad magic {magic!r} at offset 0, expected {SIL_MAGIC!r}")
-    dy, dz = struct.unpack("<II", data[8:16])
-    if min(dy, dz) < 1:
-        raise FormatError(f"sil: dims must be positive, got ({dy}, {dz})")
-    bits = _unpacked_bits(data[16:], dy * dz, "sil")
+    (dy, dz), payload = _header(data, "sil", SIL_MAGIC, "<II", 2)
+    bits = _unpacked_bits(payload, dy * dz, "sil")
     return SilhouetteImage(bits.reshape((dy, dz), order="F"))
 
 

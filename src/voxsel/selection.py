@@ -55,7 +55,7 @@ from .geometry import (
     rotate_grid,
     sample_gaussian_view,
 )
-from .grid import VoxelGrid, _frozen, error_grid
+from .grid import VoxelGrid, _cubic_dim, _frozen, error_grid
 
 __all__ = [
     "FIRST_HIT_EPS",
@@ -144,8 +144,7 @@ def score_view(error: VoxelGrid, v: Viewpoint, lattice_index: tuple[int, int] = 
     ``lattice_index`` is ordering metadata supplied by the caller; standalone
     calls can leave the default.
     """
-    if not error.is_cubic:
-        raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
+    _cubic_dim(error, "view scoring")
     projection = project_first_hit(rotate_grid(error, v))
     return ViewScore(viewpoint=v, score=projection.total, lattice_index=tuple(lattice_index))
 
@@ -157,9 +156,8 @@ def score_all(error: VoxelGrid, lattice: ViewpointLattice) -> list[ViewScore]:
     totals of ``_lattice_totals`` over its hot voxels, which reads only their
     keys.
     """
-    if not error.is_cubic:
-        raise ValueError(f"view scoring requires a cubic grid, got dims {error.dims}")
-    totals = _lattice_totals(error.dims[0], *_hot_voxels(error.values.reshape(-1)), lattice).tolist()
+    dim = _cubic_dim(error, "view scoring")
+    totals = _lattice_totals(dim, *_hot_voxels(error.values.reshape(-1)), lattice).tolist()
     return [
         ViewScore(viewpoint=center, score=totals[k], lattice_index=lattice.lattice_index(k))
         for k, center in enumerate(lattice.centers)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Viewpoint, _centered_coords, pixel_ids
-from .grid import DEFAULT_THRESHOLD, VoxelGrid, _check_tau, _frozen
+from .grid import DEFAULT_THRESHOLD, VoxelGrid, _check_tau, _cubic_dim, _frozen
 
 __all__ = [
     "SilhouetteImage",
@@ -129,9 +129,7 @@ def render_silhouette(gt: VoxelGrid, v: Viewpoint, tau: float = DEFAULT_THRESHOL
     ``project_first_hit(rotate_grid(...))`` on the 0/1 grid.
     """
     tau = _check_tau(tau)
-    if not gt.is_cubic:
-        raise ValueError(f"rendering requires a cubic grid, got dims {gt.dims}")
-    dim = gt.dims[0]
+    dim = _cubic_dim(gt, "rendering")
     return _silhouette(dim, pixel_ids(dim, v, voxels=np.flatnonzero(gt.values >= tau)))
 
 

@@ -178,9 +178,10 @@ class TestSelect:
         assert payload["interval_deg"] == 22.5
         assert len(payload["scores"]) == 16 * 8
 
-    def test_non_divisor_interval_is_a_clean_failure(self, grid_pair, capsys):
+    @pytest.mark.parametrize("interval", ["7", pytest.param("1" + "0" * 400, id="int-past-float")])
+    def test_non_divisor_interval_is_a_clean_failure(self, grid_pair, capsys, interval):
         pred, gt = grid_pair
-        assert main(["select", "--pred", pred, "--gt", gt, "--interval", "7"]) == 2
+        assert main(["select", "--pred", pred, "--gt", gt, "--interval", interval]) == 2
         err = capsys.readouterr().err
         assert err.startswith("voxsel select: interval must divide both 360 and 180") and err.count("\n") == 1
 
@@ -360,12 +361,19 @@ class TestLoop:
         assert err.startswith(f"voxsel {command}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["loop", "compare"])
-    def test_a_sub_degree_interval_fails_cleanly(self, tmp_path, capsys, command):
-        # 0.01 degrees would ask for a 648,000,000-center lattice.
-        cfg = loop_config_file(tmp_path, interval_deg=0.01)
+    @pytest.mark.parametrize(
+        ("interval", "message"),
+        [
+            # 0.01 degrees would ask for a 648,000,000-center lattice.
+            pytest.param(0.01, "interval must be at least 1 degree", id="sub-degree"),
+            pytest.param(10**400, "interval must divide both 360 and 180", id="int-past-float"),
+        ],
+    )
+    def test_an_unusable_interval_fails_cleanly(self, tmp_path, capsys, command, interval, message):
+        cfg = loop_config_file(tmp_path, interval_deg=interval)
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"voxsel {command}: interval must be at least 1 degree") and err.count("\n") == 1
+        assert err.startswith(f"voxsel {command}: {message}") and err.count("\n") == 1
 
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -26,7 +26,6 @@ from voxsel.geometry import (
     wrap_yaw,
 )
 from voxsel.grid import VoxelGrid
-from voxsel.harness import _VIEWS_PER_PASS
 from voxsel.synthesis import ViewDistribution, sample_dataset_viewpoints
 
 from .mapping_counts import MappedEntries
@@ -40,8 +39,9 @@ from .oracles import (
 yaw_floats = st.floats(-720.0, 720.0, allow_nan=False)
 pitch_floats = st.floats(-90.0, 90.0, allow_nan=False)
 
-# Voxel columns times poses per forward-map product.
+# Voxel columns times poses per forward-map product, and the most views one pass stacks.
 ENTRIES = geometry._ENTRIES_PER_PRODUCT
+PASS_POSES = geometry._POSES_PER_PASS
 
 # All 90-degree-multiple viewpoints in the canonical domain:
 # yaw in {-180, -90, 0, 90}, pitch in {-90, 0, 90}.
@@ -189,7 +189,7 @@ class TestLattice:
         with pytest.raises(TypeError):
             ViewpointLattice(30.0, 3, 1, ())
 
-    @pytest.mark.parametrize("bad", [0, -30, 50, 75, 7, 360.5])
+    @pytest.mark.parametrize("bad", [0, -30, 50, 75, 7, 360.5, pytest.param(10**400, id="int-past-float")])
     def test_non_divisors_rejected(self, bad):
         with pytest.raises(ValueError):
             discretize_viewpoints(bad)
@@ -874,12 +874,12 @@ class TestBlasIdentity:
 
     @pytest.mark.parametrize(
         "poses",
-        [*range(1, _VIEWS_PER_PASS + 1), *((interval, half) for interval in (30, 20, 15, 10) for half in (False, True))],
+        [*range(1, PASS_POSES + 1), *((interval, half) for interval in (30, 20, 15, 10) for half in (False, True))],
         ids=str,
     )
     @pytest.mark.parametrize("dim", [31, 32, 64])
     def test_products_at_the_fill_widths_equal_the_full_per_pose_matmul(self, dim, poses):
-        # Rounds of one to _VIEWS_PER_PASS views, the most one pass stacks,
+        # Rounds of one to PASS_POSES views, the most one pass stacks,
         # and the full and half lattice tables, each at its own fill width;
         # the lone columns are all voxels near a tie.
         poses = fill_poses(poses)

@@ -110,7 +110,7 @@ class TestSceneObject:
             SceneObject(name=name, category=category, gt=VoxelGrid.zeros((4, 4, 4)))
 
     def test_rejects_a_non_cubic_ground_truth(self):
-        with pytest.raises(ValueError, match=r"must be cubic, got dims \(4, 4, 5\)"):
+        with pytest.raises(ValueError, match=r"^SceneObject ground truth requires a cubic grid, got dims \(4, 4, 5\)$"):
             SceneObject(name="box-000", category="box", gt=VoxelGrid.zeros((4, 4, 5)))
 
 
@@ -141,6 +141,7 @@ class TestLoopConfig:
             {"selection_policy": "greedy"},
             {"pool_mode": "sometimes"},
             {"interval_deg": 50},
+            {"interval_deg": 10**400},
             {"pool_capacity": 0},
             {"pool_capacity": -1},
         ],
@@ -565,7 +566,7 @@ class TestIdHull:
     def test_a_round_longer_than_one_pass_is_carved_in_passes_of_at_most_the_checked_stack(
         self, monkeypatch, policy
     ):
-        # A pass stacks at most _VIEWS_PER_PASS poses in one product, the
+        # A pass stacks at most _POSES_PER_PASS poses in one product, the
         # stacks TestBlasIdentity checks; a longer round takes several passes
         # and still equals its views carved one by one.
         states = recorded_states(monkeypatch)
@@ -578,12 +579,13 @@ class TestIdHull:
             return one_pass(states, views)
 
         monkeypatch.setattr(harness, "_observe_in_one_pass", counted)
-        n = 2 * harness._VIEWS_PER_PASS + 3
+        cap = geometry._POSES_PER_PASS
+        n = 2 * cap + 3
         corpus = [corner_object(obj) for obj in make_corpus(2, dim=16, seed=3)]
         rep = run_loop(corpus, small_config(views_per_round=n, selection_policy=policy))
         rounds = [len(it["selected"]) for rec in rep.objects for it in rec["iterations"] if it["selected"]]
         assert rounds and set(rounds) == {n}
-        assert passes == [harness._VIEWS_PER_PASS, harness._VIEWS_PER_PASS, 3] * len(rounds)
+        assert passes == [cap, cap, 3] * len(rounds)
         for state, obj in zip(states, corpus):
             assert_hull_is_carve(state, 16)
             for obs in state.observations:
