@@ -48,7 +48,7 @@ from .synthesis import SHAPE_KINDS, render_silhouette
 
 def _load_grid(path: str | Path) -> VoxelGrid:
     loaded = read_vxg(path)
-    return loaded.to_grid() if isinstance(loaded, OccupancySet) else loaded
+    return VoxelGrid(loaded.bits) if isinstance(loaded, OccupancySet) else loaded
 
 
 def _emit(text: str, out: str | None) -> None:

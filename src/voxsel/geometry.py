@@ -2,9 +2,9 @@
 
 Angle and axis conventions
 --------------------------
-A viewpoint is a (yaw, pitch) pair in degrees with roll fixed at zero. Yaw
+A viewpoint is a (yaw, pitch) pair in degrees; it has no roll. Yaw
 rotates about the world z axis, pitch about the world y axis, and the full
-rotation composes Tait-Bryan style as ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``
+rotation composes Tait-Bryan style as ``R = Rz(yaw) @ Ry(pitch)``
 with right-handed axes. Yaw lives on the half-open circle [-180, 180) and
 pitch is clamped to [-90, 90].
 
@@ -105,7 +105,7 @@ def clamp_pitch(pitch_deg: float) -> float:
 
 @dataclass(frozen=True)
 class Viewpoint:
-    """A camera orientation: yaw and pitch in degrees, roll pinned to 0.
+    """A camera orientation: yaw and pitch in degrees, with no roll.
 
     The constructor normalizes yaw into [-180, 180) and clamps pitch into
     [-90, 90], so two viewpoints describing the same orientation compare
@@ -114,25 +114,20 @@ class Viewpoint:
 
     yaw: float
     pitch: float
-    roll: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.yaw) and math.isfinite(self.pitch)):
             raise ValueError(f"viewpoint angles must be finite, got ({self.yaw}, {self.pitch})")
-        if self.roll != 0.0:
-            raise ValueError(f"roll is fixed at 0, got {self.roll}")
         object.__setattr__(self, "yaw", wrap_yaw(self.yaw))
         object.__setattr__(self, "pitch", clamp_pitch(self.pitch))
-        object.__setattr__(self, "roll", 0.0)
 
 
 def rotation_matrix(v: Viewpoint) -> np.ndarray:
-    """Right-handed rotation ``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` as a 3x3 array."""
+    """Right-handed rotation ``Rz(yaw) @ Ry(pitch)`` as a 3x3 array."""
     cy, sy = math.cos(math.radians(v.yaw)), math.sin(math.radians(v.yaw))
     cp, sp = math.cos(math.radians(v.pitch)), math.sin(math.radians(v.pitch))
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    # Roll is identically zero, so Rx drops out of the product.
     return rz @ ry
 
 

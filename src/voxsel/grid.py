@@ -1,15 +1,12 @@
 """Dense voxel occupancy grids and the metrics defined over them.
 
 A grid holds one scalar per voxel in [0, 1]. Values are addressed as
-``values[x, y, z]``; the canonical flat layout (used by the ``.vxg`` file
-format and by anything that serializes a grid) is row-major with x varying
-fastest, i.e. ``flat[(z * dims_y + y) * dims_x + x]``, which is exactly
-``values.ravel(order="F")``.
+``values[x, y, z]``.
 
 One private step, ``_frozen``, validates and freezes the array of every frozen
 container: ``VoxelGrid``, ``OccupancySet``, ``SilhouetteImage`` and
 ``ErrorProjectionMap`` each store a read-only copy it checks. Likewise
-``_unflattened`` reads both flat layouts and ``_cubic_dim`` every cubic grid.
+``_cubic_dim`` checks every cubic grid.
 """
 
 from __future__ import annotations
@@ -49,15 +46,6 @@ def _frozen(arr, what: str, ndim: int, bits: bool) -> np.ndarray:
     return out
 
 
-def _unflattened(dims: tuple[int, int, int], flat, dtype, noun: str) -> np.ndarray:
-    """``flat``, one ``dtype`` entry per voxel in the canonical x-fastest layout, reshaped to ``dims``."""
-    flat = np.asarray(flat, dtype=dtype)
-    expected = int(np.prod(dims))
-    if flat.shape != (expected,):
-        raise ValueError(f"expected {expected} flat {noun}, got {flat.shape}")
-    return flat.reshape(dims, order="F")
-
-
 def _cubic_dim(grid: VoxelGrid, what: str) -> int:
     """The side of a cubic ``grid``; ``what`` names the step that needs one."""
     if len(set(grid.dims)) != 1:
@@ -86,15 +74,6 @@ class VoxelGrid:
     def zeros(cls, dims: tuple[int, int, int]) -> "VoxelGrid":
         return cls(np.zeros(dims, dtype=np.float64))
 
-    @classmethod
-    def from_flat(cls, dims: tuple[int, int, int], flat: np.ndarray) -> "VoxelGrid":
-        """Build a grid from the canonical x-fastest flat layout."""
-        return cls(_unflattened(dims, flat, np.float64, "values"))
-
-    def to_flat(self) -> np.ndarray:
-        """Return values in the canonical x-fastest flat layout."""
-        return self.values.ravel(order="F")
-
 
 @dataclass(frozen=True)
 class OccupancySet:
@@ -112,17 +91,6 @@ class OccupancySet:
     @property
     def count(self) -> int:
         return int(np.count_nonzero(self.bits))
-
-    def to_grid(self) -> VoxelGrid:
-        """Binary 0.0/1.0 grid carrying these decisions as values."""
-        return VoxelGrid(self.bits)
-
-    @classmethod
-    def from_flat(cls, dims: tuple[int, int, int], flat: np.ndarray) -> "OccupancySet":
-        return cls(_unflattened(dims, flat, np.bool_, "bits"))
-
-    def to_flat(self) -> np.ndarray:
-        return self.bits.ravel(order="F")
 
 
 def _check_tau(tau: float) -> float:

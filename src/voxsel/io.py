@@ -1,18 +1,19 @@
 """Binary file formats for grids and silhouettes, plus viewpoint JSON.
 
-``.vxg`` carries one voxel grid: an 8-byte magic ``VXGRID01``, three
-little-endian uint32 dims (x, y, z), a one-byte payload flag, then the
-payload in canonical x-fastest order. Flag 0 stores float32 little-endian
-values; flag 1 stores bit-packed occupancy, LSB-first within each byte, with
-the final byte zero-padded.
+This module alone knows the files' flat byte layout. ``.vxg`` carries one
+voxel grid: an 8-byte magic ``VXGRID01``, three little-endian uint32 dims
+(x, y, z), a one-byte payload flag, then the payload x-fastest,
+``flat[(z * dims_y + y) * dims_x + x] = values[x, y, z]``. Flag 0 stores
+float32 little-endian values; flag 1 stores bit-packed occupancy, LSB-first
+within each byte, with the final byte zero-padded.
 
 ``.sil`` carries one silhouette image: magic ``SILIMG01``, two little-endian
-uint32 dims (y, z), then bit-packed pixels in y-fastest order, LSB-first,
-final byte zero-padded.
+uint32 dims (y, z), then bit-packed pixels y-fastest, ``flat[z * dims_y + y]
+= pixels[y, z]``, LSB-first, final byte zero-padded.
 
 Viewpoints interchange as JSON objects ``{"yaw": number, "pitch": number}``
-in degrees; roll is fixed at zero and therefore omitted. Every JSON document
-the package writes is canonical: sorted keys, two-space indent.
+in degrees; a viewpoint has no roll. Every JSON document the package writes
+is canonical: sorted keys, two-space indent.
 """
 
 from __future__ import annotations
@@ -84,16 +85,14 @@ def _unpacked_bits(data: bytes, count: int, what: str) -> np.ndarray:
 def vxg_bytes(obj: VoxelGrid | OccupancySet) -> bytes:
     """Serialize a grid (flag 0) or occupancy set (flag 1) to .vxg bytes."""
     if isinstance(obj, VoxelGrid):
-        dims = obj.dims
         flag = VXG_FLAG_FLOAT
-        payload = obj.to_flat().astype("<f4").tobytes()
+        payload = obj.values.ravel(order="F").astype("<f4").tobytes()
     elif isinstance(obj, OccupancySet):
-        dims = obj.dims
         flag = VXG_FLAG_BITS
-        payload = _packed_bits(obj.to_flat())
+        payload = _packed_bits(obj.bits.ravel(order="F"))
     else:
         raise TypeError(f"expected VoxelGrid or OccupancySet, got {type(obj).__name__}")
-    return VXG_MAGIC + struct.pack("<IIIB", *dims, flag) + payload
+    return VXG_MAGIC + struct.pack("<IIIB", *obj.dims, flag) + payload
 
 
 def parse_vxg(data: bytes) -> VoxelGrid | OccupancySet:
@@ -113,9 +112,9 @@ def parse_vxg(data: bytes) -> VoxelGrid | OccupancySet:
         if flat.min() < 0.0 or flat.max() > 1.0:
             warnings.warn("vxg: values outside [0, 1] clamped on load", stacklevel=2)
             flat = np.clip(flat, 0.0, 1.0)
-        return VoxelGrid.from_flat((dx, dy, dz), flat)
+        return VoxelGrid(flat.reshape((dx, dy, dz), order="F"))
     if flag == VXG_FLAG_BITS:
-        return OccupancySet.from_flat((dx, dy, dz), _unpacked_bits(payload, count, "vxg"))
+        return OccupancySet(_unpacked_bits(payload, count, "vxg").reshape((dx, dy, dz), order="F"))
     raise FormatError(f"vxg: unknown payload flag {flag} at offset 20, expected 0 or 1")
 
 
@@ -129,7 +128,7 @@ def read_vxg(path: str | Path) -> VoxelGrid | OccupancySet:
 
 def sil_bytes(sil: SilhouetteImage) -> bytes:
     """Serialize a silhouette image to .sil bytes."""
-    return SIL_MAGIC + struct.pack("<II", *sil.dims) + _packed_bits(sil.to_flat())
+    return SIL_MAGIC + struct.pack("<II", *sil.dims) + _packed_bits(sil.pixels.ravel(order="F"))
 
 
 def parse_sil(data: bytes) -> SilhouetteImage:

@@ -89,8 +89,7 @@ MAX_LATTICE_TABLE_BYTES = 512 * 2**20
 class ErrorProjectionMap:
     """Orthographic first-hit image of a grid, one pixel per (y, z) ray.
 
-    ``pixels`` has shape ``(dims_y, dims_z)``; the canonical flat layout is
-    y-fastest, ``flat[z * dims_y + y]``, which is ``pixels.ravel(order="F")``.
+    ``pixels`` has shape ``(dims_y, dims_z)``.
     """
 
     pixels: np.ndarray
@@ -105,9 +104,6 @@ class ErrorProjectionMap:
     @property
     def total(self) -> float:
         return float(self.pixels.sum())
-
-    def to_flat(self) -> np.ndarray:
-        return self.pixels.ravel(order="F")
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,7 @@ _ALIGNED_RING = tuple(
 class SilhouetteImage:
     """Binary view of an object, one pixel per (y, z) ray.
 
-    ``pixels`` has shape ``(dims_y, dims_z)``; the canonical flat layout is
-    y-fastest, matching :class:`~voxsel.selection.ErrorProjectionMap`.
+    ``pixels`` has shape ``(dims_y, dims_z)``.
     """
 
     pixels: np.ndarray
@@ -70,9 +69,6 @@ class SilhouetteImage:
     @property
     def count(self) -> int:
         return int(self.pixels.sum())
-
-    def to_flat(self) -> np.ndarray:
-        return self.pixels.ravel(order="F")
 
 
 @dataclass(frozen=True)

@@ -80,14 +80,13 @@ class TestViewpoint:
         v = Viewpoint(yaw=185.0, pitch=95.0)
         assert v.yaw == -175.0
         assert v.pitch == 90.0
-        assert v.roll == 0.0
 
     def test_equal_orientations_compare_equal(self):
         assert Viewpoint(190.0, 30.0) == Viewpoint(-170.0, 30.0)
 
     def test_rejects_nonzero_roll(self):
-        with pytest.raises(ValueError):
-            Viewpoint(0.0, 0.0, roll=5.0)
+        with pytest.raises(TypeError):
+            Viewpoint(0.0, 0.0, 5.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -71,26 +71,6 @@ class TestVoxelGrid:
         src[0, 0, 0] = 1.0
         assert g.values[0, 0, 0] == 0.0
 
-    def test_flat_layout_is_x_fastest(self):
-        # flat[(z*Dy + y)*Dx + x] == values[x, y, z]
-        vals = np.arange(2 * 3 * 4).reshape((2, 3, 4)) / 100.0
-        g = VoxelGrid(vals)
-        flat = g.to_flat()
-        for x in range(2):
-            for y in range(3):
-                for z in range(4):
-                    assert flat[(z * 3 + y) * 2 + x] == vals[x, y, z]
-
-    @given(value_grids)
-    def test_flat_round_trip(self, vals):
-        g = VoxelGrid(vals)
-        back = VoxelGrid.from_flat(g.dims, g.to_flat())
-        assert np.array_equal(back.values, g.values)
-
-    def test_from_flat_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            VoxelGrid.from_flat((2, 2, 2), np.zeros(7))
-
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (8, 8, 8)])
     def test_a_bool_grid_equals_its_float_grid(self, dims):
         bits = np.random.default_rng(sum(dims)).random(dims) < 0.5
@@ -119,23 +99,6 @@ class TestOccupancySet:
         bits[2, 2, 2] = True
         assert occ_of(bits).count == 2
 
-    def test_to_grid_is_binary(self):
-        bits = np.zeros((2, 2, 2), dtype=bool)
-        bits[1, 0, 1] = True
-        g = occ_of(bits).to_grid()
-        assert set(np.unique(g.values)) <= {0.0, 1.0}
-        assert g.values[1, 0, 1] == 1.0
-
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(3)
-        bits = rng.random((3, 4, 5)) < 0.5
-        s = occ_of(bits)
-        back = OccupancySet.from_flat(s.dims, s.to_flat())
-        assert np.array_equal(back.bits, s.bits)
-
-    def test_from_flat_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="expected 8 flat bits"):
-            OccupancySet.from_flat((2, 2, 2), np.zeros(7, dtype=bool))
 
 
 def with_entry(shape, value):

@@ -139,6 +139,23 @@ class TestVxgFormat:
         assert floats[1] == 1.0
         assert floats.sum() == 1.0
 
+    def test_float_payload_holds_every_index_x_fastest(self):
+        vals = np.arange(2 * 3 * 4).reshape((2, 3, 4)) / 32.0  # exact in float32
+        floats = np.frombuffer(vxg_bytes(VoxelGrid(vals))[21:], dtype="<f4")
+        for x in range(2):
+            for y in range(3):
+                for z in range(4):
+                    assert floats[(z * 3 + y) * 2 + x] == vals[x, y, z]
+
+    def test_bit_payload_holds_every_index_x_fastest(self):
+        bits = np.random.default_rng(3).random((3, 4, 5)) < 0.5
+        payload = np.frombuffer(vxg_bytes(OccupancySet(bits))[21:], dtype=np.uint8)
+        flat = np.unpackbits(payload, count=60, bitorder="little")
+        for x in range(3):
+            for y in range(4):
+                for z in range(5):
+                    assert flat[(z * 4 + y) * 3 + x] == bits[x, y, z]
+
 
 class TestSilFormat:
     def test_header_layout(self):
@@ -156,6 +173,14 @@ class TestSilFormat:
         data = sil_bytes(SilhouetteImage(px))
         assert data[16] == (1 << 0) | (1 << 5)
         assert data[17] == 1
+
+    def test_payload_holds_every_index_y_fastest(self):
+        px = np.array([[True, False, True], [True, True, False]])
+        payload = np.frombuffer(sil_bytes(SilhouetteImage(px))[16:], dtype=np.uint8)
+        flat = np.unpackbits(payload, count=6, bitorder="little")
+        for y in range(2):
+            for z in range(3):
+                assert flat[z * 2 + y] == px[y, z]
 
     @given(st.integers(0, 10_000), dims2)
     @settings(max_examples=120, deadline=None)

@@ -1,4 +1,5 @@
-"""Every name the package and its modules list in ``__all__`` resolves, and so does every name its docs cite."""
+"""Every name the package and its modules list in ``__all__`` resolves, so does every name its docs cite, and every
+name a source, test or demo file imports is used."""
 
 import ast
 import importlib
@@ -21,6 +22,7 @@ MODULE_REF = re.compile(rf"`(?:voxsel\.)?((?:{'|'.join(SUBMODULES)})\.(?!py\b)[A
 ROLE_REF = re.compile(r":(?:func|class|mod|meth|data):`~?([\w.]+)`")
 # A test id, e.g. tests/test_geometry.py::TestBlasIdentity.
 TEST_REF = re.compile(r"tests/(\w+\.py)::(\w+(?:::\w+)*)")
+SOURCE_FILES = sorted(path for folder in ("src/voxsel", "tests", "demos") for path in (ROOT / folder).rglob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -120,3 +122,35 @@ def test_a_stale_reference_is_caught():
         "tests/test_package.py::test_every_export_resolves::nested",
         "tests/no_such_file.py::test_x",
     ]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports (``from __future__`` aside) but neither reads as a name nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [name for name in bound if name not in used]
+
+
+def test_no_file_imports_a_name_it_does_not_use():
+    unused = {str(path.relative_to(ROOT)): _unused_imports(path.read_text(encoding="utf-8")) for path in SOURCE_FILES}
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_an_unused_import_is_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nimport json\n"
+        "from .grid import VoxelGrid, iou as score\nfrom .io import canonical_json\n"
+        "__all__ = ['canonical_json']\n"
+        "def f(): return np.zeros(1), os.path.sep\n"
+    )
+    assert _unused_imports(source) == ["json", "VoxelGrid", "score"]

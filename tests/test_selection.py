@@ -91,14 +91,6 @@ class TestProjectionMap:
         with pytest.raises(ValueError):
             ErrorProjectionMap(np.full((2, 2), 1.5))
 
-    def test_flat_layout_is_y_fastest(self):
-        px = np.arange(6).reshape(2, 3) / 10.0
-        m = ErrorProjectionMap(px)
-        flat = m.to_flat()
-        for y in range(2):
-            for z in range(3):
-                assert flat[z * 2 + y] == px[y, z]
-
     def test_total_is_pixel_sum(self):
         m = ErrorProjectionMap(np.full((4, 4), 0.25))
         assert m.total == pytest.approx(4.0)
