@@ -117,6 +117,14 @@ class TestRender:
         assert read_sil(lo).pixels.sum() == 1
         assert read_sil(hi).pixels.sum() == 0
 
+    def test_an_occupancy_file_renders_as_its_binary_grid(self, tmp_path):
+        bits = np.random.default_rng(5).random((8, 8, 8)) < 0.3
+        grid_path = write_grid(tmp_path / "occ.vxg", OccupancySet(bits))
+        sil_path = tmp_path / "occ.sil"
+        assert main(["render", "--grid", grid_path, "--yaw", "40", "--pitch", "20", "--out", str(sil_path)]) == 0
+        expected = render_silhouette(VoxelGrid(bits.astype(float)), Viewpoint(40.0, 20.0), 0.4)
+        assert np.array_equal(read_sil(sil_path).pixels, expected.pixels)
+
     def test_non_cubic_grid_fails_cleanly(self, tmp_path, capsys):
         grid_path = write_grid(tmp_path / "flat.vxg", VoxelGrid.zeros((4, 4, 8)))
         code = main(["render", "--grid", grid_path, "--yaw", "0", "--pitch", "0", "--out", str(tmp_path / "o.sil")])
@@ -146,6 +154,18 @@ class TestSelect:
             assert set(row) == {"viewpoint", "score", "lattice_index"}
         # A single excess voxel is visible from every viewpoint.
         assert all(row["score"] > 0 for row in payload["scores"])
+
+    def test_occupancy_files_select_as_their_binary_grids(self, grid_pair, tmp_path, capsys):
+        pred, gt = grid_pair
+        assert main(["select", "--pred", pred, "--gt", gt, "--seed", "3"]) == 0
+        from_floats = capsys.readouterr().out
+        bit_paths = []
+        for path in (pred, gt):
+            bit_path = tmp_path / f"bits-{Path(path).name}"
+            write_vxg(bit_path, OccupancySet(read_vxg(path).values > 0.5))
+            bit_paths.append(str(bit_path))
+        assert main(["select", "--pred", bit_paths[0], "--gt", bit_paths[1], "--seed", "3"]) == 0
+        assert capsys.readouterr().out == from_floats
 
     def test_interval_changes_the_lattice(self, grid_pair, capsys):
         pred, gt = grid_pair

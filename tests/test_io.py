@@ -113,6 +113,18 @@ class TestVxgFormat:
         with pytest.raises(FormatError, match="payload bytes"):
             parse_vxg(data[:-3])
 
+    def test_long_payload_rejected(self):
+        data = vxg_bytes(VoxelGrid.zeros((2, 2, 2))) + bytes(4)
+        with pytest.raises(FormatError, match="expected 32 payload bytes for 8 voxels, got 36"):
+            parse_vxg(data)
+
+    def test_bit_payload_size_mismatch_rejected(self):
+        data = vxg_bytes(OccupancySet(np.ones((3, 3, 2), dtype=bool)))  # 18 bits in 3 bytes
+        with pytest.raises(FormatError, match="expected 3 payload bytes for 18 bits, got 2"):
+            parse_vxg(data[:-1])
+        with pytest.raises(FormatError, match="expected 3 payload bytes for 18 bits, got 4"):
+            parse_vxg(data + b"\x00")
+
     def test_zero_dim_rejected(self):
         data = VXG_MAGIC + struct.pack("<IIIB", 0, 2, 2, 0)
         with pytest.raises(FormatError, match="dims must be positive"):
